@@ -60,9 +60,10 @@ BENCHMARK(BM_PD2_Compare_HeavyTies);
 BENCHMARK(BM_PF_Compare_HeavyTies);
 
 // Packed-key comparison vs the legacy tie-break chain it replaces: the
-// same ref population compared through SubtaskPriority with packing on
-// (one 128-bit integer compare) and off (4-branch cascade).  This is
-// the per-sift cost the calendar queue and heap pay on the hot path.
+// same ref population compared through SubtaskPriority with keyed refs
+// (one 128-bit integer compare) and keyless ones (4-branch cascade).
+// This is the per-sift cost the calendar queue and heap pay on the hot
+// path.
 void bm_priority_compare(benchmark::State& state, Algorithm alg, bool packed,
                          bool heavy_ties) {
   const Algorithm ref_alg = packed ? alg : Algorithm::kWRR;  // kWRR never packs
@@ -79,7 +80,7 @@ void bm_priority_compare(benchmark::State& state, Algorithm alg, bool packed,
     }
     refs.push_back(make_subtask_ref(id, e, p, rng.uniform_int(1, e), 0, ref_alg));
   }
-  const SubtaskPriority pri(alg, packed);
+  const SubtaskPriority pri(alg);
   std::size_t i = 0;
   std::size_t j = 128;
   for (auto _ : state) {
@@ -143,7 +144,7 @@ void bm_heap_push_pop(benchmark::State& state, bool packed) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const Algorithm alg = packed ? Algorithm::kPD2 : Algorithm::kWRR;
   const auto refs = resident_refs(n, alg);
-  BinaryHeap<SubtaskRef, SubtaskPriority> heap(SubtaskPriority(Algorithm::kPD2, packed));
+  BinaryHeap<SubtaskRef, SubtaskPriority> heap(SubtaskPriority(Algorithm::kPD2));
   for (std::size_t i = 0; i < n; ++i) heap.push(refs[i]);
   std::size_t next = n;
   for (auto _ : state) {
@@ -163,7 +164,7 @@ BENCHMARK(BM_SubtaskHeap_PushPop_Legacy)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 void bm_heap_erase(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const auto refs = resident_refs(n, Algorithm::kPD2);
-  BinaryHeap<SubtaskRef, SubtaskPriority> heap(SubtaskPriority(Algorithm::kPD2, true));
+  BinaryHeap<SubtaskRef, SubtaskPriority> heap(SubtaskPriority(Algorithm::kPD2));
   std::vector<HeapHandle> handles;
   for (std::size_t i = 0; i < n; ++i) handles.push_back(heap.push(refs[i]));
   std::size_t victim = 0;

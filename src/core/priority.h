@@ -135,18 +135,16 @@ class ScopedPd2BBitFlip {
 
 /// Comparator functor selecting one of the rules at construction; usable
 /// as the Less parameter of BinaryHeap.  When both operands carry a
-/// packed key for this comparator's algorithm (and packing is not
-/// disabled), the comparison is a single PackedKey compare; the packing
-/// in priority.cpp guarantees that path returns exactly what the legacy
-/// chain below would, so mixing keyed and keyless refs stays a
-/// consistent strict weak ordering.
+/// packed key for this comparator's algorithm, the comparison is a
+/// single PackedKey compare; the packing in priority.cpp guarantees that
+/// path returns exactly what the legacy chain below would, so mixing
+/// keyed and keyless refs stays a consistent strict weak ordering.
 class SubtaskPriority {
  public:
-  explicit SubtaskPriority(Algorithm alg = Algorithm::kPD2, bool packed = true) noexcept
-      : alg_(alg), packed_(packed) {}
+  explicit SubtaskPriority(Algorithm alg = Algorithm::kPD2) noexcept : alg_(alg) {}
 
   [[nodiscard]] bool operator()(const SubtaskRef& a, const SubtaskRef& b) const noexcept {
-    if (packed_ && a.key_alg == static_cast<std::uint8_t>(alg_) &&
+    if (a.key_alg == static_cast<std::uint8_t>(alg_) &&
         b.key_alg == static_cast<std::uint8_t>(alg_)) {
       if (alg_ != Algorithm::kPD2 || !pd2_b_bit_flip_for_test()) [[likely]] {
         return a.key < b.key;
@@ -156,8 +154,8 @@ class SubtaskPriority {
   }
 
   /// The pre-packed-key comparator chain (the reference semantics the
-  /// packed path must reproduce bit-exactly; differential tests compare
-  /// heaps driven by each).
+  /// packed path must reproduce bit-exactly; tests/core/priority_test.cpp
+  /// checks the two agree on random keyed and keyless refs).
   [[nodiscard]] bool compare_legacy(const SubtaskRef& a, const SubtaskRef& b) const noexcept {
     switch (alg_) {
       case Algorithm::kPF:
@@ -174,11 +172,9 @@ class SubtaskPriority {
   }
 
   [[nodiscard]] Algorithm algorithm() const noexcept { return alg_; }
-  [[nodiscard]] bool packed() const noexcept { return packed_; }
 
  private:
   Algorithm alg_;
-  bool packed_ = true;
 };
 
 }  // namespace pfair

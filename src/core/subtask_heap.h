@@ -53,11 +53,9 @@ namespace pfair {
 template <>
 class BinaryHeap<SubtaskRef, SubtaskPriority> {
  public:
-  // 0xfe never equals any ref's key_alg (an Algorithm value or kKeyNone),
-  // so a packing-disabled heap takes the legacy path for every pair.
   explicit BinaryHeap(SubtaskPriority less = SubtaskPriority{}) noexcept
       : less_(less),
-        packed_alg_(less.packed() ? static_cast<std::uint8_t>(less.algorithm()) : 0xfe),
+        packed_alg_(static_cast<std::uint8_t>(less.algorithm())),
         flip_guarded_(less.algorithm() == Algorithm::kPD2) {}
 
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
@@ -435,7 +433,7 @@ class BinaryHeap<SubtaskRef, SubtaskPriority> {
   }
 
   SubtaskPriority less_;
-  std::uint8_t packed_alg_;  ///< key_alg value the fast path accepts (kKeyNone disables)
+  std::uint8_t packed_alg_;  ///< key_alg value the fast path accepts
   bool flip_guarded_;        ///< PD2: consult the fault-injection flag per operation
   std::size_t count_ = 0;    ///< live elements (ring + side)
 

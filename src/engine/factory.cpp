@@ -20,9 +20,7 @@ struct RegistryEntry {
 constexpr RegistryEntry kRegistry[] = {
     {SchedulerKind::kPfair, "pfair",
      [](const SimulatorConfig& c) -> std::unique_ptr<Simulator> {
-       PfairConfig pc = c.pfair;
-       if (c.shards > 0) pc.shards = c.shards;
-       return std::make_unique<PfairSimulator>(pc);
+       return std::make_unique<PfairSimulator>(c.pfair);
      }},
     {SchedulerKind::kPartitioned, "partitioned",
      [](const SimulatorConfig& c) -> std::unique_ptr<Simulator> {
@@ -73,27 +71,9 @@ const RegistryEntry& entry(SchedulerKind kind) noexcept {
 // table makes silently (a zero in an unused column picked up by the
 // wrong kind).  Checked here, once, instead of in six constructors.
 void validate(SchedulerKind kind, const SimulatorConfig& c) {
-  if (c.shards < 0) {
-    std::ostringstream os;
-    os << "make_simulator(" << entry(kind).name << "): shards must be >= 0 (got "
-       << c.shards << "; 0 defers to the per-kind config)";
-    throw std::invalid_argument(os.str());
-  }
-  if (c.shards > 1 && kind != SchedulerKind::kPfair) {
-    // Only the pfair SoA slot kernel is sharded.  Accepting (and
-    // ignoring) a parallelism request here would let a sweep table
-    // silently misreport what it measured, so this is a config error on
-    // the same footing as processors < 1.
-    std::ostringstream os;
-    os << "make_simulator(" << entry(kind).name << "): shards > 1 is only "
-       << "supported for pfair (got " << c.shards
-       << "; this kind has no sharded kernel)";
-    throw std::invalid_argument(os.str());
-  }
   switch (kind) {
     case SchedulerKind::kPfair:
       if (c.pfair.processors < 1) reject(kind, "processors", c.pfair.processors);
-      if (c.pfair.shards < 1) reject(kind, "pfair.shards", c.pfair.shards);
       break;
     case SchedulerKind::kPartitioned:
       if (c.partitioned.max_processors < 1)

@@ -73,12 +73,6 @@ struct SimulatorConfig {
   CbsConfig cbs;
   BfConfig bf;
   RunConfig run;
-  int shards = 0;  ///< shard override: > 0 replaces pfair.shards (the SoA
-                   ///< slot-kernel parallelism; output is byte-identical
-                   ///< for any value), 0 or 1 defers to the per-kind
-                   ///< config.  Kinds without a sharded kernel reject
-                   ///< shards > 1 — silently ignoring a parallelism
-                   ///< request would misreport what a sweep measured.
 };
 
 /// Builds an empty simulator of `kind`; load it via Simulator::admit()

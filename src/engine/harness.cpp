@@ -141,7 +141,7 @@ ExperimentHarness::ExperimentHarness(std::string name, int argc, char** argv)
       continue;
     }
     if (key == "prof") {
-      // Attach self-profiling.  Like --jobs/--shards, never echoed into
+      // Attach self-profiling.  Like --jobs, never echoed into
       // params: the parity contract is that --prof=FILE leaves the BENCH
       // JSON byte-identical (the snapshot goes to FILE), while a bare
       // --prof folds the snapshot into the report as a "prof" member.
@@ -194,14 +194,6 @@ int ExperimentHarness::jobs() const {
   // Not recorded as a param (see header): the report must not depend on
   // the worker count.
   return out > 0 ? static_cast<int>(out) : ThreadPool::default_workers();
-}
-
-int ExperimentHarness::shards() const {
-  long long out = 0;
-  if (const std::string* raw = raw_flag("shards")) parse_ll(*raw, out);
-  // Not recorded as a param (see header): shard-parity checks cmp the
-  // --shards=1 and --shards=N reports byte for byte.
-  return out > 0 ? static_cast<int>(out) : 1;
 }
 
 long long ExperimentHarness::trials(long long fallback) const {

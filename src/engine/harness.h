@@ -53,14 +53,6 @@ class ExperimentHarness {
   /// count must not appear in the report.
   [[nodiscard]] int jobs() const;
 
-  /// --shards=N slot-kernel shards for the Pfair SoA kernel
-  /// (PfairConfig::shards / SimulatorConfig::shards); absent or N <= 0
-  /// resolves to 1.  Like --jobs, deliberately NOT echoed into the JSON
-  /// params: simulator output is byte-identical for any shard count, and
-  /// the CI shard-parity check cmp's the --shards=1 and --shards=2
-  /// reports to prove it.
-  [[nodiscard]] int shards() const;
-
   /// Any --key=value flag as integer / double; `fallback` when absent
   /// or malformed.  Looked-up flags are echoed into the JSON "params"
   /// (sorted by key, first lookup wins).  Lookups are thread-safe, so

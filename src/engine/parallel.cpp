@@ -59,7 +59,7 @@ void ThreadPool::worker_loop(int index) {
     lock.unlock();
     std::exception_ptr err;
     try {
-      const obs::prof::ProfScope scope(obs::prof::Phase::kPoolJob, index);
+      const obs::prof::ProfScope scope(obs::prof::Phase::kPoolJob);
       job();
     } catch (...) {
       err = std::current_exception();

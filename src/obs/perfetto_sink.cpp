@@ -173,9 +173,9 @@ void PerfettoSink::write_prof_tracks() {
   const std::vector<prof::Span> spans = prof::collect_spans();
   if (spans.empty()) return;
   write_event(R"("name":"process_name","ph":"M","pid":1,"args":{"name":"prof"})");
-  std::map<std::int32_t, bool> named;                    // tid -> metadata emitted
-  std::map<std::pair<Time, std::int32_t>, double> used;  // (slot, tid) -> us consumed
-  std::map<std::int32_t, double> busy_ns;                // worker -> cumulative busy ns
+  bool named = false;                    // phase-track metadata emitted
+  std::map<Time, double> used;           // slot -> us consumed on the phase track
+  std::map<std::int32_t, double> busy_ns;  // worker -> cumulative busy ns
   for (const prof::Span& s : spans) {
     const double slot_us = static_cast<double>(s.slot < 0 ? 0 : s.slot) * us_per_slot_;
     if (s.phase == prof::Phase::kPoolJob) {
@@ -187,21 +187,17 @@ void PerfettoSink::write_prof_tracks() {
                   R"(,"pid":1,"args":{"busy_ns":)" + num(total) + "}");
       continue;
     }
-    // Phase slice on the shard's track, stacked after the slot's earlier
-    // spans so slices within one (slot, shard) never overlap.
-    const std::int32_t tid = s.shard + 1;  // 0 = coordinator, 1.. = shards
-    if (!named[tid]) {
-      named[tid] = true;
-      const std::string label =
-          s.shard < 0 ? "coordinator" : "shard " + std::to_string(s.shard);
-      write_event(R"("name":"thread_name","ph":"M","pid":1,"tid":)" + std::to_string(tid) +
-                  R"(,"args":{"name":")" + label + "\"}");
+    // Phase slice on the kernel-phase track, stacked after the slot's
+    // earlier spans so slices within one slot never overlap.
+    if (!named) {
+      named = true;
+      write_event(R"("name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"phases"})");
     }
-    double& offset = used[{s.slot, tid}];
+    double& offset = used[s.slot];
     const double dur_us = static_cast<double>(s.ns) / 1000.0;
     write_event(R"("name":")" + std::string(prof::phase_name(s.phase)) +
                 R"(","cat":"prof","ph":"X","ts":)" + num(slot_us + offset) +
-                R"(,"dur":)" + num(dur_us) + R"(,"pid":1,"tid":)" + std::to_string(tid) +
+                R"(,"dur":)" + num(dur_us) + R"(,"pid":1,"tid":0)" +
                 R"(,"args":{"ns":)" + std::to_string(s.ns) + R"(,"slot":)" +
                 std::to_string(static_cast<long long>(s.slot)) + "}");
     offset += dur_us;

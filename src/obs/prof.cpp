@@ -79,12 +79,11 @@ ThreadBuf& local_buf() {
   return *tl_buf;
 }
 
+// The kMissSweep/kSelect names predate the single slot kernel; they stay
+// because recorded baselines and the benchmark look them up by name.
 constexpr const char* kPhaseNames[kPhaseCount] = {
-    "kernel.phase_a",   // kKernelPhaseA
-    "kernel.merge",     // kKernelMerge
-    "kernel.advance",   // kKernelAdvance
-    "legacy.miss_sweep",// kLegacyMissSweep
-    "legacy.select",    // kLegacySelect
+    "legacy.miss_sweep",// kMissSweep
+    "legacy.select",    // kSelect
     "sim.release",      // kRelease
     "sim.assign",       // kAssign
     "sim.admit",        // kAdmit
@@ -100,10 +99,10 @@ std::uint64_t steady_ns() noexcept {
 
 #ifdef PFAIR_PROF_TSC
 /// ns per TSC tick, calibrated once against steady_clock over a ~200 µs
-/// spin (~0.1% accurate — plenty for a profiler).  set_enabled(true)
-/// calibrates eagerly so no timed scope pays the spin; the fallback in
-/// now_ns() covers scopes racing an uncalibrated enable.  Concurrent
-/// calibrations store near-identical factors — harmless.
+/// spin (~0.1% accurate — plenty for profiling and latency histograms).
+/// set_enabled(true) calibrates eagerly so no timed scope pays the spin;
+/// the fallback in now_ns() covers the first call of any other user.
+/// Concurrent calibrations store near-identical factors — harmless.
 std::atomic<double> g_ns_per_tick{0.0};
 
 double calibrate_tsc() noexcept {
@@ -125,8 +124,6 @@ const char* phase_name(Phase p) noexcept {
   return kPhaseNames[static_cast<std::size_t>(p)];
 }
 
-namespace detail {
-
 std::uint64_t now_ns() noexcept {
 #ifdef PFAIR_PROF_TSC
   double f = g_ns_per_tick.load(std::memory_order_relaxed);
@@ -137,7 +134,9 @@ std::uint64_t now_ns() noexcept {
 #endif
 }
 
-void record(Phase p, std::int32_t shard, Time slot, std::uint64_t ns) {
+namespace detail {
+
+void record(Phase p, Time slot, std::uint64_t ns) {
   ThreadBuf& b = local_buf();
   PhaseCell& c = b.phases[static_cast<std::size_t>(p)];
   c.count.store(c.count.load(std::memory_order_relaxed) + 1,
@@ -151,8 +150,8 @@ void record(Phase p, std::int32_t shard, Time slot, std::uint64_t ns) {
                std::memory_order_relaxed);
   if (span_recording()) {
     const std::lock_guard<std::mutex> lock(b.mu);
-    b.spans.push_back(Span{p, shard, b.worker.load(std::memory_order_relaxed),
-                           slot, ns, b.next_seq++});
+    b.spans.push_back(
+        Span{p, b.worker.load(std::memory_order_relaxed), slot, ns, b.next_seq++});
   }
 }
 
@@ -217,7 +216,6 @@ std::vector<Span> collect_spans() {
   }
   std::sort(out.begin(), out.end(), [](const Span& a, const Span& b) {
     if (a.slot != b.slot) return a.slot < b.slot;
-    if (a.shard != b.shard) return a.shard < b.shard;
     if (a.phase != b.phase) return a.phase < b.phase;
     if (a.worker != b.worker) return a.worker < b.worker;
     return a.seq < b.seq;

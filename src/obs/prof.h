@@ -1,20 +1,19 @@
 // Scoped self-profiling: phase timers over the engine's own hot paths.
 //
-// A ProfScope wall-clock-times one phase of engine work — a shard's
-// Phase-A sweep, the coordinator merge, a legacy miss sweep, a
-// ThreadPool job — into per-thread accumulators, merged on demand into
-// the obs::MetricsRegistry as named timers with p50/p95/p99.  Optional
-// span recording additionally logs every (phase, shard, worker, slot,
-// ns) interval so PerfettoSink can draw per-shard kernel-phase tracks
-// and per-worker utilization tracks next to the schedule.
+// A ProfScope wall-clock-times one phase of engine work — the Pfair
+// miss sweep, top-M selection, processor assignment, a ThreadPool job —
+// into per-thread accumulators, merged on demand into the
+// obs::MetricsRegistry as named timers with p50/p95/p99.  Optional span
+// recording additionally logs every (phase, worker, slot, ns) interval
+// so PerfettoSink can draw a kernel-phase track and per-worker
+// utilization tracks next to the schedule.
 //
 // Cost model (the reason this can live inside the slot kernel):
 //   - detached (the default): ProfScope construction is one relaxed
 //     atomic load and a branch — no clock is read, nothing is stored;
-//   - attached: two TSC reads (calibrated to ns once; steady_clock on
-//     non-x86) plus a handful of relaxed single-writer atomic updates —
-//     no lock, no search — per scope.  Measured overhead is in
-//     EXPERIMENTS.md "Profiling".
+//   - attached: two now_ns() reads plus a handful of relaxed
+//     single-writer atomic updates — no lock, no search — per scope.
+//     Measured overhead is in EXPERIMENTS.md "Profiling".
 //
 // Determinism: profiling writes only to prof's own thread-local buffers
 // and (at snapshot time) the registry; no scheduling decision ever
@@ -46,28 +45,30 @@ namespace pfair::obs::prof {
 /// The instrumented phases.  A fixed enum (not strings) keeps the hot
 /// path at array indexing; phase_name() maps to the registry timer key.
 enum class Phase : std::uint8_t {
-  kKernelPhaseA,    ///< SoA kernel: per-shard gather / miss sweep / top-M
-  kKernelMerge,     ///< SoA kernel: sequential k-way merge + selection
-  kKernelAdvance,   ///< SoA kernel: per-shard cursor advancement (B2)
-  kLegacyMissSweep, ///< legacy kernel: ready-queue deadline-miss pops
-  kLegacySelect,    ///< legacy kernel: top-M pop + subtask advancement
-  kRelease,         ///< release calendar drain (legacy wheel)
-  kAssign,          ///< processor assignment + per-slot accounting
-  kAdmit,           ///< admission (admit()/join()) decision path
-  kPoolJob,         ///< one ThreadPool job execution (worker busy time)
+  kMissSweep,  ///< ready-queue deadline-miss pops
+  kSelect,     ///< top-M pop + subtask advancement
+  kRelease,    ///< release calendar drain
+  kAssign,     ///< processor assignment + per-slot accounting
+  kAdmit,      ///< admission (admit()/join()) decision path
+  kPoolJob,    ///< one ThreadPool job execution (worker busy time)
 };
 inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kPoolJob) + 1;
 
-/// Registry timer name of a phase ("kernel.phase_a", "pool.job", ...).
+/// Registry timer name of a phase ("legacy.select", "pool.job", ...).
 [[nodiscard]] const char* phase_name(Phase p) noexcept;
+
+/// Monotonic nanoseconds since an arbitrary origin, for measuring
+/// deltas.  On x86 a TSC read scaled by a factor calibrated once against
+/// steady_clock (~0.1% accurate); steady_clock elsewhere.  The first
+/// call pays a ~200 µs calibration spin unless set_enabled(true) already
+/// did.  Thread-safe; usable with profiling detached.
+[[nodiscard]] std::uint64_t now_ns() noexcept;
 
 namespace detail {
 extern std::atomic<bool> g_enabled;
 extern std::atomic<bool> g_spans;
 /// Records one finished scope into the calling thread's buffer.
-void record(Phase p, std::int32_t shard, Time slot, std::uint64_t ns);
-/// Monotonic nanosecond clock (steady_clock).
-[[nodiscard]] std::uint64_t now_ns() noexcept;
+void record(Phase p, Time slot, std::uint64_t ns);
 }  // namespace detail
 
 /// Master switch.  Everything below is inert (and ProfScope free) while
@@ -90,8 +91,7 @@ void set_worker_index(std::int32_t index) noexcept;
 /// One logged interval.  `seq` is per-thread monotone so span order is
 /// reconstructible even though wall durations vary run to run.
 struct Span {
-  Phase phase = Phase::kKernelPhaseA;
-  std::int32_t shard = -1;   ///< shard index, or -1 for coordinator work
+  Phase phase = Phase::kMissSweep;
   std::int32_t worker = -1;  ///< pool worker index, or -1 for the main thread
   Time slot = -1;            ///< simulated slot the work belonged to (-1 = none)
   std::uint64_t ns = 0;
@@ -113,7 +113,7 @@ struct PhaseTotals {
 /// Merged per-phase totals across all threads (index = Phase).
 [[nodiscard]] std::vector<PhaseTotals> collect_totals();
 
-/// All recorded spans, sorted by (slot, shard, phase, worker, seq) — a
+/// All recorded spans, sorted by (slot, phase, worker, seq) — a
 /// deterministic order even though the ns payloads are wall-clock.
 [[nodiscard]] std::vector<Span> collect_spans();
 
@@ -126,16 +126,16 @@ void snapshot_into(MetricsRegistry& reg);
 /// registrations survive).  Does not touch enabled()/span_recording().
 void reset();
 
-/// Times one phase while in scope.  `shard` tags per-shard work,
-/// `slot` the simulated time the work belongs to (for span tracks).
+/// Times one phase while in scope.  `slot` is the simulated time the
+/// work belongs to (for span tracks).
 class ProfScope {
  public:
-  explicit ProfScope(Phase p, std::int32_t shard = -1, Time slot = -1) noexcept
-      : phase_(p), shard_(shard), slot_(slot), active_(enabled()) {
-    if (active_) t0_ = detail::now_ns();
+  explicit ProfScope(Phase p, Time slot = -1) noexcept
+      : phase_(p), slot_(slot), active_(enabled()) {
+    if (active_) t0_ = now_ns();
   }
   ~ProfScope() {
-    if (active_) detail::record(phase_, shard_, slot_, detail::now_ns() - t0_);
+    if (active_) detail::record(phase_, slot_, now_ns() - t0_);
   }
   ProfScope(const ProfScope&) = delete;
   ProfScope& operator=(const ProfScope&) = delete;
@@ -143,7 +143,6 @@ class ProfScope {
  private:
   std::uint64_t t0_ = 0;
   Phase phase_;
-  std::int32_t shard_;
   Time slot_;
   bool active_;
 };

@@ -66,10 +66,6 @@ std::string validate(const FuzzCase& c) {
     os << "processors must be >= 1 (got " << c.processors << ")";
     return os.str();
   }
-  if (c.shards < 1) {
-    os << "shards must be >= 1 (got " << c.shards << ")";
-    return os.str();
-  }
   if (c.horizon < 1) {
     os << "horizon must be >= 1 (got " << c.horizon << ")";
     return os.str();
@@ -124,7 +120,6 @@ obs::json::Value case_to_json(const FuzzCase& c) {
   o["profile"] = Value(std::string(profile_name(c.profile)));
   o["kind"] = Value(std::string(kind_name(c.kind)));
   o["processors"] = Value(static_cast<double>(c.processors));
-  o["shards"] = Value(static_cast<double>(c.shards));
   o["horizon"] = Value(static_cast<double>(c.horizon));
   Array tasks;
   for (const Task& t : c.tasks.tasks()) {
@@ -167,7 +162,6 @@ bool case_from_json(const obs::json::Value& v, FuzzCase& out) {
   c.seed = static_cast<std::uint64_t>(v.number_or("seed", 0));
   c.index = static_cast<std::uint64_t>(v.number_or("case", 0));
   c.processors = static_cast<int>(v.number_or("processors", 1));
-  c.shards = static_cast<int>(v.number_or("shards", 1));  // absent in pre-shard artifacts
   c.horizon = static_cast<Time>(v.number_or("horizon", 1));
   bool found_profile = false;
   for (const Profile p : all_profiles()) {
@@ -224,7 +218,6 @@ std::string case_to_gtest(const FuzzCase& c) {
   os << "  c.seed = " << c.seed << "u;\n";
   os << "  c.index = " << c.index << "u;\n";
   os << "  c.processors = " << c.processors << ";\n";
-  if (c.shards != 1) os << "  c.shards = " << c.shards << ";\n";
   os << "  c.horizon = " << c.horizon << ";\n";
   if (c.kind == TaskKind::kEarlyRelease) {
     os << "  c.kind = TaskKind::kEarlyRelease;\n";

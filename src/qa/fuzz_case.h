@@ -56,9 +56,6 @@ struct FuzzCase {
   Profile profile = Profile::kUniform;
   TaskKind kind = TaskKind::kPeriodic;  ///< periodic or early-release
   int processors = 1;
-  int shards = 1;  ///< PfairConfig::shards of every replay (the sharded
-                   ///< SoA kernel is byte-identical for any value, so a
-                   ///< repro carries the count the failure ran with)
   Time horizon = 64;
   TaskSet tasks;
   std::vector<JoinEvent> joins;
@@ -74,7 +71,6 @@ struct FuzzCase {
 /// contract — see tests/qa/oracle_test.cpp):
 ///   "case has no tasks"
 ///   "processors must be >= 1 (got 0)"
-///   "shards must be >= 1 (got 0)"
 ///   "horizon must be >= 1 (got 0)"
 ///   "task 2 is invalid (execution 0, period 4)"
 ///   "total weight 5/2 exceeds 2 processors"

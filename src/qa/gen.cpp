@@ -94,7 +94,6 @@ FuzzCase TaskSetGen::make_case(std::uint64_t index) const {
       profiles[static_cast<std::size_t>(index % profiles.size())]);
   c.processors = static_cast<int>(
       rng.uniform_int(config_.min_processors, config_.max_processors));
-  c.shards = config_.shards;  // fixed, not drawn: case streams stay stable
   c.horizon = rng.uniform_int(config_.min_horizon, config_.max_horizon);
   c.kind = TaskKind::kPeriodic;
   if (config_.allow_early_release && c.profile != Profile::kDynamic &&

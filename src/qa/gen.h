@@ -32,9 +32,6 @@ struct GenConfig {
   Time max_horizon = 320;
   std::optional<Profile> only_profile;  ///< pin every case to one profile
   bool allow_early_release = true;      ///< mix in ERfair cases (1 in 4)
-  int shards = 1;  ///< FuzzCase::shards of every generated case (fixed,
-                   ///< never drawn — existing case streams stay
-                   ///< byte-identical; > 1 fuzzes the sharded kernel)
 };
 
 class TaskSetGen {

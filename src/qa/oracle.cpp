@@ -20,7 +20,6 @@ namespace {
 OracleContext::Run replay(const FuzzCase& c, Algorithm alg) {
   PfairConfig cfg;
   cfg.processors = c.processors;
-  cfg.shards = c.shards;
   cfg.algorithm = alg;
   cfg.record_trace = true;
   PfairSimulator sim(cfg);

@@ -153,16 +153,6 @@ ShrinkResult Shrinker::shrink(const FuzzCase& failing) const {
       if (!accept(std::move(candidate))) break;
       changed = true;
     }
-
-    // 6. Unshard: a failure that persists at shards = 1 is a kernel
-    // bug, not a sharding bug — prefer the simpler repro.  If this pass
-    // never accepts, the repro keeps its shard count (a genuine
-    // sharding/merge defect reproduces only sharded).
-    if (res.minimal.shards > 1) {
-      FuzzCase candidate = res.minimal;
-      candidate.shards = 1;
-      if (accept(std::move(candidate))) changed = true;
-    }
   }
   return res;
 }

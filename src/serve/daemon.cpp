@@ -7,8 +7,8 @@
 
 #include "engine/parallel.h"
 #include "obs/event.h"
-#include "obs/fastclock.h"
 #include "obs/json.h"
+#include "obs/prof.h"
 #include "obs/registry.h"
 
 namespace pfair::serve {
@@ -324,7 +324,7 @@ void Daemon::note_batch(std::size_t size) {
 void Daemon::answer_line(const std::optional<Request>& req, std::string_view error,
                          std::string& result) {
   result.clear();
-  const std::uint64_t start = config_.measure_latency ? obs::approx_now_ns() : 0;
+  const std::uint64_t start = config_.measure_latency ? obs::prof::now_ns() : 0;
   if (req.has_value() && req->op == RequestOp::kBatch) {
     prewarm(req->batch);
     note_batch(req->batch.size());
@@ -349,7 +349,7 @@ void Daemon::answer_line(const std::optional<Request>& req, std::string_view err
     }
   }
   if (config_.measure_latency) {
-    const std::uint64_t end = obs::approx_now_ns();
+    const std::uint64_t end = obs::prof::now_ns();
     const std::uint64_t v = end > start ? end - start : 0;
     ++stats_.latency_count;
     stats_.latency_total_ns += v;

@@ -60,7 +60,7 @@ struct DaemonConfig {
   double cache_delay_us = 33.3;    ///< D(T) charged per task (paper mean)
   std::uint64_t exact_budget = 1u << 20;  ///< Tier-2 event budget (0 = off)
   Time advance_per_request = 0;    ///< slots to run after each request
-  bool measure_latency = true;     ///< steady_clock per-decision timing
+  bool measure_latency = true;     ///< per-decision timing (obs::prof::now_ns)
   int mirror_shards = 16;          ///< gate task-mirror shards
   std::size_t memo_capacity = 1u << 16;  ///< Tier-2 memo entries (0 = off)
   std::size_t batch = 1;           ///< serve() pipeline group size

@@ -4,8 +4,6 @@
 #include <cassert>
 
 #include "core/lag.h"
-#include "core/simd.h"
-#include "engine/parallel.h"
 #include "obs/prof.h"
 #include "obs/registry.h"
 
@@ -13,27 +11,15 @@ namespace pfair {
 
 PfairSimulator::PfairSimulator(PfairConfig config)
     : config_(config),
-      cmp_(config.algorithm, config.packed_keys),
-      ready_(SubtaskPriority(config.algorithm, config.packed_keys)),
+      ready_(SubtaskPriority(config.algorithm)),
       timer_(config.measure_overhead) {
   assert(config_.processors >= 1);
-  if (config_.shards < 1) config_.shards = 1;
   live_processors_ = config_.processors;
   prev_slot_tasks_.assign(static_cast<std::size_t>(live_processors_), kNoTask);
 }
 
-PfairSimulator::~PfairSimulator() = default;
-
-Algorithm PfairSimulator::ref_algorithm() const noexcept {
-  // The algorithm make_subtask_ref packs keys for.  With packing
-  // disabled (the differential reference mode) refs are built keyless
-  // via kWRR, which never packs, so the heap exercises the legacy
-  // comparator chain end to end.
-  return config_.packed_keys ? config_.algorithm : Algorithm::kWRR;
-}
-
 bool PfairSimulator::admit(const engine::TaskSpec& spec) {
-  const obs::prof::ProfScope prof(obs::prof::Phase::kAdmit, -1, now_);
+  const obs::prof::ProfScope prof(obs::prof::Phase::kAdmit, now_);
   if (!spec.valid()) {
     ++metrics_.tasks_rejected;
     return false;
@@ -53,9 +39,8 @@ TaskId PfairSimulator::add_task(const Task& t, std::vector<Time> arrivals) {
   rt.offset = now_ + t.phase;  // asynchronous release: windows shift by the phase
   rt.join_time = now_;
   rt.arrivals = std::move(arrivals);
+  rt.cursor.reset(t.execution, t.period, 1);
   tasks_.push_back(std::move(rt));
-  soa_.grow(tasks_.size());
-  soa_.cursor[id].reset(t.execution, t.period, 1);
   active_weight_ += t.weight();
   enqueue_next_subtask(id, now_);
   obs::emit(bus_, obs::EventKind::kTaskJoin, now_, id, kNoProc, t.weight().to_double());
@@ -104,7 +89,7 @@ void PfairSimulator::add_processor_event(ProcessorEvent ev) {
 }
 
 std::optional<TaskId> PfairSimulator::join(const Task& t) {
-  const obs::prof::ProfScope prof(obs::prof::Phase::kAdmit, -1, now_);
+  const obs::prof::ProfScope prof(obs::prof::Phase::kAdmit, now_);
   // Departures whose rule time has arrived free their weight before the
   // admission check (run_until(T) leaves departures at exactly T
   // unprocessed, since slot T has not been simulated yet).
@@ -220,22 +205,12 @@ void PfairSimulator::process_pending_departures(Time t) {
     if (rt.pending_e > 0) {
       // Reweight: restart with the new weight at the switch-over time
       // (observed as a leave immediately followed by a re-join).
-      obs::emit(bus_, obs::EventKind::kTaskLeave, t, pending_departures_[k]);
-      active_weight_ -= rt.spec.weight();
-      rt.spec.execution = rt.pending_e;
-      rt.spec.period = rt.pending_p;
-      active_weight_ += rt.spec.weight();
-      rt.next_index = 1;
-      soa_.cursor[pending_departures_[k]].reset(rt.spec.execution, rt.spec.period, 1);
-      rt.last_sched_index = 0;
-      rt.offset = t;
-      rt.allocated = 0;
+      const std::int64_t e = rt.pending_e;
+      const std::int64_t p = rt.pending_p;
       rt.leave_at = -1;
       rt.pending_e = 0;
       rt.pending_p = 0;
-      enqueue_next_subtask(pending_departures_[k], t);
-      obs::emit(bus_, obs::EventKind::kTaskJoin, t, pending_departures_[k], kNoProc,
-                rt.spec.weight().to_double());
+      restart_with_weight(pending_departures_[k], e, p, t);
     } else {
       rt.active = false;
       active_weight_ -= rt.spec.weight();
@@ -254,19 +229,24 @@ bool PfairSimulator::reweight(TaskId id, std::int64_t new_e, std::int64_t new_p)
   const Rational new_w(new_e, new_p);
   if (!may_join(active_weight() - rt.spec.weight(), new_w, live_processors_)) return false;
   remove_from_queues(id);
-  obs::emit(bus_, obs::EventKind::kTaskLeave, now_, id);
+  restart_with_weight(id, new_e, new_p, now_);
+  return true;
+}
+
+void PfairSimulator::restart_with_weight(TaskId id, std::int64_t e, std::int64_t p, Time t) {
+  TaskRuntime& rt = tasks_[id];
+  obs::emit(bus_, obs::EventKind::kTaskLeave, t, id);
   active_weight_ -= rt.spec.weight();
-  rt.spec.execution = new_e;
-  rt.spec.period = new_p;
+  rt.spec.execution = e;
+  rt.spec.period = p;
   active_weight_ += rt.spec.weight();
   rt.next_index = 1;
-  soa_.cursor[id].reset(new_e, new_p, 1);
+  rt.cursor.reset(e, p, 1);
   rt.last_sched_index = 0;
-  rt.offset = now_;
+  rt.offset = t;
   rt.allocated = 0;
-  enqueue_next_subtask(id, now_);
-  obs::emit(bus_, obs::EventKind::kTaskJoin, now_, id, kNoProc, rt.spec.weight().to_double());
-  return true;
+  enqueue_next_subtask(id, t);
+  obs::emit(bus_, obs::EventKind::kTaskJoin, t, id, kNoProc, rt.spec.weight().to_double());
 }
 
 Rational PfairSimulator::recompute_active_weight() const {
@@ -299,7 +279,7 @@ std::uint64_t PfairSimulator::component_miss_count(TaskId id, std::size_t compon
 
 Time PfairSimulator::eligibility_time(TaskId id, SubtaskIndex i, Time prev_slot) const {
   const TaskRuntime& rt = tasks_[id];
-  const WindowCursor& cursor = soa_.cursor[id];
+  const WindowCursor& cursor = rt.cursor;
   assert(cursor.index == i);
   const Time earliest = prev_slot + 1;
   const Time release = rt.offset + cursor.rel;
@@ -328,7 +308,7 @@ Time PfairSimulator::eligibility_time(TaskId id, SubtaskIndex i, Time prev_slot)
 
 void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
   TaskRuntime& rt = tasks_[id];
-  const WindowCursor& cursor = soa_.cursor[id];
+  const WindowCursor& cursor = rt.cursor;
   const SubtaskIndex i = rt.next_index;
   assert(cursor.index == i);
   // IS late arrivals shift the remaining window chain: enlarge the offset
@@ -350,7 +330,7 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
   // only moves for IS shifts.
   const std::int64_t e = rt.spec.execution;
   const std::int64_t p = rt.spec.period;
-  SubtaskRef& ref = soa_.ref[id];
+  SubtaskRef& ref = rt.ref;
   ref.task = id;
   ref.index = i;
   ref.e = e;
@@ -363,10 +343,10 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
   // group deadline".
   const Time gdl = is_heavy(e, p) ? group_deadline(e, p, i) : 0;
   ref.group_dl = gdl == 0 ? 0 : rt.offset + gdl;
-  pack_subtask_ref(ref, ref_algorithm());
+  pack_subtask_ref(ref, config_.algorithm);
 #ifndef NDEBUG
   {
-    const SubtaskRef check = make_subtask_ref(id, e, p, i, rt.offset, ref_algorithm());
+    const SubtaskRef check = make_subtask_ref(id, e, p, i, rt.offset, config_.algorithm);
     assert(check.release == ref.release);
     assert(check.deadline == ref.deadline);
     assert(check.b == ref.b);
@@ -374,29 +354,26 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
     assert(check.key == ref.key && check.key_alg == ref.key_alg);
   }
 #endif
-  soa_.publish(id, eligible);
-  if (config_.soa_kernel) return;  // lanes are the only queue state
+  rt.miss_counted = false;
   if (eligible <= now_) {
-    soa_.ready_handle[id] = ready_.push(ref);
+    rt.ready_handle = ready_.push(ref);
   } else {
-    soa_.calendar_when[id] = eligible;
+    rt.calendar_when = eligible;
     ++calendar_live_;
     wheel_.push(eligible, now_, id);
   }
 }
 
 void PfairSimulator::remove_from_queues(TaskId id) {
-  soa_.park(id);
-  if (config_.soa_kernel) return;
-  HeapHandle& handle = soa_.ready_handle[id];
-  if (handle != kInvalidHandle && ready_.contains(handle)) {
-    ready_.erase(handle);
+  TaskRuntime& rt = tasks_[id];
+  if (rt.ready_handle != kInvalidHandle && ready_.contains(rt.ready_handle)) {
+    ready_.erase(rt.ready_handle);
   }
-  handle = kInvalidHandle;
-  if (soa_.calendar_when[id] >= 0) {
+  rt.ready_handle = kInvalidHandle;
+  if (rt.calendar_when >= 0) {
     // Lazy wheel erase: the abandoned bucket entry no longer matches
     // calendar_when and is dropped whenever its bucket next drains.
-    soa_.calendar_when[id] = -1;
+    rt.calendar_when = -1;
     --calendar_live_;
   }
 }
@@ -404,11 +381,12 @@ void PfairSimulator::remove_from_queues(TaskId id) {
 void PfairSimulator::release_eligible(Time t) {
   if (calendar_live_ == 0) return;
   wheel_.drain_due(t, [&](TaskId id) {
-    if (soa_.calendar_when[id] != t) return;  // stale entry (erased / re-targeted)
-    soa_.calendar_when[id] = -1;
+    TaskRuntime& rt = tasks_[id];
+    if (rt.calendar_when != t) return;  // stale entry (erased / re-targeted)
+    rt.calendar_when = -1;
     --calendar_live_;
-    if (!tasks_[id].active) return;
-    soa_.ready_handle[id] = ready_.push(soa_.ref[id]);
+    if (!rt.active) return;
+    rt.ready_handle = ready_.push(rt.ref);
   });
 }
 
@@ -425,22 +403,22 @@ void PfairSimulator::detect_misses(Time t) {
     const TaskId id = ready_.top().task;
     ready_.erase(ready_.top_handle());
     TaskRuntime& rt = tasks_[id];
-    soa_.ready_handle[id] = kInvalidHandle;
-    if (soa_.miss_counted[id] == 0) {
-      soa_.miss_counted[id] = 1;
+    rt.ready_handle = kInvalidHandle;
+    if (!rt.miss_counted) {
+      rt.miss_counted = true;
       metrics_.record_miss(t);
       obs::emit(bus_, obs::EventKind::kDeadlineMiss, t, id);
     }
     if (config_.miss_policy == MissPolicy::kDrop) {
       ++rt.next_index;
-      soa_.cursor[id].advance();
+      rt.cursor.advance();
       enqueue_next_subtask(id, t);
     } else {
       requeue_.push_back(id);
     }
   }
   for (const TaskId id : requeue_) {
-    soa_.ready_handle[id] = ready_.push(soa_.ref[id]);
+    tasks_[id].ready_handle = ready_.push(tasks_[id].ref);
   }
 }
 
@@ -515,7 +493,7 @@ void PfairSimulator::simulate_slot() {
   // queue"), so it is included in the measured time.
   double release_ns = 0.0;
   {
-    const obs::prof::ProfScope prof(obs::prof::Phase::kRelease, -1, t);
+    const obs::prof::ProfScope prof(obs::prof::Phase::kRelease, t);
     release_ns = timer_.measure(metrics_, [&] { release_eligible(t); });
   }
   obs::emit(bus_, obs::EventKind::kOverheadNs, t, kNoTask, kNoProc, release_ns);
@@ -545,21 +523,16 @@ void PfairSimulator::simulate_slot() {
     }
   }
 
-  if (config_.soa_kernel) {
-    // 3+4 (SoA): one sharded sweep does miss detection, top-M selection
-    // and advancement; emission happens in the same order as the legacy
-    // path (kDeadlineMiss in priority order, then kSchedInvoke).
-    soa_schedule(t);
-  } else {
-    // 3. Deadline misses among queued subtasks.
-    {
-      const obs::prof::ProfScope prof(obs::prof::Phase::kLegacyMissSweep, -1, t);
-      detect_misses(t);
-    }
+  // 3. Deadline misses among queued subtasks.
+  {
+    const obs::prof::ProfScope prof(obs::prof::Phase::kMissSweep, t);
+    detect_misses(t);
+  }
 
-    // 4. Scheduler invocation: pop the M highest-priority subtasks and
-    //    advance each task to its next subtask.
-    const obs::prof::ProfScope prof_select(obs::prof::Phase::kLegacySelect, -1, t);
+  // 4. Scheduler invocation: pop the M highest-priority subtasks and
+  //    advance each task to its next subtask.
+  {
+    const obs::prof::ProfScope prof_select(obs::prof::Phase::kSelect, t);
     timer_.start();
 
     picked_.clear();
@@ -568,7 +541,7 @@ void PfairSimulator::simulate_slot() {
       const HeapHandle h = ready_.top_handle();
       const SubtaskRef& ref = ready_.get(h);
       TaskRuntime& rt = tasks_[ref.task];
-      soa_.ready_handle[ref.task] = kInvalidHandle;
+      rt.ready_handle = kInvalidHandle;
       rt.last_sched_index = ref.index;
       picked_.push_back(Pick{ref.task, ref.release, 0});
       ready_.erase(h);
@@ -577,7 +550,7 @@ void PfairSimulator::simulate_slot() {
       TaskRuntime& rt = tasks_[pick.task];
       rt.picked_slot = t;
       ++rt.next_index;
-      soa_.cursor[pick.task].advance();
+      rt.cursor.advance();
       ++rt.allocated;
       enqueue_next_subtask(pick.task, t + 1);
     }
@@ -594,7 +567,7 @@ void PfairSimulator::simulate_slot() {
   // reused members, so the kernel allocates nothing at steady state.
   // The kAssign span covers assignment plus the per-slot accounting
   // below it (steps 5-6) — everything after the scheduler invocation.
-  const obs::prof::ProfScope prof_assign(obs::prof::Phase::kAssign, -1, t);
+  const obs::prof::ProfScope prof_assign(obs::prof::Phase::kAssign, t);
   const std::size_t m = static_cast<std::size_t>(std::max(live_processors_, 0));
   constexpr std::int32_t kIdle = -1;
   assign_.assign(m, kIdle);
@@ -673,13 +646,13 @@ void PfairSimulator::simulate_slot() {
     // Job completion bookkeeping (the job of subtask i ends when
     // i % e == 0, i.e. exactly when the cursor — already advanced to
     // i + 1 by the scheduler pass — wrapped to a new job).
-    if (soa_.cursor[id].idx_in_job == 1) {
+    if (rt.cursor.idx_in_job == 1) {
       ++metrics_.jobs_completed;
       // Response time of the completed job (the paper motivates ERfair
       // with improved response times; measured here for the ablation).
       // The cursor's job_rel is the *next* job's relative release; the
       // completed job released one period earlier.
-      const Time release = rt.offset + soa_.cursor[id].job_rel - rt.spec.period;
+      const Time release = rt.offset + rt.cursor.job_rel - rt.spec.period;
       metrics_.response_time.add(static_cast<double>(t + 1 - release));
       obs::emit(bus_, obs::EventKind::kJobComplete, t, id, static_cast<ProcId>(proc),
                 static_cast<double>(t + 1 - release));
@@ -767,22 +740,12 @@ Time PfairSimulator::fast_forward_target(Time until) const {
   Time target = until;
   if (next_proc_event_ < proc_events_.size())
     target = std::min(target, proc_events_[next_proc_event_].at);
-  if (config_.soa_kernel) {
-    // One lane minimum answers both questions: something eligible now
-    // (no jump) and the next eligibility event (jump bound).  Parked
-    // lanes are kNeverEligible and never win the min.
-    const Time next =
-        simd::min_value(soa_.eligible_at.data(), soa_.size(), config_.simd);
-    if (next <= now_) return now_;
-    target = std::min(target, next);
-  } else {
-    if (!ready_.empty()) return now_;
-    if (calendar_live_ > 0) {
-      const Time ev = wheel_.next_event(now_, target, [this](TaskId id, Time when) {
-        return soa_.calendar_when[id] == when;
-      });
-      target = std::min(target, ev);
-    }
+  if (!ready_.empty()) return now_;
+  if (calendar_live_ > 0) {
+    const Time ev = wheel_.next_event(now_, target, [this](TaskId id, Time when) {
+      return tasks_[id].calendar_when == when;
+    });
+    target = std::min(target, ev);
   }
   return std::max(target, now_);
 }

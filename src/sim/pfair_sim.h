@@ -35,17 +35,12 @@
 #include "core/windows.h"
 #include "obs/bus.h"
 #include "sim/release_wheel.h"
-#include "sim/subtask_soa.h"
 #include "sim/trace.h"
 #include "util/binary_heap.h"
 #include "util/rational.h"
 #include "util/types.h"
 
 namespace pfair {
-
-namespace engine {
-class ThreadPool;  // sim/soa_kernel.cpp; lazily built when shards > 1
-}  // namespace engine
 
 /// What to do with a subtask that is still unscheduled at its deadline.
 enum class MissPolicy : std::uint8_t {
@@ -64,22 +59,10 @@ struct PfairConfig {
   bool measure_overhead = false;  ///< steady_clock-time each scheduler invocation
   Time lag_sample_every = 0;    ///< emit an obs kLagSample per task every N
                                 ///< slots (0 = off; needs an attached observer)
-  bool packed_keys = true;      ///< precompute PackedKeys so ready-queue sifts
-                                ///< are single integer compares (false = legacy
-                                ///< comparator chain; differential-test reference)
   bool idle_fast_forward = true;  ///< jump over provably idle slot runs in
                                   ///< run_until (auto-disabled whenever any
                                   ///< per-slot work could observe them; see
                                   ///< fast_forward_target)
-  bool soa_kernel = true;  ///< lane-sweep slot kernel over the SubtaskSoA
-                           ///< (false = legacy heap + timing-wheel kernel;
-                           ///< differential-test reference)
-  int shards = 1;   ///< task-lane shards the SoA kernel steps in parallel
-                    ///< inside each quantum (1 = single-threaded; byte-
-                    ///< identical output for any value; the legacy kernel
-                    ///< ignores it)
-  bool simd = true;  ///< vectorized lane sweeps (false = scalar fallback;
-                     ///< bit-identical — see core/simd.h)
 };
 
 /// Scheduled change of the number of live processors (fault injection /
@@ -92,7 +75,6 @@ struct ProcessorEvent {
 class PfairSimulator : public engine::Simulator {
  public:
   explicit PfairSimulator(PfairConfig config);
-  ~PfairSimulator() override;  // out of line: shard pool is fwd-declared
 
   /// engine::Simulator admission: a synchronous periodic task of weight
   /// e/p, added at the current time (dynamic joins go through join()).
@@ -248,9 +230,14 @@ class PfairSimulator : public engine::Simulator {
     Time last_sched_slot = -2;         ///< slot of most recent allocation
     Time picked_slot = -2;             ///< slot the scheduler last picked this
                                        ///< task (replaces the O(M) runs-now scan)
-    // Per-pending-subtask state (ref, cursor, eligibility, queue handles,
-    // miss flag) lives in the SubtaskSoA lanes soa_[id], not here — the
-    // per-slot sweeps must not stride through this struct.
+    // The pending subtask (the next one to schedule) and where it is
+    // queued.  A task sits in at most one of the ready queue and the
+    // release calendar; inactive and departing tasks sit in neither.
+    SubtaskRef ref;                        ///< prebuilt ref of the pending subtask
+    WindowCursor cursor;                   ///< its windows, O(1) advance
+    HeapHandle ready_handle = kInvalidHandle;  ///< ready-queue entry, if queued
+    Time calendar_when = -1;               ///< release-wheel slot (-1 = none)
+    bool miss_counted = false;             ///< its deadline miss was counted
     Time leave_at = -1;          ///< pending departure (weight frees then)
     std::int64_t pending_e = 0;  ///< pending reweight (0 = plain leave)
     std::int64_t pending_p = 0;
@@ -261,9 +248,9 @@ class PfairSimulator : public engine::Simulator {
   void simulate_slot();
   void release_eligible(Time t);
   void detect_misses(Time t);
-  /// Schedules the next subtask of `id`: publishes it to the SoA lanes
-  /// and (legacy kernel only) inserts it into the ready queue or the
-  /// release calendar depending on its eligibility time.
+  /// Schedules the next subtask of `id`: rebuilds its ref and inserts it
+  /// into the ready queue or the release calendar depending on its
+  /// eligibility time.
   void enqueue_next_subtask(TaskId id, Time earliest);
   /// Eligibility time of subtask `i` of task `id` given that its
   /// predecessor completed at the end of slot `prev_slot` (-1 if none).
@@ -271,29 +258,10 @@ class PfairSimulator : public engine::Simulator {
   void dispatch_supertask_quantum(TaskRuntime& rt, Time t);
   void remove_from_queues(TaskId id);
   void check_lags(Time t_next);
-
-  // --- SoA slot kernel (sim/soa_kernel.cpp) ---
-  /// Steps 3-4 of simulate_slot on the lane layout: miss sweep, top-M
-  /// selection, subtask advancement.  With config_.shards > 1 the sweep
-  /// and advancement fan out across shard_pool_ with a per-quantum
-  /// barrier; the merge/emission phase is sequential and deterministic.
-  void soa_schedule(Time t);
-  /// Phase A for one shard: eligibility gather, local miss cascade,
-  /// local top-M selection.  Touches only state owned by the shard's
-  /// task-id range; emits nothing.
-  void soa_phase_a(ShardScratch& s, Time t);
-  /// Advances every entry of picked_ whose task id falls in [begin, end)
-  /// to its next subtask (phase B2; per-task state only).
-  void soa_advance_picked(std::uint32_t begin, std::uint32_t end, Time t);
-  /// Strict priority order between the pending subtasks of tasks a and b
-  /// (lane fast path; exactly SubtaskPriority's dispatch).
-  [[nodiscard]] bool soa_less(std::uint32_t a, std::uint32_t b) const noexcept;
-  /// Builds shard_pool_ on first use (config_.shards workers).
-  void ensure_shard_pool();
+  /// Restarts `id`'s subtask chain with weight e/p at time t (the common
+  /// tail of reweight() and a reweight switch-over).
+  void restart_with_weight(TaskId id, std::int64_t e, std::int64_t p, Time t);
   void process_pending_departures(Time t);
-  /// Algorithm passed to make_subtask_ref for key packing (kWRR = no
-  /// keys when packed_keys is off).
-  [[nodiscard]] Algorithm ref_algorithm() const noexcept;
   /// Latest time in (now_, until] the simulation can jump to with every
   /// skipped slot provably idle and unobserved, or now_ when fast-forward
   /// is not eligible.
@@ -306,8 +274,6 @@ class PfairSimulator : public engine::Simulator {
   Time now_ = 0;
   int live_processors_ = 1;
   std::vector<TaskRuntime> tasks_;
-  SubtaskSoA soa_;                   ///< per-pending-subtask lanes (index = TaskId)
-  SubtaskPriority cmp_;              ///< the configured priority order
   std::vector<SupertaskRuntime> supertasks_;
   std::int64_t bound_count_ = 0;             ///< tasks with a fixed processor
   BinaryHeap<SubtaskRef, SubtaskPriority> ready_;
@@ -338,11 +304,6 @@ class PfairSimulator : public engine::Simulator {
   std::vector<TaskId> requeue_;              ///< kScheduleLate miss re-inserts
   std::vector<TaskId> prev_slot_tasks_;      ///< proc -> task of previous slot
   std::vector<std::int32_t> assign_;         ///< proc -> index into picked_ (-1 idle)
-  // SoA kernel scratch: per-shard phase-A results plus the coordinator's
-  // k-way merge cursors (all reused; allocation-free at steady state).
-  std::vector<ShardScratch> shard_scratch_;
-  std::vector<std::size_t> merge_pos_;       ///< per-shard merge cursor
-  std::unique_ptr<engine::ThreadPool> shard_pool_;  ///< lazily built; shards > 1 only
 };
 
 }  // namespace pfair

@@ -134,6 +134,59 @@ TEST(SubtaskPriorityFunctor, DispatchesToSelectedRule) {
   EXPECT_TRUE(SubtaskPriority(Algorithm::kPD2)(gd_later, gd_earlier));
 }
 
+// The packed-key fast path must decide every pair exactly as the legacy
+// tie-break chain does, including pairs where one or both refs carry no
+// key.  Small periods and offsets make equal deadlines common, so b-bit
+// and group-deadline ties are exercised, and refs are duplicated under
+// other task ids so the final id tie-break is reached too.
+TEST(SubtaskPriorityFunctor, PackedKeysMatchLegacyChainOnRandomRefs) {
+  Rng rng(17);
+  for (const Algorithm alg :
+       {Algorithm::kPD2, Algorithm::kPD, Algorithm::kEPDF, Algorithm::kPF}) {
+    std::vector<SubtaskRef> refs;
+    for (TaskId id = 0; id < 120; ++id) {
+      const std::int64_t p = rng.uniform_int(2, 12);
+      // Heavy (weight >= 1/2) and light tasks in equal measure.
+      const std::int64_t e =
+          rng.uniform_int(0, 1) == 0 ? rng.uniform_int((p + 1) / 2, p) : rng.uniform_int(1, p / 2);
+      const SubtaskIndex i = rng.uniform_int(1, 2 * e);
+      const Time offset = rng.uniform_int(0, 3);
+      // One ref in four is keyless (kWRR never packs).
+      const Algorithm key_alg = rng.uniform_int(0, 3) == 0 ? Algorithm::kWRR : alg;
+      if (id % 10 == 9) {
+        SubtaskRef twin = refs[static_cast<std::size_t>(rng.uniform_int(0, id - 1))];
+        twin.task = id;
+        pack_subtask_ref(twin, key_alg);
+        refs.push_back(twin);
+      } else {
+        refs.push_back(make_subtask_ref(id, e, p, i, offset, key_alg));
+      }
+    }
+    const SubtaskPriority pri(alg);
+    std::size_t keyed_pairs = 0, mixed_pairs = 0, b_ties = 0, group_ties = 0;
+    for (const SubtaskRef& a : refs) {
+      for (const SubtaskRef& b : refs) {
+        ASSERT_EQ(pri(a, b), pri.compare_legacy(a, b))
+            << algorithm_name(alg) << ": tasks " << a.task << " vs " << b.task;
+        const bool ka = a.key_alg != kKeyNone;
+        const bool kb = b.key_alg != kKeyNone;
+        if (ka && kb) ++keyed_pairs;
+        if (ka != kb) ++mixed_pairs;
+        if (a.task != b.task && a.deadline == b.deadline) {
+          if (a.b != b.b) ++b_ties;
+          if (a.b == 1 && b.b == 1) ++group_ties;
+        }
+      }
+    }
+    EXPECT_GT(b_ties, 0u) << algorithm_name(alg);
+    EXPECT_GT(group_ties, 0u) << algorithm_name(alg);
+    if (alg != Algorithm::kPF) {  // PF never packs
+      EXPECT_GT(keyed_pairs, 0u) << algorithm_name(alg);
+      EXPECT_GT(mixed_pairs, 0u) << algorithm_name(alg);
+    }
+  }
+}
+
 TEST(AlgorithmName, AllNamed) {
   EXPECT_STREQ(algorithm_name(Algorithm::kPD2), "PD2");
   EXPECT_STREQ(algorithm_name(Algorithm::kPF), "PF");

@@ -30,8 +30,11 @@ SubtaskRef ref_with_deadline(Rng& rng, TaskId id, Time deadline, Algorithm alg) 
   return s;
 }
 
-void drive(Algorithm alg, bool packed, std::uint64_t seed) {
-  SubtaskPriority pri(alg, packed);
+/// Keyless refs (packed for kWRR, which never packs) send every
+/// comparison through the legacy chain.
+void drive(Algorithm alg, bool keyed, std::uint64_t seed) {
+  const Algorithm key_alg = keyed ? alg : Algorithm::kWRR;
+  SubtaskPriority pri(alg);
   BinaryHeap<SubtaskRef, SubtaskPriority> heap(pri);
   Rng rng(seed);
   // Reference store: handle -> ref, min found by linear comparator scan.
@@ -62,7 +65,7 @@ void drive(Algorithm alg, bool packed, std::uint64_t seed) {
       }
       // Unique task ids keep the comparator a strict total order, so the
       // reference min is unambiguous.
-      const SubtaskRef s = ref_with_deadline(rng, next_id++, d, alg);
+      const SubtaskRef s = ref_with_deadline(rng, next_id++, d, key_alg);
       const HeapHandle h = heap.push(s);
       reference.emplace_back(h, s);
     } else if (op < 75) {
@@ -87,7 +90,7 @@ void drive(Algorithm alg, bool packed, std::uint64_t seed) {
       s.deadline = base + rng.uniform_int(0, 80);
       s.b = static_cast<int>(rng.uniform_int(0, 1));
       s.group_dl = s.b == 1 ? s.deadline + rng.uniform_int(0, 3) : 0;
-      pack_subtask_ref(s, alg);
+      pack_subtask_ref(s, key_alg);
       heap.update(h);
       reference[k].second = s;
     }
@@ -115,7 +118,7 @@ TEST(SubtaskHeap, RandomisedAgainstReference_EPDF) { drive(Algorithm::kEPDF, tru
 TEST(SubtaskHeap, RandomisedAgainstReference_PF) { drive(Algorithm::kPF, true, 5); }
 
 TEST(SubtaskHeap, ClearResetsRingState) {
-  SubtaskPriority pri(Algorithm::kPD2, true);
+  SubtaskPriority pri(Algorithm::kPD2);
   BinaryHeap<SubtaskRef, SubtaskPriority> heap(pri);
   Rng rng(9);
   for (int round = 0; round < 3; ++round) {

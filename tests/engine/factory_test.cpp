@@ -47,36 +47,6 @@ TEST(Factory, RejectsZeroProcessors) {
                   "make_simulator(pfair): processors must be >= 1 (got 0)");
 }
 
-TEST(Factory, RejectsNegativeShardOverride) {
-  SimulatorConfig config;
-  config.shards = -1;
-  expect_rejected(SchedulerKind::kPfair, config,
-                  "make_simulator(pfair): shards must be >= 0 (got -1; 0 defers to "
-                  "the per-kind config)");
-}
-
-TEST(Factory, RejectsZeroPfairShards) {
-  SimulatorConfig config;
-  config.pfair.shards = 0;
-  expect_rejected(SchedulerKind::kPfair, config,
-                  "make_simulator(pfair): pfair.shards must be >= 1 (got 0)");
-}
-
-TEST(Factory, ShardOverrideReachesPfairConfig) {
-  SimulatorConfig config;
-  config.shards = 4;
-  const auto sim = make_simulator(SchedulerKind::kPfair, config);
-  const auto* pfair = dynamic_cast<const PfairSimulator*>(sim.get());
-  ASSERT_NE(pfair, nullptr);
-  EXPECT_EQ(pfair->config().shards, 4);
-
-  // shards = 0 defers to the per-kind config.
-  SimulatorConfig deferred;
-  deferred.pfair.shards = 2;
-  const auto sim2 = make_simulator(SchedulerKind::kPfair, deferred);
-  EXPECT_EQ(dynamic_cast<const PfairSimulator*>(sim2.get())->config().shards, 2);
-}
-
 TEST(Factory, RejectsNegativeProcessors) {
   SimulatorConfig config;
   config.global_job.processors = -2;
@@ -119,22 +89,6 @@ TEST(Factory, RejectsBadBfAndRunConfigs) {
   config.run.processors = -3;
   expect_rejected(SchedulerKind::kRun, config,
                   "make_simulator(run): processors must be >= 1 (got -3)");
-}
-
-TEST(Factory, RejectsShardOverrideForKindsWithoutShardedKernel) {
-  // Sharding is a pfair-kernel concept; silently ignoring the override
-  // elsewhere would let a sweep believe it measured a sharded run.
-  SimulatorConfig config;
-  config.shards = 4;
-  for (const SchedulerKind kind : all_scheduler_kinds()) {
-    if (kind == SchedulerKind::kPfair) continue;
-    const std::string want =
-        std::string("make_simulator(") + to_string(kind) +
-        "): shards > 1 is only supported for pfair (got 4; this kind has no sharded kernel)";
-    expect_rejected(kind, config, want);
-  }
-  // The pfair row still accepts the very same override.
-  EXPECT_NE(make_simulator(SchedulerKind::kPfair, config), nullptr);
 }
 
 TEST(Factory, ValidationOnlyReadsTheRequestedKindsSection) {

@@ -1,8 +1,8 @@
-// Profiling determinism + Perfetto phase tracks (ISSUE 7 acceptance):
+// Profiling determinism + Perfetto phase tracks:
 //   * the JSONL event stream of a seeded run is byte-identical with
-//     profiling attached vs detached, and sharded vs unsharded;
+//     profiling attached vs detached;
 //   * PerfettoSink output with profiling + span recording on passes
-//     validate_perfetto_json and actually contains the phase tracks.
+//     validate_perfetto_json and actually contains the phase track.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -30,7 +30,7 @@ struct ProfRun {
 
 /// One seeded run: same workload every call, so any byte difference in
 /// the captured streams is caused by the configuration under test.
-ProfRun run_seeded(int shards, bool prof, bool spans, bool perfetto_out) {
+ProfRun run_seeded(bool prof, bool spans, bool perfetto_out) {
   obs::prof::set_enabled(prof);
   obs::prof::set_span_recording(spans);
   obs::prof::reset();
@@ -38,8 +38,6 @@ ProfRun run_seeded(int shards, bool prof, bool spans, bool perfetto_out) {
   PfairConfig cfg;
   cfg.processors = 4;
   cfg.algorithm = Algorithm::kPD2;
-  cfg.soa_kernel = true;
-  cfg.shards = shards;
   PfairSimulator sim(cfg);
 
   ProfRun out;
@@ -70,42 +68,27 @@ ProfRun run_seeded(int shards, bool prof, bool spans, bool perfetto_out) {
 }
 
 TEST(PhaseTrace, JsonlStreamByteIdenticalProfOnVsOff) {
-  const ProfRun off = run_seeded(1, /*prof=*/false, false, false);
-  const ProfRun on = run_seeded(1, /*prof=*/true, /*spans=*/true, false);
+  const ProfRun off = run_seeded(/*prof=*/false, false, false);
+  const ProfRun on = run_seeded(/*prof=*/true, /*spans=*/true, false);
   ASSERT_FALSE(off.jsonl.empty());
   EXPECT_EQ(off.jsonl, on.jsonl);
 }
 
-TEST(PhaseTrace, JsonlStreamByteIdenticalShardedVsUnsharded) {
-  const ProfRun one = run_seeded(1, /*prof=*/true, /*spans=*/true, false);
-  const ProfRun eight = run_seeded(8, /*prof=*/true, /*spans=*/true, false);
-  ASSERT_FALSE(one.jsonl.empty());
-  EXPECT_EQ(one.jsonl, eight.jsonl);
-}
-
-TEST(PhaseTrace, PerfettoWithPhaseTracksValidatesAcrossShardCounts) {
-  for (const int shards : {1, 8}) {
-    const ProfRun r = run_seeded(shards, /*prof=*/true, /*spans=*/true,
-                                 /*perfetto_out=*/true);
-    ASSERT_FALSE(r.perfetto.empty()) << "shards=" << shards;
-    EXPECT_EQ(obs::validate_perfetto_json(r.perfetto), "") << "shards=" << shards;
-    // The prof process and at least the sequential merge phase must be
-    // present; per-shard Phase A tracks appear for the sharded run.
-    EXPECT_NE(r.perfetto.find("\"prof\""), std::string::npos) << "shards=" << shards;
-    EXPECT_NE(r.perfetto.find("kernel.merge"), std::string::npos) << "shards=" << shards;
-    EXPECT_NE(r.perfetto.find("kernel.phase_a"), std::string::npos)
-        << "shards=" << shards;
-    if (shards == 8) {
-      EXPECT_NE(r.perfetto.find("shard 1"), std::string::npos);
-    }
-  }
+TEST(PhaseTrace, PerfettoWithPhaseTracksValidates) {
+  const ProfRun r = run_seeded(/*prof=*/true, /*spans=*/true, /*perfetto_out=*/true);
+  ASSERT_FALSE(r.perfetto.empty());
+  EXPECT_EQ(obs::validate_perfetto_json(r.perfetto), "");
+  // The prof process and every slot-kernel phase must be present.
+  EXPECT_NE(r.perfetto.find("\"prof\""), std::string::npos);
+  for (const char* phase : {"legacy.miss_sweep", "legacy.select", "sim.release", "sim.assign"})
+    EXPECT_NE(r.perfetto.find(phase), std::string::npos) << phase;
 }
 
 TEST(PhaseTrace, PerfettoOmitsProfTracksWhenDetached) {
-  const ProfRun r = run_seeded(1, /*prof=*/false, false, /*perfetto_out=*/true);
+  const ProfRun r = run_seeded(/*prof=*/false, false, /*perfetto_out=*/true);
   ASSERT_FALSE(r.perfetto.empty());
   EXPECT_EQ(obs::validate_perfetto_json(r.perfetto), "");
-  EXPECT_EQ(r.perfetto.find("kernel.phase_a"), std::string::npos);
+  EXPECT_EQ(r.perfetto.find("legacy.select"), std::string::npos);
 }
 
 }  // namespace

@@ -90,7 +90,7 @@ TEST_F(ProfTest, SnapshotOmitsZerosAndIsCanonicalJson) {
 
 TEST_F(ProfTest, DetachedScopesRecordNothing) {
   ASSERT_FALSE(prof::enabled());
-  { const prof::ProfScope s(prof::Phase::kKernelPhaseA, 0, 1); }
+  { const prof::ProfScope s(prof::Phase::kMissSweep, 1); }
   { const prof::ProfScope s(prof::Phase::kAdmit); }
   for (const prof::PhaseTotals& t : prof::collect_totals()) {
     EXPECT_EQ(t.count, 0u);
@@ -102,47 +102,47 @@ TEST_F(ProfTest, DetachedScopesRecordNothing) {
 TEST_F(ProfTest, AttachedScopesAggregateIntoPhaseTotals) {
   prof::set_enabled(true);
   for (int i = 0; i < 3; ++i) {
-    const prof::ProfScope s(prof::Phase::kKernelMerge, -1, i);
+    const prof::ProfScope s(prof::Phase::kSelect, i);
   }
   const std::vector<prof::PhaseTotals> totals = prof::collect_totals();
-  const auto& merge = totals[static_cast<std::size_t>(prof::Phase::kKernelMerge)];
-  EXPECT_EQ(merge.count, 3u);
-  EXPECT_GE(merge.total_ns, merge.max_ns);
-  EXPECT_EQ(merge.hist.total(), 3u);
+  const auto& select = totals[static_cast<std::size_t>(prof::Phase::kSelect)];
+  EXPECT_EQ(select.count, 3u);
+  EXPECT_GE(select.total_ns, select.max_ns);
+  EXPECT_EQ(select.hist.total(), 3u);
   // Other phases untouched.
   EXPECT_EQ(totals[static_cast<std::size_t>(prof::Phase::kAdmit)].count, 0u);
 }
 
 TEST_F(ProfTest, SnapshotIntoPublishesTimersUnderPhaseNames) {
   prof::set_enabled(true);
-  { const prof::ProfScope s(prof::Phase::kKernelPhaseA, 2, 10); }
-  { const prof::ProfScope s(prof::Phase::kRelease, -1, 10); }
+  { const prof::ProfScope s(prof::Phase::kMissSweep, 10); }
+  { const prof::ProfScope s(prof::Phase::kRelease, 10); }
   prof::snapshot_into(MetricsRegistry::global());
   const json::Value snap = MetricsRegistry::global().snapshot();
   const json::Value* timers = snap.find("timers");
   ASSERT_NE(timers, nullptr);
-  EXPECT_NE(timers->find("kernel.phase_a"), nullptr);
+  EXPECT_NE(timers->find("legacy.miss_sweep"), nullptr);
   EXPECT_NE(timers->find("sim.release"), nullptr);
-  EXPECT_EQ(timers->find("kernel.merge"), nullptr);  // zero samples: skipped
+  EXPECT_EQ(timers->find("legacy.select"), nullptr);  // zero samples: skipped
 }
 
-TEST_F(ProfTest, SpansRecordShardSlotAndSortDeterministically) {
+TEST_F(ProfTest, SpansRecordSlotAndSortDeterministically) {
   prof::set_enabled(true);
   prof::set_span_recording(true);
-  { const prof::ProfScope s(prof::Phase::kKernelPhaseA, 1, 5); }
-  { const prof::ProfScope s(prof::Phase::kKernelPhaseA, 0, 5); }
-  { const prof::ProfScope s(prof::Phase::kKernelMerge, -1, 4); }
+  { const prof::ProfScope s(prof::Phase::kSelect, 5); }
+  { const prof::ProfScope s(prof::Phase::kMissSweep, 5); }
+  { const prof::ProfScope s(prof::Phase::kAssign, 4); }
   const std::vector<prof::Span> spans = prof::collect_spans();
   ASSERT_EQ(spans.size(), 3u);
   EXPECT_EQ(spans[0].slot, 4);  // sorted by slot first
   EXPECT_EQ(spans[1].slot, 5);
-  EXPECT_EQ(spans[1].shard, 0);  // then shard
-  EXPECT_EQ(spans[2].shard, 1);
+  EXPECT_EQ(spans[1].phase, prof::Phase::kMissSweep);  // then phase
+  EXPECT_EQ(spans[2].phase, prof::Phase::kSelect);
 }
 
 TEST_F(ProfTest, SpansOffByDefaultEvenWhenEnabled) {
   prof::set_enabled(true);
-  { const prof::ProfScope s(prof::Phase::kAssign, -1, 0); }
+  { const prof::ProfScope s(prof::Phase::kAssign, 0); }
   EXPECT_EQ(prof::collect_totals()[static_cast<std::size_t>(prof::Phase::kAssign)].count,
             1u);
   EXPECT_TRUE(prof::collect_spans().empty());
@@ -155,7 +155,7 @@ TEST_F(ProfTest, CollectionMergesAcrossThreads) {
     threads.emplace_back([w] {
       prof::set_worker_index(w);
       for (int i = 0; i < 10; ++i) {
-        const prof::ProfScope s(prof::Phase::kPoolJob, -1, i);
+        const prof::ProfScope s(prof::Phase::kPoolJob, i);
       }
     });
   }

@@ -130,38 +130,6 @@ TEST(TaskSetGen, JsonRoundTrip) {
   }
 }
 
-TEST(TaskSetGen, ShardCountIsFixedAndRoundTrips) {
-  // The shard count is configured, never drawn — so a sharded campaign
-  // generates byte-identical cases (modulo the shards member itself) and
-  // the count survives the JSON artifact round trip.
-  GenConfig sharded;
-  sharded.shards = 4;
-  const TaskSetGen gen(sharded, 77);
-  const TaskSetGen gen_plain(GenConfig{}, 77);
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    FuzzCase c = gen.make_case(i);
-    EXPECT_EQ(c.shards, 4) << "case " << i;
-    FuzzCase back;
-    ASSERT_TRUE(case_from_json(case_to_json(c), back)) << "case " << i;
-    EXPECT_EQ(back.shards, 4) << "case " << i;
-    // Same rng stream: only the shards member differs from a plain case.
-    FuzzCase plain = gen_plain.make_case(i);
-    EXPECT_EQ(plain.shards, 1);
-    plain.shards = 4;
-    EXPECT_EQ(case_to_json(c).dump(), case_to_json(plain).dump()) << "case " << i;
-  }
-  // Pre-shard artifacts (no "shards" member) load as shards = 1.
-  obs::json::Value v = case_to_json(gen_plain.make_case(0));
-  FuzzCase back;
-  ASSERT_TRUE(case_from_json(v, back));
-  EXPECT_EQ(back.shards, 1);
-  // The gtest snippet names a non-default shard count.
-  FuzzCase c = gen.make_case(2);
-  EXPECT_NE(case_to_gtest(c).find("c.shards = 4;"), std::string::npos);
-  EXPECT_EQ(case_to_gtest(gen_plain.make_case(2)).find("c.shards"),
-            std::string::npos);
-}
-
 TEST(TaskSetGen, GtestSnippetNamesSeedAndCase) {
   const TaskSetGen gen(GenConfig{}, 9);
   const FuzzCase c = gen.make_case(4);

@@ -52,35 +52,6 @@ TEST(Shrinker, MinimisesToOneTaskUnderSyntheticPredicate) {
   EXPECT_EQ(validate(res.minimal), "");
 }
 
-TEST(Shrinker, UnshardsWhenFailurePersistsAtOneShard) {
-  // Kernel bugs (shard-independent) shrink to shards = 1.
-  FuzzCase c = six_task_case();
-  c.shards = 8;
-  const Shrinker shrinker(has_fat_task);
-  const ShrinkResult res = shrinker.shrink(c);
-  EXPECT_EQ(res.minimal.shards, 1);
-}
-
-TEST(Shrinker, KeepsShardCountWhenFailureNeedsIt) {
-  // A genuine sharding defect reproduces only sharded; the repro must
-  // keep its shard count.
-  const auto sharded_only = [](const FuzzCase& c) -> std::optional<CaseVerdict> {
-    if (c.shards < 2) return std::nullopt;
-    CaseVerdict v;
-    v.ok = false;
-    v.oracle = "synthetic-sharded";
-    v.detail = "fails only with >= 2 shards";
-    return v;
-  };
-  FuzzCase c = six_task_case();
-  c.shards = 8;
-  const Shrinker shrinker(sharded_only);
-  const ShrinkResult res = shrinker.shrink(c);
-  EXPECT_FALSE(res.verdict.ok);
-  EXPECT_EQ(res.minimal.shards, 8);
-  EXPECT_EQ(validate(res.minimal), "");
-}
-
 TEST(Shrinker, ShrinkingIsIdempotent) {
   const Shrinker shrinker(has_fat_task);
   const ShrinkResult once = shrinker.shrink(six_task_case());

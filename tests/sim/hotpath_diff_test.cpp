@@ -1,7 +1,8 @@
-// Hot-path equivalence suite: the perf machinery (packed priority keys,
-// calendar ready queue, idle fast-forward, incremental bookkeeping) must
-// be invisible — byte-identical metrics, traces, and event streams
-// against the reference configurations it replaced.
+// Hot-path equivalence suite: the perf machinery (idle fast-forward,
+// incremental bookkeeping) must be invisible — byte-identical metrics
+// and traces against the per-slot reference it shortcuts.  Packed
+// priority keys against the legacy comparator chain are covered at the
+// comparator level in tests/core/priority_test.cpp.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -29,41 +30,20 @@ class RecordingSink final : public obs::Sink {
 struct RunResult {
   engine::Metrics metrics;
   ScheduleTrace trace;
-  std::vector<obs::Event> events;
   std::uint64_t ff_slots = 0;
-};
-
-/// Slot-kernel variant: which of the byte-identical implementations a
-/// run uses (SoA lane sweeps vs legacy heap+wheel, shard count, SIMD vs
-/// scalar sweeps, miss policy).
-struct Kernel {
-  bool soa = true;
-  int shards = 1;
-  bool simd = true;
-  MissPolicy policy = MissPolicy::kScheduleLate;
 };
 
 /// Replays a fuzz case (including its dynamic join/leave script, in the
 /// same order qa's oracle replay applies it) under one configuration.
-RunResult run_case(const qa::FuzzCase& c, Algorithm alg, bool packed_keys,
-                   bool fast_forward, bool observe, Kernel k = {}) {
+RunResult run_case(const qa::FuzzCase& c, Algorithm alg, bool fast_forward,
+                   MissPolicy policy) {
   PfairConfig cfg;
   cfg.processors = c.processors;
   cfg.algorithm = alg;
   cfg.record_trace = true;
-  cfg.packed_keys = packed_keys;
   cfg.idle_fast_forward = fast_forward;
-  cfg.soa_kernel = k.soa;
-  cfg.shards = k.shards;
-  cfg.simd = k.simd;
-  cfg.miss_policy = k.policy;
+  cfg.miss_policy = policy;
   PfairSimulator sim(cfg);
-  obs::EventBus bus;
-  RecordingSink sink;
-  if (observe) {
-    bus.add_sink(&sink);
-    sim.attach_observer(&bus);
-  }
   for (const Task& t : c.tasks.tasks()) {
     Task spec = t;
     spec.kind = c.kind;
@@ -93,7 +73,6 @@ RunResult run_case(const qa::FuzzCase& c, Algorithm alg, bool packed_keys,
   RunResult r;
   r.metrics = sim.metrics();
   r.trace = sim.trace();
-  r.events = sink.events();
   r.ff_slots = sim.fast_forwarded_slots();
   return r;
 }
@@ -129,29 +108,27 @@ void expect_traces_identical(const ScheduleTrace& a, const ScheduleTrace& b,
     ASSERT_EQ(a[t].proc_to_task, b[t].proc_to_task) << what << " slot " << t;
 }
 
-void expect_events_identical(const std::vector<obs::Event>& a,
-                             const std::vector<obs::Event>& b, const std::string& what) {
-  ASSERT_EQ(a.size(), b.size()) << what;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_TRUE(a[i].kind == b[i].kind && a[i].time == b[i].time &&
-                a[i].task == b[i].task && a[i].proc == b[i].proc &&
-                a[i].value == b[i].value)
-        << what << " event " << i << " diverges (kind "
-        << static_cast<int>(a[i].kind) << " vs " << static_cast<int>(b[i].kind)
-        << " at t = " << a[i].time << " vs " << b[i].time << ")";
-  }
+// --- fast-forward vs the per-slot reference ----------------------------
+
+/// Runs `c` with fast-forward on and expects metrics and trace identical
+/// to the per-slot reference.  Returns the fast-forward run.
+RunResult expect_fast_forward_invisible(const qa::FuzzCase& c, Algorithm alg,
+                                        MissPolicy policy, const std::string& what) {
+  const RunResult ref = run_case(c, alg, /*fast_forward=*/false, policy);
+  RunResult ff = run_case(c, alg, /*fast_forward=*/true, policy);
+  EXPECT_EQ(ref.ff_slots, 0u) << what;
+  expect_metrics_identical(ff.metrics, ref.metrics, what);
+  expect_traces_identical(ff.trace, ref.trace, what);
+  return ff;
 }
 
-// --- packed keys vs the legacy comparator chain --------------------------
-
-// Every generator profile x every subtask-priority algorithm: the packed
-// 128-bit key path and the legacy tie-break chain must produce the same
-// schedule down to the last observer event.  The observer also forces
-// the per-slot path (fast-forward auto-disables), so this isolates the
-// ready-queue representation as the only variable.
-TEST(HotpathDiff, PackedKeysMatchLegacyOnEveryProfileAndAlgorithm) {
+// Every generator profile x every subtask-priority algorithm, including
+// the dynamic join/leave scripts: the fast-forward jump must never change
+// what the per-slot kernel would have scheduled.
+TEST(HotpathDiff, FastForwardMatchesPerSlotOnEveryProfileAndAlgorithm) {
   const Algorithm algs[] = {Algorithm::kPD2, Algorithm::kPF, Algorithm::kPD,
                             Algorithm::kEPDF};
+  std::uint64_t ff_slots = 0;
   for (const qa::Profile profile : qa::all_profiles()) {
     qa::GenConfig gc;
     gc.only_profile = profile;
@@ -161,128 +138,48 @@ TEST(HotpathDiff, PackedKeysMatchLegacyOnEveryProfileAndAlgorithm) {
     for (std::uint64_t index = 0; index < 3; ++index) {
       const qa::FuzzCase c = gen.make_case(index);
       for (const Algorithm alg : algs) {
-        const std::string what = std::string(qa::profile_name(profile)) + "/" +
-                                 algorithm_name(alg) + "/case " +
-                                 std::to_string(index);
-        const RunResult packed = run_case(c, alg, /*packed_keys=*/true,
-                                          /*fast_forward=*/true, /*observe=*/true);
-        const RunResult legacy = run_case(c, alg, /*packed_keys=*/false,
-                                          /*fast_forward=*/true, /*observe=*/true);
-        expect_metrics_identical(packed.metrics, legacy.metrics, what);
-        expect_traces_identical(packed.trace, legacy.trace, what);
-        expect_events_identical(packed.events, legacy.events, what);
+        ff_slots += expect_fast_forward_invisible(c, alg, MissPolicy::kScheduleLate,
+                                                  std::string(qa::profile_name(profile)) +
+                                                      "/" + algorithm_name(alg) + "/case " +
+                                                      std::to_string(index))
+                        .ff_slots;
       }
     }
   }
-}
-
-// --- SoA kernel x shards x SIMD matrix -----------------------------------
-
-// The three-axis differential matrix: {SoA, legacy} x {shards 1, 2, 8} x
-// {SIMD, scalar}, for every generator profile and every algorithm.  The
-// legacy heap+wheel kernel (which ignores shards and simd) is the
-// reference; every SoA cell must reproduce its metrics, trace, and full
-// obs event stream byte for byte.  The observer forces the per-slot
-// path, so the sweep/merge machinery itself is what's compared.
-TEST(HotpathDiff, SoaShardSimdMatrixMatchesLegacyOnEveryProfileAndAlgorithm) {
-  const Algorithm algs[] = {Algorithm::kPD2, Algorithm::kPF, Algorithm::kPD,
-                            Algorithm::kEPDF};
-  const int shard_counts[] = {1, 2, 8};
-  for (const qa::Profile profile : qa::all_profiles()) {
-    qa::GenConfig gc;
-    gc.only_profile = profile;
-    gc.max_processors = 4;
-    gc.max_tasks = 10;
-    const qa::TaskSetGen gen(gc, /*seed=*/0x50a0 + static_cast<int>(profile));
-    for (std::uint64_t index = 0; index < 2; ++index) {
-      const qa::FuzzCase c = gen.make_case(index);
-      for (const Algorithm alg : algs) {
-        const std::string base = std::string(qa::profile_name(profile)) + "/" +
-                                 algorithm_name(alg) + "/case " +
-                                 std::to_string(index);
-        const RunResult ref =
-            run_case(c, alg, /*packed_keys=*/true, /*fast_forward=*/true,
-                     /*observe=*/true, Kernel{/*soa=*/false, 1, true, {}});
-        for (const int shards : shard_counts) {
-          for (const bool simd : {true, false}) {
-            const std::string what = base + "/shards " + std::to_string(shards) +
-                                     (simd ? "/simd" : "/scalar");
-            const RunResult cell =
-                run_case(c, alg, /*packed_keys=*/true, /*fast_forward=*/true,
-                         /*observe=*/true, Kernel{/*soa=*/true, shards, simd, {}});
-            expect_metrics_identical(cell.metrics, ref.metrics, what);
-            expect_traces_identical(cell.trace, ref.trace, what);
-            expect_events_identical(cell.events, ref.events, what);
-          }
-        }
-      }
-    }
-  }
+  EXPECT_GT(ff_slots, 0u);  // the jump actually fired somewhere
 }
 
 // kDrop exercises the miss cascade (dropping a missed subtask can
-// release an already-missed successor); EPDF on overloaded heavy sets
-// actually misses.  The cascade is the one phase-A step that mutates
-// lanes mid-sweep, so it gets its own matrix pass.
-TEST(HotpathDiff, DropPolicyCascadeMatchesAcrossKernelsAndShards) {
+// release an already-missed successor).
+TEST(HotpathDiff, DropPolicyCascadeFastForwardMatchesPerSlot) {
   qa::GenConfig gc;
   gc.only_profile = qa::Profile::kHeavy;
   gc.max_processors = 3;
   gc.max_tasks = 8;
   const qa::TaskSetGen gen(gc, /*seed=*/0xd309);
-  for (std::uint64_t index = 0; index < 4; ++index) {
-    const qa::FuzzCase c = gen.make_case(index);
+  std::vector<qa::FuzzCase> cases;
+  for (std::uint64_t index = 0; index < 4; ++index) cases.push_back(gen.make_case(index));
+  // Feasible heavy sets rarely miss, so add an overloaded one (total
+  // weight 137/60 on two processors) that misses under every rule.
+  qa::FuzzCase overload;
+  overload.processors = 2;
+  overload.horizon = 240;
+  overload.tasks.add(make_task(2, 3));
+  overload.tasks.add(make_task(2, 3));
+  overload.tasks.add(make_task(3, 4));
+  overload.tasks.add(make_task(1, 5));
+  cases.push_back(overload);
+  std::uint64_t misses = 0;
+  for (std::size_t index = 0; index < cases.size(); ++index) {
+    const qa::FuzzCase& c = cases[index];
     for (const Algorithm alg : {Algorithm::kEPDF, Algorithm::kPD2}) {
-      const std::string base = std::string("drop/") + algorithm_name(alg) +
-                               "/case " + std::to_string(index);
-      const RunResult ref = run_case(
-          c, alg, /*packed_keys=*/true, /*fast_forward=*/true,
-          /*observe=*/true, Kernel{/*soa=*/false, 1, true, MissPolicy::kDrop});
-      for (const int shards : {1, 2, 8}) {
-        const std::string what = base + "/shards " + std::to_string(shards);
-        const RunResult cell = run_case(
-            c, alg, /*packed_keys=*/true, /*fast_forward=*/true,
-            /*observe=*/true, Kernel{/*soa=*/true, shards, true, MissPolicy::kDrop});
-        expect_metrics_identical(cell.metrics, ref.metrics, what);
-        expect_traces_identical(cell.trace, ref.trace, what);
-        expect_events_identical(cell.events, ref.events, what);
-      }
+      misses += expect_fast_forward_invisible(c, alg, MissPolicy::kDrop,
+                                              std::string("drop/") + algorithm_name(alg) +
+                                                  "/case " + std::to_string(index))
+                    .metrics.deadline_misses;
     }
   }
-}
-
-// Supertasks run through the shared steps of the slot kernel (component
-// release/dispatch), so a sharded SoA run with servers plus ordinary
-// tasks must match the legacy kernel including component-miss
-// accounting.
-TEST(HotpathDiff, ShardedSupertasksMatchLegacyKernel) {
-  auto build_and_run = [](const Kernel& k) {
-    PfairConfig cfg;
-    cfg.processors = 2;
-    cfg.record_trace = true;
-    cfg.soa_kernel = k.soa;
-    cfg.shards = k.shards;
-    cfg.simd = k.simd;
-    PfairSimulator sim(cfg);
-    SupertaskSpec spec;
-    spec.execution = 2;
-    spec.period = 5;
-    spec.components.push_back(make_task(1, 4));
-    spec.components.push_back(make_task(1, 8));
-    sim.add_supertask(spec, /*bound_proc=*/0);
-    sim.add_task(make_task(3, 7));
-    sim.add_task(make_task(1, 3));
-    sim.run_until(400);
-    return std::make_pair(sim.metrics(), sim.trace());
-  };
-  const auto [ref_metrics, ref_trace] =
-      build_and_run(Kernel{/*soa=*/false, 1, true, {}});
-  for (const int shards : {1, 2, 8}) {
-    const auto [m, tr] = build_and_run(Kernel{/*soa=*/true, shards, true, {}});
-    const std::string what = "supertask shards " + std::to_string(shards);
-    expect_metrics_identical(m, ref_metrics, what);
-    expect_traces_identical(tr, ref_trace, what);
-  }
+  EXPECT_GT(misses, 0u);  // the cascade actually ran
 }
 
 // --- idle fast-forward ---------------------------------------------------
@@ -360,6 +257,31 @@ TEST(HotpathDiff, FastForwardAutoDisablesUnderSupertasks) {
   // Component jobs release and miss on their own clock, so every slot
   // must run even though the Pfair servers leave most slots idle.
   EXPECT_EQ(sim.fast_forwarded_slots(), 0u);
+
+  // A processor-bound server next to ordinary tasks: with fast-forward
+  // enabled the run must match the per-slot reference, component-miss
+  // accounting included.
+  const auto bound_run = [](bool ff) {
+    PfairConfig bc;
+    bc.processors = 2;
+    bc.record_trace = true;
+    bc.idle_fast_forward = ff;
+    PfairSimulator bound(bc);
+    SupertaskSpec bspec;
+    bspec.execution = 2;
+    bspec.period = 5;
+    bspec.components.push_back(make_task(1, 4));
+    bspec.components.push_back(make_task(1, 8));
+    bound.add_supertask(bspec, /*bound_proc=*/0);
+    bound.add_task(make_task(3, 7));
+    bound.add_task(make_task(1, 3));
+    bound.run_until(400);
+    return std::make_pair(bound.metrics(), bound.trace());
+  };
+  const auto [ref_metrics, ref_trace] = bound_run(false);
+  const auto [ff_metrics, ff_trace] = bound_run(true);
+  expect_metrics_identical(ff_metrics, ref_metrics, "bound supertask");
+  expect_traces_identical(ff_trace, ref_trace, "bound supertask");
 }
 
 TEST(HotpathDiff, FastForwardAutoDisablesDuringPendingDeparture) {
@@ -381,16 +303,12 @@ TEST(HotpathDiff, FastForwardAutoDisablesDuringPendingDeparture) {
 
 TEST(HotpathDiff, FastForwardStopsAtProcessorEvents) {
   // A fault event sits in the middle of a long idle stretch; runs with
-  // and without fast-forward must apply it at the same instant.  The
-  // jump target comes from the release wheel in the legacy kernel and
-  // from the eligible_at lane minimum in the SoA kernel, so both are
-  // differenced against the per-slot reference.
-  auto run = [](bool ff, bool soa) {
+  // and without fast-forward must apply it at the same instant.
+  auto run = [](bool ff) {
     PfairConfig cfg;
     cfg.processors = 2;
     cfg.record_trace = true;
     cfg.idle_fast_forward = ff;
-    cfg.soa_kernel = soa;
     PfairSimulator sim(cfg);
     const TaskSet sparse = sparse_set();
     for (const Task& t : sparse.tasks()) sim.add_task(t);
@@ -402,13 +320,10 @@ TEST(HotpathDiff, FastForwardStopsAtProcessorEvents) {
     }
     return std::make_pair(sim.metrics(), sim.trace());
   };
-  const auto [ref_metrics, ref_trace] = run(false, false);
-  for (const bool soa : {false, true}) {
-    const auto [ff_metrics, ff_trace] = run(true, soa);
-    const std::string what = soa ? "soa ff vs per-slot" : "legacy ff vs per-slot";
-    expect_metrics_identical(ff_metrics, ref_metrics, what);
-    expect_traces_identical(ff_trace, ref_trace, what);
-  }
+  const auto [ref_metrics, ref_trace] = run(false);
+  const auto [ff_metrics, ff_trace] = run(true);
+  expect_metrics_identical(ff_metrics, ref_metrics, "ff vs per-slot");
+  expect_traces_identical(ff_trace, ref_trace, "ff vs per-slot");
 }
 
 // --- incremental bookkeeping regressions ---------------------------------

@@ -220,27 +220,32 @@ TEST(RosterDeterminism, SweepResultsIdenticalAcrossJobs) {
     EXPECT_EQ(serial[i], par[i]) << "trial " << i;
 }
 
-TEST(RosterDeterminism, Pd2LegIdenticalAcrossShards) {
+TEST(RosterDeterminism, Pd2RerunIsByteIdentical) {
   // The differential matrix compares BF/RUN against the PD2 leg; that
-  // leg must itself be shard-invariant or the comparison is noise.
-  const auto pd2_once = [](int shards) {
+  // leg must itself be deterministic or the comparison is noise.
+  const auto pd2_once = [](ScheduleTrace* trace_out) {
     SimulatorConfig cfg;
     cfg.pfair.processors = 2;
-    cfg.shards = shards;
+    cfg.pfair.record_trace = true;
     const auto sim = make_simulator(SchedulerKind::kPfair, cfg);
     for (const UniTask& t : workload())
       EXPECT_TRUE(sim->admit(task_spec(t.execution, t.period)));
     sim->run_until(160);
+    *trace_out = dynamic_cast<const PfairSimulator&>(*sim).trace();
     return sim->metrics();
   };
-  const engine::Metrics one = pd2_once(1);
-  const engine::Metrics two = pd2_once(2);
+  ScheduleTrace a, b;
+  const engine::Metrics one = pd2_once(&a);
+  const engine::Metrics two = pd2_once(&b);
   EXPECT_EQ(one.busy_quanta, two.busy_quanta);
-  EXPECT_EQ(one.deadline_misses, two.deadline_misses);
+  EXPECT_EQ(one.deadline_misses, 0u);
   EXPECT_EQ(one.jobs_completed, two.jobs_completed);
   EXPECT_EQ(one.preemptions, two.preemptions);
   EXPECT_EQ(one.migrations, two.migrations);
   EXPECT_EQ(one.context_switches, two.context_switches);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t t = 0; t < a.size(); ++t)
+    EXPECT_EQ(a[t].proc_to_task, b[t].proc_to_task) << "slot " << t;
 }
 
 }  // namespace

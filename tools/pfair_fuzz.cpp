@@ -8,12 +8,7 @@
 // Usage: pfair_fuzz [--cases=1000] [--seed=1] [--jobs=N]
 //                   [--profile=uniform|bimodal|heavy|harmonic|degenerate|dynamic]
 //                   [--max-procs=4] [--max-tasks=10] [--max-shrunk=8]
-//                   [--shards=1] [--artifacts=DIR]
-//                   [--inject-pd2-b-bit-flip=0] [--json]
-//
-// --shards=N replays every case through the sharded SoA slot kernel
-// (PfairConfig::shards = N); the count round-trips through the repro
-// JSON/gtest artifacts so shrunk sharded failures reproduce exactly.
+//                   [--artifacts=DIR] [--inject-pd2-b-bit-flip=0] [--json]
 //
 // Determinism: stdout and the --json report are byte-identical for any
 // --jobs value (wall-clock goes to stderr), and every failure replays
@@ -82,7 +77,6 @@ int main(int argc, char** argv) {
   config.max_shrunk = static_cast<std::size_t>(h.flag("max-shrunk", 8));
   config.gen.max_processors = static_cast<int>(h.flag("max-procs", 4));
   config.gen.max_tasks = static_cast<std::size_t>(h.flag("max-tasks", 10));
-  config.gen.shards = h.shards();
 
   const std::string profile = h.flag_string("profile", "all");
   if (profile != "all") {

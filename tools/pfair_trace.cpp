@@ -17,16 +17,15 @@
 //
 //   pfair_trace simulate <pfair|partitioned|global-job|uniproc|wrr|cbs>
 //       [--processors=2] [--tasks=8] [--load=60] [--horizon=1000] [--seed=1]
-//       [--shards=N] [--prof=FILE] [--trace=FILE]
+//       [--prof=FILE] [--trace=FILE]
 //
 // runs a seeded random workload (total utilization = load% of the
 // processor count) through the named scheduler stack and streams the
 // JSONL event trace to stdout — pipe it straight back into the analysis
-// subcommands.  --shards shards the pfair SoA slot kernel; --prof=FILE
-// attaches self-profiling and writes the MetricsRegistry snapshot to
-// FILE; --trace=FILE additionally writes Perfetto/Chrome JSON there
-// (with kernel-phase tracks when --prof is attached).  Neither side
-// channel changes the JSONL stream on stdout.
+// subcommands.  --prof=FILE attaches self-profiling and writes the
+// MetricsRegistry snapshot to FILE; --trace=FILE additionally writes
+// Perfetto/Chrome JSON there (with a kernel-phase track when --prof is
+// attached).  Neither side channel changes the JSONL stream on stdout.
 //
 // With --requests=FILE, simulate instead *replays* a pfaird JSONL
 // request stream (join/leave/reweight/query/advance) through the named
@@ -66,7 +65,7 @@ int usage() {
                "usage: pfair_trace <summary|preemptors|migrations|first-miss|validate|"
                "report> <trace-file|-> [--top=N] [--window=N] [--registry=FILE]\n"
                "       pfair_trace simulate <scheduler> [--processors=N] [--tasks=N]"
-               " [--load=PCT] [--horizon=N] [--seed=N] [--shards=N] [--prof=FILE]"
+               " [--load=PCT] [--horizon=N] [--seed=N] [--prof=FILE]"
                " [--trace=FILE] [--requests=FILE [--advance=N] [--exact-budget=N]]\n");
   return 1;
 }
@@ -175,13 +174,11 @@ int run_simulate(int argc, char** argv) {
   const long long load_pct = flag(argc, argv, "load", 60);
   const auto horizon = static_cast<pfair::Time>(flag(argc, argv, "horizon", 1000));
   const auto seed = static_cast<std::uint64_t>(flag(argc, argv, "seed", 1));
-  const int shards = static_cast<int>(flag(argc, argv, "shards", 1));
   const char* prof_file = string_flag(argc, argv, "prof");
   const char* trace_file = string_flag(argc, argv, "trace");
 
   pfair::engine::SimulatorConfig cfg;
   cfg.pfair.processors = processors;
-  cfg.pfair.shards = shards > 0 ? shards : 1;
   cfg.partitioned.max_processors = processors;
   cfg.global_job.processors = processors;
 
