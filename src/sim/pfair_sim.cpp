@@ -178,13 +178,13 @@ std::optional<Time> PfairSimulator::request_reweight(TaskId id, std::int64_t new
     return std::nullopt;
   const Time freed = std::max(now_, earliest_leave(id));
   remove_from_queues(id);
+  if (freed <= now_) {
+    restart_with_weight(id, new_e, new_p, now_);  // switch-over is immediate
+    return now_;
+  }
   rt.leave_at = freed;
   rt.pending_e = new_e;
   rt.pending_p = new_p;
-  if (freed <= now_) {
-    process_pending_departures(now_);  // applies immediately
-    return now_;
-  }
   pending_departures_.push_back(id);
   return freed;
 }

@@ -101,6 +101,24 @@ TEST(Daemon, AdvancePerRequestKeepsTheQuantumLoopRunning) {
   EXPECT_EQ(d.simulator().now(), 6);
 }
 
+TEST(Daemon, ImmediateReweightKeepsSimulatorAndGateInStep) {
+  // Task 0 has not run when the reweight arrives, so the switch-over is
+  // immediate.  The simulator must then hold 1/4, like the gate, and
+  // admit the 3/4 join on a single processor.
+  Daemon d(pfair_config(1));
+  ASSERT_NE(d.process_line("{\"op\":\"join\",\"execution\":1,\"period\":2}")
+                .find("\"admit\":true"),
+            std::string::npos);
+  ASSERT_NE(d.process_line("{\"op\":\"reweight\",\"task\":0,\"execution\":1,\"period\":4}")
+                .find("\"admit\":true"),
+            std::string::npos);
+  (void)d.process_line("{\"op\":\"advance\",\"to\":3}");
+  const std::string last = d.process_line("{\"op\":\"join\",\"execution\":3,\"period\":4}");
+  EXPECT_NE(last.find("\"admit\":true"), std::string::npos) << last;
+  EXPECT_EQ(last.find("sim-reject"), std::string::npos) << last;
+  EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
+}
+
 TEST(Daemon, PublishRegistryMirrorsTheStats) {
   obs::MetricsRegistry::global().reset_values();
   Daemon d(pfair_config(2));

@@ -138,6 +138,26 @@ TEST(Dynamics, ForceLeaveCancelsPendingReweight) {
   EXPECT_EQ(sim.metrics().deadline_misses, 0u);
 }
 
+TEST(Dynamics, ImmediateReweightSwitchOverAppliesAtOnce) {
+  // A task that has not run yet may leave at once, so its reweight
+  // switches over immediately: the new weight is accounted now and the
+  // task keeps being scheduled at that weight.
+  PfairConfig sc;
+  sc.processors = 1;
+  PfairSimulator sim(sc);
+  sim.run_until(3);
+  const TaskId a = sim.join(make_task(1, 2)).value();
+  ASSERT_EQ(sim.allocated(a), 0);
+  const auto switch_at = sim.request_reweight(a, 1, 4);
+  ASSERT_TRUE(switch_at.has_value());
+  EXPECT_EQ(*switch_at, sim.now());
+  EXPECT_EQ(sim.active_weight(), Rational(1, 4));
+  EXPECT_EQ(sim.recompute_active_weight(), Rational(1, 4));
+  sim.run_until(43);
+  EXPECT_EQ(sim.allocated(a), 10);  // 40 slots at weight 1/4
+  EXPECT_EQ(sim.metrics().deadline_misses, 0u);
+}
+
 TEST(Dynamics, ReweightingTakesEffect) {
   PfairConfig sc;
   sc.processors = 1;
