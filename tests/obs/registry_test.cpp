@@ -160,7 +160,8 @@ TEST_F(ProfTest, CollectionMergesAcrossThreads) {
     });
   }
   for (std::thread& t : threads) t.join();
-  const auto& pool = prof::collect_totals()[static_cast<std::size_t>(prof::Phase::kPoolJob)];
+  const std::vector<prof::PhaseTotals> totals = prof::collect_totals();
+  const auto& pool = totals[static_cast<std::size_t>(prof::Phase::kPoolJob)];
   EXPECT_EQ(pool.count, 40u);
   EXPECT_EQ(pool.hist.total(), 40u);
 }
