@@ -1,6 +1,7 @@
 // Profiling determinism + Perfetto phase tracks:
 //   * the JSONL event stream of a seeded run is byte-identical with
-//     profiling attached vs detached;
+//     profiling attached vs detached, and pfaird's with one vs eight
+//     task-mirror shards;
 //   * PerfettoSink output with profiling + span recording on passes
 //     validate_perfetto_json and actually contains the phase track.
 #include <gtest/gtest.h>
@@ -16,6 +17,8 @@
 #include "obs/prof.h"
 #include "obs/registry.h"
 #include "obs/trace_analysis.h"
+#include "serve/daemon.h"
+#include "serve/request.h"
 #include "sim/pfair_sim.h"
 #include "util/rng.h"
 #include "workload/generator.h"
@@ -72,6 +75,44 @@ TEST(PhaseTrace, JsonlStreamByteIdenticalProfOnVsOff) {
   const ProfRun on = run_seeded(/*prof=*/true, /*spans=*/true, false);
   ASSERT_FALSE(off.jsonl.empty());
   EXPECT_EQ(off.jsonl, on.jsonl);
+}
+
+// pfaird's task mirror is sharded; the shard count is a layout choice, so
+// with profiling on the admission event stream and the decision log must
+// not depend on it.
+TEST(PhaseTrace, JsonlStreamByteIdenticalShardedVsUnsharded) {
+  serve::GenConfig gen;
+  gen.count = 400;
+  gen.seed = 11;
+  gen.processors = 4;
+  const std::string requests = serve::generate_requests(gen);
+  const auto run = [&requests](int mirror_shards) {
+    obs::prof::set_enabled(true);
+    obs::prof::reset();
+    serve::DaemonConfig cfg;
+    cfg.processors = 4;
+    cfg.advance_per_request = 1;
+    cfg.measure_latency = false;
+    cfg.mirror_shards = mirror_shards;
+    serve::Daemon daemon(cfg);
+    std::ostringstream jsonl_os;
+    obs::JsonlSink jsonl(jsonl_os);
+    obs::EventBus bus;
+    bus.add_sink(&jsonl);
+    daemon.attach_observer(&bus);
+    std::istringstream in(requests);
+    std::ostringstream decisions;
+    (void)daemon.serve(in, decisions);
+    bus.flush();
+    obs::prof::set_enabled(false);
+    obs::prof::reset();
+    return std::make_pair(jsonl_os.str(), decisions.str());
+  };
+  const auto [one_events, one_log] = run(1);
+  const auto [eight_events, eight_log] = run(8);
+  ASSERT_FALSE(one_events.empty());
+  EXPECT_EQ(one_events, eight_events);
+  EXPECT_EQ(one_log, eight_log);
 }
 
 TEST(PhaseTrace, PerfettoWithPhaseTracksValidates) {

@@ -4,7 +4,9 @@
 // processors — including fully utilised systems (sum of weights == M).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
+#include <type_traits>
 
 #include "sim/pfair_sim.h"
 #include "workload/generator.h"
@@ -12,11 +14,18 @@
 namespace pfair {
 namespace {
 
+// gtest prints a parameter without operator<< as its raw bytes, and that
+// text is part of the test name, so the padding is spelled out as zeros:
+// left uninitialised it would carry stray memory into the name.
 struct Case {
+  Case(Algorithm a, int m, bool f) : alg(a), processors(m), fill(f) {}
   Algorithm alg;
+  std::uint8_t pad0[3] = {};
   int processors;
   bool fill;  ///< top the set up to total weight exactly m
+  std::uint8_t pad1[3] = {};
 };
+static_assert(std::has_unique_object_representations_v<Case> && sizeof(Case) == 12);
 
 class OptimalityTest : public ::testing::TestWithParam<Case> {};
 
