@@ -3,9 +3,10 @@
 //
 // Drives one deterministic generated request stream (serve/request.h)
 // through an in-process serve::Daemon per scheduler kind and reports
-// the decision mix — admits/rejects/errors and the deciding tiers —
-// plus the decision-latency histogram.  Wall-clock throughput and the
-// Tier-2 memo hit rate are printed to stdout for humans but
+// the decision mix — admits/rejects/errors and the deciding tiers.
+// Wall-clock throughput, the per-line decision latency (the obs::prof
+// "serve.decision" timer) and the Tier-2 memo hit rate are printed to
+// stdout for humans but
 // deliberately kept OUT of the JSON report: every recorded field is a
 // pure function of the flags, so two runs of this bench produce
 // byte-identical BENCH_admission.json files (CI cmp's them) and
@@ -14,8 +15,7 @@
 //
 // Usage: admission_bench [--requests=5000] [--seed=42] [--load=150]
 //                        [--processors=4] [--advance=1]
-//                        [--residents=0] [--batch=1] [--jobs=1]
-//                        [--kind=all] [--json]
+//                        [--residents=0] [--batch=1] [--kind=all] [--json]
 //
 // --load is offered load in percent of capacity (150 = half again more
 // than fits, so the reject paths get real traffic).
@@ -28,13 +28,10 @@
 //                  only in the gate, and the point is admission
 //                  throughput, not slot-kernel throughput.
 //   --batch=K      rewrites the stream into {"op":"batch"} lines of K
-//                  sub-requests (serve::batch_requests); the batch
-//                  lines themselves carry the grouping, so the daemon
-//                  serves with its default pipeline depth of 1.
-//   --jobs=J       Tier-2 memo prewarm workers.
-// Decisions are byte-identical for every (batch, jobs) setting and the
-// JSON rows count sub-requests, so the recorded report is invariant
-// across the batching axes — only the stdout throughput moves.
+//                  sub-requests (serve::batch_requests).
+// Decisions are byte-identical for every batch size and the JSON rows
+// count sub-requests, so the recorded report is invariant across
+// --batch — only the stdout throughput moves.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -42,6 +39,7 @@
 #include <string>
 
 #include "engine/harness.h"
+#include "obs/prof.h"
 #include "serve/daemon.h"
 #include "serve/request.h"
 
@@ -56,7 +54,6 @@ int main(int argc, char** argv) {
   const auto advance = static_cast<Time>(h.flag("advance", 1));
   const auto residents = static_cast<std::size_t>(h.flag("residents", 0));
   const auto batch = static_cast<std::size_t>(h.flag("batch", 1));
-  const int jobs = static_cast<int>(h.flag("jobs", 1));
   const std::string only_kind = h.flag_string("kind", "all");
 
   serve::GenConfig gc;
@@ -68,12 +65,15 @@ int main(int argc, char** argv) {
   if (batch > 1) requests = serve::batch_requests(requests, batch);
 
   std::printf("# admission gate throughput (%zu requests, load %.0f%%, m=%d, "
-              "residents=%zu, batch=%zu, jobs=%d)\n",
-              n_requests, load * 100.0, m, residents, batch, jobs);
+              "residents=%zu, batch=%zu)\n",
+              n_requests, load * 100.0, m, residents, batch);
   std::printf("# %-11s | %8s %8s %7s | %7s %7s %7s %7s | %10s | %8s %8s\n", "kind",
               "admits", "rejects", "errors", "tier0", "tier1", "tier2", "approx",
               "committed", "p50_ns", "p99_ns");
 
+  // The latency columns read the serve.decision prof timer, reset per
+  // kind (so a --prof snapshot covers the last kind served).
+  obs::prof::set_enabled(true);
   for (const engine::SchedulerKind kind :
        {engine::SchedulerKind::kPfair, engine::SchedulerKind::kPartitioned,
         engine::SchedulerKind::kGlobalJob, engine::SchedulerKind::kUniproc}) {
@@ -83,9 +83,9 @@ int main(int argc, char** argv) {
     dc.processors = m;
     dc.advance_per_request = advance;
     dc.residents = residents;
-    dc.jobs = jobs;
     serve::Daemon daemon(dc);
 
+    obs::prof::reset();
     std::istringstream in(requests);
     std::ostringstream decisions;
     const auto start = std::chrono::steady_clock::now();
@@ -94,6 +94,8 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
     const serve::DaemonStats& s = daemon.stats();
+    const obs::Histogram latency =
+        obs::prof::collect_totals(obs::prof::Phase::kServeDecision).hist;
     const std::uint64_t hits = daemon.controller().memo_hits();
     const std::uint64_t misses = daemon.controller().memo_misses();
     std::printf("# %-11s | %8llu %8llu %7llu | %7llu %7llu %7llu %7llu | %10zu | "
@@ -105,7 +107,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.tier1),
                 static_cast<unsigned long long>(s.tier2),
                 static_cast<unsigned long long>(s.approx), daemon.controller().committed(),
-                s.latency_ns.p50(), s.latency_ns.p99(),
+                latency.p50(), latency.p99(),
                 secs > 0.0 ? static_cast<double>(s.requests) / secs : 0.0,
                 static_cast<unsigned long long>(hits),
                 static_cast<unsigned long long>(hits + misses),
@@ -114,9 +116,9 @@ int main(int argc, char** argv) {
                     : 0.0);
 
     // Deterministic fields only: no wall time, no latency numbers, no
-    // memo counters (prewarm shifts hit/miss splits across jobs
-    // settings without changing any decision).  "requests" counts
-    // sub-requests, so these rows are invariant across --batch/--jobs.
+    // memo counters (the memo capacity shifts hit/miss splits without
+    // changing any decision).  "requests" counts sub-requests, so these
+    // rows are invariant across --batch.
     h.add_row()
         .set("kind", std::string(engine::to_string(kind)))
         .set("requests", static_cast<long long>(s.requests))

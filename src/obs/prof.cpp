@@ -87,6 +87,7 @@ constexpr const char* kPhaseNames[kPhaseCount] = {
     "sim.release",      // kRelease
     "sim.assign",       // kAssign
     "sim.admit",        // kAdmit
+    "serve.decision",   // kServeDecision
     "pool.job",         // kPoolJob
 };
 

@@ -1,9 +1,10 @@
 // Scoped self-profiling: phase timers over the engine's own hot paths.
 //
 // A ProfScope wall-clock-times one phase of engine work — the Pfair
-// miss sweep, top-M selection, processor assignment, a ThreadPool job —
-// into per-thread accumulators, merged on demand into the
-// obs::MetricsRegistry as named timers with p50/p95/p99.  Optional span
+// miss sweep, top-M selection, processor assignment, one pfaird
+// decision, a ThreadPool job — into per-thread accumulators, merged on
+// demand into the obs::MetricsRegistry as named timers with
+// p50/p95/p99.  Optional span
 // recording additionally logs every (phase, worker, slot, ns) interval
 // so PerfettoSink can draw a kernel-phase track and per-worker
 // utilization tracks next to the schedule.
@@ -45,12 +46,13 @@ namespace pfair::obs::prof {
 /// The instrumented phases.  A fixed enum (not strings) keeps the hot
 /// path at array indexing; phase_name() maps to the registry timer key.
 enum class Phase : std::uint8_t {
-  kMissSweep,  ///< ready-queue deadline-miss pops
-  kSelect,     ///< top-M pop + subtask advancement
-  kRelease,    ///< release calendar drain
-  kAssign,     ///< processor assignment + per-slot accounting
-  kAdmit,      ///< admission (admit()/join()) decision path
-  kPoolJob,    ///< one ThreadPool job execution (worker busy time)
+  kMissSweep,      ///< ready-queue deadline-miss pops
+  kSelect,         ///< top-M pop + subtask advancement
+  kRelease,        ///< release calendar drain
+  kAssign,         ///< processor assignment + per-slot accounting
+  kAdmit,          ///< admission (admit()/join()) decision path
+  kServeDecision,  ///< one pfaird request line, parse to decision line(s)
+  kPoolJob,        ///< one ThreadPool job execution (worker busy time)
 };
 inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kPoolJob) + 1;
 
@@ -112,6 +114,11 @@ struct PhaseTotals {
 
 /// Merged per-phase totals across all threads (index = Phase).
 [[nodiscard]] std::vector<PhaseTotals> collect_totals();
+
+/// Merged totals of one phase.
+[[nodiscard]] inline PhaseTotals collect_totals(Phase p) {
+  return collect_totals()[static_cast<std::size_t>(p)];
+}
 
 /// All recorded spans, sorted by (slot, phase, worker, seq) — a
 /// deterministic order even though the ns payloads are wall-clock.

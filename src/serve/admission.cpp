@@ -4,7 +4,6 @@
 #include <optional>
 #include <utility>
 
-#include "engine/parallel.h"
 #include "overhead/inflation.h"
 #include "uniproc/analysis.h"
 
@@ -324,16 +323,9 @@ std::optional<Decision> AdmissionController::tier2(const UniTask& t, TaskId excl
 
 void AdmissionController::prewarm_tier2(
     const std::vector<std::pair<UniTask, TaskId>>& candidates,
-    engine::ThreadPool* pool) const {
+    engine::ThreadPool* /*unused*/) const {
   if (config_.memo_capacity == 0 || config_.exact_budget == 0 || !tier2_applies())
     return;
-  struct Job {
-    MirrorFingerprint fp;
-    UniTask task;
-    TaskId exclude = kNoTask;
-    CachedExact out;
-  };
-  std::vector<Job> jobs;
   for (const auto& [t, exclude] : candidates) {
     if (!t.valid()) continue;
     // decide_reweight answers "unknown-task" before Tier 2.
@@ -341,29 +333,10 @@ void AdmissionController::prewarm_tier2(
     if (tier0(t, exclude).has_value()) continue;
     if (tier1(t, exclude).admit) continue;
     const MirrorFingerprint fp = mirror_.fingerprint_with(t, exclude);
-    if (memo_.find(fp) != memo_.end()) continue;
-    bool dup = false;
-    for (const Job& j : jobs)
-      if (j.fp == fp) {
-        dup = true;
-        break;
-      }
-    if (dup) continue;
-    jobs.push_back(Job{fp, t, exclude, CachedExact{}});
-  }
-  if (jobs.empty()) return;
-  if (pool == nullptr || jobs.size() == 1) {
-    for (Job& j : jobs) j.out = tier2_compute(j.task, j.exclude);
-  } else {
-    // Workers read the mirror (const) and write disjoint slots; the
-    // memo itself is only touched below, after the pool drains.
-    for (Job& j : jobs)
-      pool->submit([this, &j] { j.out = tier2_compute(j.task, j.exclude); });
-    pool->wait();
-  }
-  for (Job& j : jobs) {
+    if (memo_.find(fp) != memo_.end()) continue;  // also skips repeats
+    const CachedExact e = tier2_compute(t, exclude);
     if (memo_.size() >= config_.memo_capacity) memo_.clear();
-    memo_.emplace(j.fp, j.out);
+    memo_.emplace(fp, e);
   }
 }
 

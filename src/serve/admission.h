@@ -36,9 +36,8 @@
 // (period, execution) order), so the controller memoizes their
 // verdicts keyed on the mirror's O(1) multiset fingerprint.  A join,
 // leave, or reweight moves the fingerprint by one add/subtract, so the
-// storm pattern — decide, commit, decide the same rate again —
-// and batch warming (prewarm_tier2) hit the memo instead of
-// re-simulating the hyperperiod.  Hits are *exact*: the cached
+// storm pattern — decide, commit, decide the same rate again — hits
+// the memo instead of re-simulating the hyperperiod.  Hits are *exact*: the cached
 // GedfResult is bit-identical to what a cold run would return
 // (verdict, events, and the budget-exceeded fallback all replay the
 // same), so decision logs cannot tell a hit from a miss.
@@ -114,13 +113,13 @@ class AdmissionController {
   void schedule_reweight(TaskId id, const UniTask& t, Time at);
 
   /// Speculatively evaluates the Tier-2 exact test for each candidate
-  /// against the *current* mirror and fills the memo, fanning the
-  /// independent simulations across `pool` (inline when null).  Workers
-  /// only read const state and write preallocated slots; the memo
-  /// inserts happen on the calling thread after the pool drains.
-  /// Candidates whose decision would never reach Tier 2 (invalid,
-  /// Tier 0 decides, Tier 1 admits) are skipped.  Purely a cache
-  /// warmer: decisions and logs are identical with or without it.
+  /// against the *current* mirror and fills the memo, on the calling
+  /// thread.  Candidates whose decision would never reach Tier 2
+  /// (invalid, Tier 0 decides, Tier 1 admits) are skipped.  Purely a
+  /// cache warmer: decisions and logs are identical with or without it.
+  /// The daemon does not call it; the pool parameter is ignored and
+  /// stays only because benchmark/src/serve_workloads.cpp still passes
+  /// nullptr.
   void prewarm_tier2(const std::vector<std::pair<UniTask, TaskId>>& candidates,
                      engine::ThreadPool* pool) const;
 
@@ -179,8 +178,7 @@ class AdmissionController {
   [[nodiscard]] std::vector<OhTask> oh_workload(const UniTask& extra, TaskId exclude) const;
   /// True when this (kind, algorithm) has a Tier-2 exact test at all.
   [[nodiscard]] bool tier2_applies() const noexcept;
-  /// The exact Tier-2 computation for one candidate, memo-free.  Pure;
-  /// safe to call concurrently from prewarm workers.
+  /// The exact Tier-2 computation for one candidate, memo-free.  Pure.
   [[nodiscard]] CachedExact tier2_compute(const UniTask& t, TaskId exclude) const;
   /// Memo lookup + fill around tier2_compute.
   [[nodiscard]] CachedExact tier2_cached(const UniTask& t, TaskId exclude) const;

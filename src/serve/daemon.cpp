@@ -2,27 +2,15 @@
 
 #include <charconv>
 #include <istream>
+#include <optional>
 #include <ostream>
-#include <utility>
 
-#include "engine/parallel.h"
 #include "obs/event.h"
 #include "obs/json.h"
 #include "obs/prof.h"
 #include "obs/registry.h"
 
 namespace pfair::serve {
-
-namespace detail {
-class PrewarmPool {
- public:
-  explicit PrewarmPool(int jobs) : pool_(jobs) {}
-  [[nodiscard]] engine::ThreadPool* get() noexcept { return &pool_; }
-
- private:
-  engine::ThreadPool pool_;
-};
-}  // namespace detail
 
 namespace {
 
@@ -58,7 +46,6 @@ Daemon::Daemon(DaemonConfig config)
                             config.overhead_aware, config.overhead, config.cache_delay_us,
                             config.exact_budget, config.mirror_shards,
                             config.memo_capacity}) {
-  if (config_.jobs > 1) pool_ = std::make_unique<detail::PrewarmPool>(config_.jobs);
   // Synthetic resident ballast (admission_bench --residents): N
   // ultra-light tasks committed straight into the gate under ids from
   // the high half of the id space, which the simulator's dense
@@ -77,8 +64,6 @@ Daemon::Daemon(DaemonConfig config)
     gate_.commit(ballast_base + static_cast<TaskId>(i), UniTask{1, p});
   }
 }
-
-Daemon::~Daemon() = default;
 
 void Daemon::note_decision(const Decision& d, const UniTask& t, TaskId task) {
   if (d.admit) {
@@ -253,10 +238,7 @@ void Daemon::write_response(const Request& r, std::uint64_t seq, std::string& ou
   w.finish();
 }
 
-void Daemon::answer_request(const Request& r, std::string& out) {
-  ++stats_.requests;
-  const std::uint64_t seq = seq_++;
-  write_response(r, seq, out);
+void Daemon::advance_per_request() {
   // Keep the quantum loop running underneath the request stream.
   if (config_.advance_per_request > 0) {
     sim_->run_until(sim_->now() + config_.advance_per_request);
@@ -264,104 +246,38 @@ void Daemon::answer_request(const Request& r, std::string& out) {
   }
 }
 
-namespace {
-
-/// Collects the join/reweight candidates in `r` (batch sub-requests
-/// included) that the decide path could escalate to Tier 2.  Returns
-/// false to stop the group scan: a leave schedules a release and an
-/// advance can fire pending ones, so warms computed past either run
-/// against a task set the decide path may no longer see — wasted
-/// Tier-2 simulations, never wrong answers.  Joins and reweights only
-/// mutate when *admitted*, which the overloaded mixes make rare, so
-/// scanning through them keeps the join-storm warm fan-out intact.
-bool collect_tier2_candidates(const Request& r,
-                              std::vector<std::pair<UniTask, TaskId>>& cands) {
-  switch (r.op) {
-    case RequestOp::kJoin:
-      cands.emplace_back(UniTask{r.execution, r.period}, kNoTask);
-      return true;
-    case RequestOp::kReweight:
-      cands.emplace_back(UniTask{r.execution, r.period}, r.task);
-      return true;
-    case RequestOp::kBatch:
-      for (const Request& sub : r.batch)
-        if (!collect_tier2_candidates(sub, cands)) return false;
-      return true;
-    case RequestOp::kLeave:
-    case RequestOp::kAdvance:
-      return false;
-    default:
-      return true;
-  }
+void Daemon::answer_request(const Request& r, std::string& out) {
+  ++stats_.requests;
+  write_response(r, seq_++, out);
+  advance_per_request();
 }
 
-}  // namespace
-
-void Daemon::prewarm(const std::vector<Request>& reqs) {
-  // The mirror state the warms run against is the state the *first*
-  // request in the group will see; requests that mutate the set
-  // mid-group simply make the later warms useless (miss + cold
-  // recompute), never wrong.
-  std::vector<std::pair<UniTask, TaskId>> cands;
-  for (const Request& r : reqs)
-    if (!collect_tier2_candidates(r, cands)) break;
-  warm_candidates(cands);
+void Daemon::answer_error(std::string_view error, std::string& out) {
+  ++stats_.requests;
+  ++stats_.errors;
+  obs::json::ObjectWriter w(out);
+  w.field_str("error", error)
+      .field_str("op", "error")
+      .field_int("seq", static_cast<std::int64_t>(seq_++));
+  w.finish();
+  advance_per_request();
 }
 
-void Daemon::warm_candidates(const std::vector<std::pair<UniTask, TaskId>>& cands) {
-  if (cands.empty()) return;
-  gate_.advance_to(sim_->now());
-  gate_.prewarm_tier2(cands, pool_ ? pool_->get() : nullptr);
-}
-
-void Daemon::note_batch(std::size_t size) {
-  ++stats_.batches;
-  stats_.batched_requests += size;
-  if (size > stats_.batch_max) stats_.batch_max = size;
-  stats_.batch_size.add(static_cast<double>(size));
-}
-
-void Daemon::answer_line(const std::optional<Request>& req, std::string_view error,
-                         std::string& result) {
-  result.clear();
-  const std::uint64_t start = config_.measure_latency ? obs::prof::now_ns() : 0;
-  if (req.has_value() && req->op == RequestOp::kBatch) {
-    prewarm(req->batch);
-    note_batch(req->batch.size());
-    for (std::size_t i = 0; i < req->batch.size(); ++i) {
-      if (i > 0) result += '\n';
-      answer_request(req->batch[i], result);
-    }
-  } else if (req.has_value()) {
-    answer_request(*req, result);
-  } else {
-    ++stats_.requests;
-    const std::uint64_t seq = seq_++;
-    ++stats_.errors;
-    obs::json::ObjectWriter w(result);
-    w.field_str("error", error)
-        .field_str("op", "error")
-        .field_int("seq", static_cast<std::int64_t>(seq));
-    w.finish();
-    if (config_.advance_per_request > 0) {
-      sim_->run_until(sim_->now() + config_.advance_per_request);
-      gate_.advance_to(sim_->now());
-    }
-  }
-  if (config_.measure_latency) {
-    const std::uint64_t end = obs::prof::now_ns();
-    const std::uint64_t v = end > start ? end - start : 0;
-    ++stats_.latency_count;
-    stats_.latency_total_ns += v;
-    if (v > stats_.latency_max_ns) stats_.latency_max_ns = v;
-    stats_.latency_ns.add(static_cast<double>(v));
-  }
-}
-
-void Daemon::process_line_into(std::string_view line, std::string& result) {
+void Daemon::process_line_into(std::string_view line, std::string& out) {
+  out.clear();
+  const obs::prof::ProfScope timing(obs::prof::Phase::kServeDecision, sim_->now());
   std::string error;
   const std::optional<Request> req = parse_request(line, &error);
-  answer_line(req, error, result);
+  if (!req.has_value()) {
+    answer_error(error, out);
+  } else if (req->op != RequestOp::kBatch) {
+    answer_request(*req, out);
+  } else {
+    for (std::size_t i = 0; i < req->batch.size(); ++i) {
+      if (i > 0) out += '\n';
+      answer_request(req->batch[i], out);
+    }
+  }
 }
 
 std::string Daemon::process_line(std::string_view line) {
@@ -374,48 +290,12 @@ std::uint64_t Daemon::serve(std::istream& in, std::ostream& out) {
   std::uint64_t handled = 0;
   std::string line;
   std::string result;  // reused across lines: no per-line allocation
-  if (config_.batch <= 1) {
-    while (std::getline(in, line)) {
-      if (line.empty()) continue;
-      process_line_into(line, result);
-      out << result << '\n';
-      ++handled;
-    }
-    out.flush();
-    return handled;
-  }
-  // Pipelined mode: group consecutive lines, warm the Tier-2 memo for
-  // the whole group in parallel, then answer strictly in input order.
-  // Each line is parsed exactly once — the parse feeds both the warm
-  // pass and the answer pass.  The output is byte-identical to batch=1:
-  // warming is a cache fill.
-  std::vector<std::optional<Request>> group;
-  std::vector<std::string> errors;
-  std::vector<std::pair<UniTask, TaskId>> cands;
-  group.reserve(config_.batch);
-  errors.reserve(config_.batch);
-  const auto flush = [&] {
-    if (group.empty()) return;
-    cands.clear();
-    for (const std::optional<Request>& r : group)
-      if (r.has_value() && !collect_tier2_candidates(*r, cands)) break;
-    warm_candidates(cands);
-    note_batch(group.size());
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      answer_line(group[i], errors[i], result);
-      out << result << '\n';
-      ++handled;
-    }
-    group.clear();
-    errors.clear();
-  };
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    errors.emplace_back();
-    group.push_back(parse_request(line, &errors.back()));
-    if (group.size() >= config_.batch) flush();
+    process_line_into(line, result);
+    out << result << '\n';
+    ++handled;
   }
-  flush();
   out.flush();
   return handled;
 }
@@ -430,22 +310,9 @@ void Daemon::publish_registry() const {
   reg.counter("serve.tier1").add(stats_.tier1);
   reg.counter("serve.tier2").add(stats_.tier2);
   reg.counter("serve.approx").add(stats_.approx);
-  obs::TimerStats ts;
-  ts.count = stats_.latency_count;
-  ts.total_ns = stats_.latency_total_ns;
-  ts.max_ns = stats_.latency_max_ns;
-  ts.hist = stats_.latency_ns;
-  reg.record_timer("serve.decision", ts);
   reg.counter("serve.tier2_memo_hits").add(gate_.memo_hits());
   reg.counter("serve.tier2_memo_misses").add(gate_.memo_misses());
-  // Batch-size distribution, reported through the timer channel (count
-  // = groups, total/max/hist in sub-requests rather than ns).
-  obs::TimerStats bs;
-  bs.count = stats_.batches;
-  bs.total_ns = stats_.batched_requests;
-  bs.max_ns = stats_.batch_max;
-  bs.hist = stats_.batch_size;
-  reg.record_timer("serve.batch_size", bs);
+  obs::prof::snapshot_into(reg);
 }
 
 }  // namespace pfair::serve

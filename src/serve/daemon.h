@@ -5,47 +5,38 @@
 // request line (serve/request.h) is parsed, gated through the tiered
 // admission test, applied to the simulator through the dynamic-task
 // request API (join/leave/reweight on engine::Simulator), and answered
-// with one JSONL decision line.
+// with one JSONL decision line.  Everything runs on the calling thread.
 //
 // Determinism contract: a decision line is a pure function of the
 // request history — it carries the simulator clock, never wall-clock —
 // so running the same request log twice produces byte-identical
 // decision logs (CI diffs them).  Wall-clock only feeds the
-// *observability* side: per-decision latency lands in a histogram and
-// the MetricsRegistry (serve.* counters, the "serve.decision" timer),
-// which is a write-only side channel.
+// *observability* side, and the daemon stores none of it: each request
+// line is one obs::prof "serve.decision" scope, timed only while
+// profiling is enabled and kept with every other phase timer, and
+// publish_registry() folds those timers into the MetricsRegistry next to
+// the serve.* counters.
 //
 // The simulated clock advances two ways: an explicit {"op":"advance"}
 // request, and optionally `advance_per_request` slots after every
 // request — the "quantum loop keeps running while requests stream in"
-// mode the ISSUE asks for.
+// mode.
 //
-// Batching.  A {"op":"batch","requests":[...]} line answers with one
-// decision line per sub-request, and `serve()` can additionally group
-// consecutive input lines into pipeline batches of `config.batch`
-// before answering them.  Either way the gate first *prewarms* its
-// Tier-2 memo for the whole group — the independent exact simulations
-// fan out across a ThreadPool of `config.jobs` workers — and then the
-// requests are answered strictly in request order on this thread.
-// Warming is a pure cache fill against the group-entry mirror state
-// (a sub-request that changes the task set mid-group just turns the
-// later warms into misses, recomputed cold on the decide path), so
-// decision logs are byte-identical to sequential evaluation for every
-// (batch, jobs) setting: the CI smoke diffs them.
+// Batches.  A {"op":"batch","requests":[...]} line answers with one
+// decision line per sub-request, in request order, each byte-identical
+// to the line that sub-request would get arriving alone.  A batch saves
+// the client round trips; the daemon decides its sub-requests one after
+// another like any other lines.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 #include "engine/factory.h"
 #include "obs/bus.h"
-#include "obs/histogram.h"
 #include "serve/admission.h"
 #include "serve/request.h"
 
@@ -60,15 +51,13 @@ struct DaemonConfig {
   double cache_delay_us = 33.3;    ///< D(T) charged per task (paper mean)
   std::uint64_t exact_budget = 1u << 20;  ///< Tier-2 event budget (0 = off)
   Time advance_per_request = 0;    ///< slots to run after each request
-  bool measure_latency = true;     ///< per-decision timing (obs::prof::now_ns)
   int mirror_shards = 16;          ///< gate task-mirror shards
   std::size_t memo_capacity = 1u << 16;  ///< Tier-2 memo entries (0 = off)
-  std::size_t batch = 1;           ///< serve() pipeline group size
-  int jobs = 1;                    ///< memo-prewarm workers (1 = inline)
   std::size_t residents = 0;       ///< synthetic resident ballast (benches)
 };
 
 /// Request-loop totals (the registry mirror; see publish_registry()).
+/// Counts only: decision timings live in obs::prof.
 struct DaemonStats {
   std::uint64_t requests = 0;
   std::uint64_t admits = 0;   ///< join/reweight granted
@@ -76,24 +65,11 @@ struct DaemonStats {
   std::uint64_t errors = 0;   ///< parse errors, unknown tasks, not-dynamic
   std::uint64_t tier0 = 0, tier1 = 0, tier2 = 0;  ///< deciding tier
   std::uint64_t approx = 0;   ///< Tier-2 budget fell back to Tier 1
-  std::uint64_t latency_count = 0;
-  std::uint64_t latency_total_ns = 0;
-  std::uint64_t latency_max_ns = 0;
-  obs::Histogram latency_ns = obs::Histogram::exponential(16.0, 2.0, 24);
-  std::uint64_t batches = 0;           ///< batch ops + pipeline groups
-  std::uint64_t batched_requests = 0;  ///< sub-requests across batches
-  std::uint64_t batch_max = 0;         ///< largest batch seen
-  obs::Histogram batch_size = obs::Histogram::exponential(1.0, 2.0, 16);
 };
-
-namespace detail {
-class PrewarmPool;  // owns the optional ThreadPool (keeps engine/parallel.h out of this header)
-}  // namespace detail
 
 class Daemon {
  public:
   explicit Daemon(DaemonConfig config);
-  ~Daemon();
 
   /// Handles one request line, returns the decision line(s) (no
   /// trailing newline).  Every line gets exactly one answer — except a
@@ -102,18 +78,18 @@ class Daemon {
   [[nodiscard]] std::string process_line(std::string_view line);
 
   /// Reads JSONL requests from `in` until EOF, writing one decision
-  /// line each to `out`.  Returns the number of requests handled.
+  /// line each to `out`.  Returns the number of input lines handled.
   std::uint64_t serve(std::istream& in, std::ostream& out);
 
   /// Admission events (kAdmitRequest/kAdmitGrant/kAdmitReject) are
   /// emitted here; pass nullptr to detach.
   void attach_observer(obs::EventBus* bus) noexcept { bus_ = bus; }
 
-  /// Pushes the request-loop totals into MetricsRegistry::global():
-  /// serve.requests/admits/rejects/errors/tier0/tier1/tier2/approx/
-  /// tier2_memo_hits/tier2_memo_misses counters plus the
-  /// "serve.decision" timer (p50/p95/p99 from the latency histogram)
-  /// and the "serve.batch_size" distribution.  Call once after serving.
+  /// Pushes the request-loop totals into MetricsRegistry::global() —
+  /// serve.requests/admits/rejects/errors/tier0/tier1/tier2/approx and
+  /// serve.tier2_memo_hits/tier2_memo_misses counters — and publishes
+  /// the obs::prof phase timers, "serve.decision" (p50/p95/p99 per
+  /// request line) among them.  Call once after serving.
   void publish_registry() const;
 
   [[nodiscard]] const DaemonStats& stats() const noexcept { return stats_; }
@@ -129,25 +105,17 @@ class Daemon {
   /// One request answered into `out`: stats, seq, write_response(),
   /// per-request advance.
   void answer_request(const Request& r, std::string& out);
-  /// Answers one already-parsed line (error lines included) into `out`
-  /// with latency accounting — the shared tail of process_line_into()
-  /// and the pipelined serve() loop, which parses each line only once.
-  void answer_line(const std::optional<Request>& req, std::string_view error,
-                   std::string& out);
+  /// The error line for an unparsable request, then the per-request
+  /// advance.
+  void answer_error(std::string_view error, std::string& out);
+  void advance_per_request();
   /// process_line() into a caller-owned (reusable) buffer — the
   /// serve() loop's allocation-free spelling.
   void process_line_into(std::string_view line, std::string& out);
-  /// Prewarms the gate's Tier-2 memo for every join/reweight candidate
-  /// in `reqs` (batch sub-requests included) against the current state.
-  void prewarm(const std::vector<Request>& reqs);
-  /// The shared prewarm tail: advance + gate warm of collected candidates.
-  void warm_candidates(const std::vector<std::pair<UniTask, TaskId>>& cands);
-  void note_batch(std::size_t size);
 
   DaemonConfig config_;
   std::unique_ptr<engine::Simulator> sim_;
   AdmissionController gate_;
-  std::unique_ptr<detail::PrewarmPool> pool_;  ///< engaged iff jobs > 1
   obs::EventBus* bus_ = nullptr;
   DaemonStats stats_;
   std::uint64_t seq_ = 0;          ///< request sequence number (echoed back)

@@ -15,8 +15,8 @@
 // carries a non-empty array of the other five (batches do not nest);
 // the daemon answers with one decision line per sub-request, in
 // request order, byte-identical to the lines the sub-requests would
-// have produced arriving individually — batching changes latency and
-// lets the gate prewarm its Tier-2 memo in parallel, never answers.
+// have produced arriving individually — batching saves round trips,
+// never changes answers.
 // Numbers follow obs::json (doubles); values outside the int64
 // task-parameter range fail parsing rather than truncate.
 //
@@ -61,8 +61,8 @@ struct Request {
 [[nodiscard]] std::string dump_request(const Request& r);
 
 /// Rewrites a JSONL request stream into batch lines of up to `size`
-/// sub-requests each, in order (the client-side spelling of pfaird's
-/// --batch pipelining; tests and benches wrap streams with it).  Lines
+/// sub-requests each, in order (`pfaird --gen-requests
+/// --batch-requests`, tests and benches wrap streams with it).  Lines
 /// that fail to parse or are already batches pass through unchanged,
 /// flushing the group built so far.  `size` < 2 returns the input.
 [[nodiscard]] std::string batch_requests(std::string_view jsonl, std::size_t size);

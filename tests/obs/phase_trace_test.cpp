@@ -3,7 +3,8 @@
 //     profiling attached vs detached, and pfaird's with one vs eight
 //     task-mirror shards;
 //   * PerfettoSink output with profiling + span recording on passes
-//     validate_perfetto_json and actually contains the phase track.
+//     validate_perfetto_json and actually contains the phase track,
+//     pfaird's serve.decision slices included.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -92,7 +93,6 @@ TEST(PhaseTrace, JsonlStreamByteIdenticalShardedVsUnsharded) {
     serve::DaemonConfig cfg;
     cfg.processors = 4;
     cfg.advance_per_request = 1;
-    cfg.measure_latency = false;
     cfg.mirror_shards = mirror_shards;
     serve::Daemon daemon(cfg);
     std::ostringstream jsonl_os;
@@ -123,6 +123,48 @@ TEST(PhaseTrace, PerfettoWithPhaseTracksValidates) {
   EXPECT_NE(r.perfetto.find("\"prof\""), std::string::npos);
   for (const char* phase : {"legacy.miss_sweep", "legacy.select", "sim.release", "sim.assign"})
     EXPECT_NE(r.perfetto.find(phase), std::string::npos) << phase;
+}
+
+// pfaird's per-line decision timer is a prof phase like the kernel's, so
+// one Perfetto trace carries the served schedule, its kernel phases and
+// a serve.decision slice per request line.
+TEST(PhaseTrace, PerfettoCarriesServeDecisionSlices) {
+  serve::GenConfig gen;
+  gen.count = 50;
+  gen.seed = 3;
+  gen.processors = 2;
+  obs::prof::set_enabled(true);
+  obs::prof::set_span_recording(true);
+  obs::prof::reset();
+  serve::DaemonConfig cfg;
+  cfg.processors = 2;
+  cfg.advance_per_request = 1;
+  serve::Daemon daemon(cfg);
+  std::ostringstream os;
+  obs::PerfettoSink perfetto(os);
+  obs::EventBus bus;
+  bus.add_sink(&perfetto);
+  daemon.attach_observer(&bus);
+  daemon.simulator().attach_observer(&bus);
+  std::istringstream in(serve::generate_requests(gen));
+  std::ostringstream decisions;
+  (void)daemon.serve(in, decisions);
+  bus.flush();
+  const std::uint64_t slices =
+      obs::prof::collect_totals(obs::prof::Phase::kServeDecision).count;
+  obs::prof::set_enabled(false);
+  obs::prof::set_span_recording(false);
+  obs::prof::reset();
+
+  const std::string trace = os.str();
+  EXPECT_EQ(obs::validate_perfetto_json(trace), "");
+  EXPECT_EQ(slices, gen.count);
+  std::size_t found = 0;
+  for (std::size_t at = trace.find("\"serve.decision\""); at != std::string::npos;
+       at = trace.find("\"serve.decision\"", at + 1))
+    ++found;
+  EXPECT_EQ(found, gen.count);
+  EXPECT_NE(trace.find("legacy.select"), std::string::npos);
 }
 
 TEST(PhaseTrace, PerfettoOmitsProfTracksWhenDetached) {

@@ -1,6 +1,7 @@
 // The pfaird request loop: protocol errors, the determinism contract,
-// registry publication, and a storm-profile fuzz pass proving the gate
-// never lets the simulator into a deadline miss.
+// registry publication (decision timings from obs::prof), and a
+// storm-profile fuzz pass proving the gate never lets the simulator
+// into a deadline miss.
 #include "serve/daemon.h"
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/json.h"
+#include "obs/prof.h"
 #include "obs/registry.h"
 #include "qa/gen.h"
 #include "serve/request.h"
@@ -79,16 +82,26 @@ TEST(Daemon, DecisionLogIsByteIdenticalAcrossRunsAndLatencyModes) {
   gen.processors = 2;
   const std::string requests = generate_requests(gen);
 
+  // Latency is timed only while profiling is enabled; wall-clock must
+  // never leak into the output either way.
+  const auto decision_count = [] {
+    return obs::prof::collect_totals(obs::prof::Phase::kServeDecision).count;
+  };
+  obs::prof::reset();
   Daemon a(pfair_config(2));
-  Daemon b(pfair_config(2));
-  DaemonConfig no_latency = pfair_config(2);
-  no_latency.measure_latency = false;  // wall-clock must never leak into output
-  Daemon c(no_latency);
-
   const std::string out_a = serve_string(a, requests);
-  EXPECT_EQ(out_a, serve_string(b, requests));
+  EXPECT_EQ(decision_count(), 0u);
+
+  obs::prof::set_enabled(true);
+  Daemon b(pfair_config(2));
+  const std::string out_b = serve_string(b, requests);
+  EXPECT_EQ(decision_count(), b.stats().requests);  // one scope per line
+  obs::prof::set_enabled(false);
+  obs::prof::reset();
+
+  Daemon c(pfair_config(2));
+  EXPECT_EQ(out_a, out_b);
   EXPECT_EQ(out_a, serve_string(c, requests));
-  EXPECT_EQ(c.stats().latency_count, 0u);
   EXPECT_EQ(a.stats().admits, b.stats().admits);
 }
 
@@ -121,21 +134,31 @@ TEST(Daemon, ImmediateReweightKeepsSimulatorAndGateInStep) {
 
 TEST(Daemon, PublishRegistryMirrorsTheStats) {
   obs::MetricsRegistry::global().reset_values();
+  obs::prof::reset();
+  obs::prof::set_enabled(true);
   Daemon d(pfair_config(2));
   GenConfig gen;
   gen.count = 120;
   gen.seed = 4;
   gen.processors = 2;
   (void)serve_string(d, generate_requests(gen));
+  obs::prof::set_enabled(false);
   d.publish_registry();
   auto& reg = obs::MetricsRegistry::global();
   EXPECT_EQ(reg.counter("serve.requests").value(), d.stats().requests);
   EXPECT_EQ(reg.counter("serve.admits").value(), d.stats().admits);
   EXPECT_EQ(reg.counter("serve.rejects").value(), d.stats().rejects);
   EXPECT_EQ(reg.counter("serve.tier0").value(), d.stats().tier0);
-  const std::string snap = reg.snapshot_json();
-  EXPECT_NE(snap.find("\"serve.decision\""), std::string::npos);
+  // The decision timer comes from obs::prof, the one timing store: one
+  // sample per served line, in the same snapshot as the counters.
+  const obs::json::Value snap = reg.snapshot();
+  const obs::json::Value* timers = snap.find("timers");
+  ASSERT_NE(timers, nullptr);
+  const obs::json::Value* decision = timers->find("serve.decision");
+  ASSERT_NE(decision, nullptr);
+  EXPECT_EQ(decision->number_or("count", -1.0), static_cast<double>(gen.count));
   obs::MetricsRegistry::global().reset_values();
+  obs::prof::reset();
 }
 
 /// Converts a qa storm case into the daemon's request stream: the base

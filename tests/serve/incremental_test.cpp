@@ -1,7 +1,7 @@
 // The high-throughput admission machinery: the sharded TaskMirror and
 // its multiset fingerprint, the incremental Tier-2 memo (byte-equal
-// decisions with the cache on or off), batch decision parity across
-// pipeline and jobs settings, the fast-path request parser against the
+// decisions with the cache on or off), batch lines answering like their
+// sub-requests sent alone, the fast-path request parser against the
 // DOM parser, and ObjectWriter against the dumped-Object form it
 // replaces on the serving hot path.
 #include <gtest/gtest.h>
@@ -192,15 +192,12 @@ TEST(TierTwoMemo, RepeatDecisionsHitAndStayIdentical) {
   EXPECT_STREQ(cold.reason, warm.reason);
 }
 
-DaemonConfig storm_config(std::size_t memo_capacity, std::size_t batch, int jobs) {
+DaemonConfig storm_config(std::size_t memo_capacity) {
   DaemonConfig c;
   c.kind = engine::SchedulerKind::kGlobalJob;
   c.processors = 2;
   c.exact_budget = 1u << 14;
   c.memo_capacity = memo_capacity;
-  c.batch = batch;
-  c.jobs = jobs;
-  c.measure_latency = false;
   return c;
 }
 
@@ -222,8 +219,8 @@ std::string storm_stream() {
 
 TEST(TierTwoMemo, SeededStormIsByteEqualWithTheMemoOff) {
   const std::string requests = storm_stream();
-  Daemon with_memo(storm_config(1u << 12, 1, 1));
-  Daemon without_memo(storm_config(0, 1, 1));
+  Daemon with_memo(storm_config(1u << 12));
+  Daemon without_memo(storm_config(0));
   const std::string a = serve_string(with_memo, requests);
   const std::string b = serve_string(without_memo, requests);
   EXPECT_EQ(a, b);
@@ -232,26 +229,19 @@ TEST(TierTwoMemo, SeededStormIsByteEqualWithTheMemoOff) {
   EXPECT_EQ(without_memo.controller().memo_hits(), 0u);
 }
 
-TEST(Batching, PipelineAndJobsNeverChangeTheDecisionLog) {
-  const std::string requests = storm_stream();
-  Daemon sequential(storm_config(1u << 12, 1, 1));
-  const std::string baseline = serve_string(sequential, requests);
-  for (const std::size_t batch : {std::size_t{8}, std::size_t{64}}) {
-    for (const int jobs : {1, 3}) {
-      Daemon d(storm_config(1u << 12, batch, jobs));
-      EXPECT_EQ(serve_string(d, requests), baseline)
-          << "batch=" << batch << " jobs=" << jobs;
-    }
-  }
-}
-
 TEST(Batching, BatchLinesAnswerLikeTheirSubRequestsArrivingAlone) {
   const std::string requests = storm_stream();
-  Daemon plain(storm_config(1u << 12, 1, 1));
+  Daemon plain(storm_config(1u << 12));
   const std::string baseline = serve_string(plain, requests);
-  for (const std::size_t size : {std::size_t{1}, std::size_t{7}, std::size_t{64}}) {
-    Daemon d(storm_config(1u << 12, 1, 2));
+  for (const std::size_t size :
+       {std::size_t{1}, std::size_t{7}, std::size_t{8}, std::size_t{64}}) {
+    Daemon d(storm_config(1u << 12));
     EXPECT_EQ(serve_string(d, batch_requests(requests, size)), baseline)
+        << "size=" << size;
+    // A batch line is decided request by request, like the plain
+    // stream, so the memo sees the same lookups.
+    EXPECT_EQ(d.controller().memo_hits(), plain.controller().memo_hits()) << "size=" << size;
+    EXPECT_EQ(d.controller().memo_misses(), plain.controller().memo_misses())
         << "size=" << size;
   }
 }

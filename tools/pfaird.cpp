@@ -20,22 +20,21 @@
 //   --exact-budget=N     Tier-2 event budget (0 disables Tier 2)
 //   --overhead           Tier 1 uses Eq.-(3) inflation (paper defaults)
 //   --cache-delay=US     D(T) per task when --overhead (default 33.3)
-//   --batch=N            pipeline input lines in groups of N: each
-//                        group prewarms the Tier-2 memo before being
-//                        answered in order (output byte-identical to
-//                        --batch=1)
-//   --jobs=N             memo-prewarm ThreadPool workers (default 1)
 //   --memo-capacity=N    Tier-2 verdict memo entries (0 disables;
 //                        default 65536)
 //   --shards=N           admission task-mirror shards (default 16)
 //   --registry=FILE      write the MetricsRegistry snapshot (serve.*
-//                        counters, serve.decision p50/p95/p99,
-//                        serve.tier2_memo_hits, serve.batch_size) to FILE
+//                        counters, serve.tier2_memo_hits, and the
+//                        obs::prof timers: serve.decision p50/p95/p99
+//                        per request line, the simulator's phases) to FILE
 //   --gen-requests=N     generate a deterministic request stream to
 //                        --output instead of serving
 //   --batch-requests=N   with --gen-requests: wrap the stream into
 //                        {"op":"batch"} lines of N sub-requests
 //   --seed=N --load=PCT --max-period=N   generator parameters
+//
+// One thread serves every line.  Self-profiling (obs/prof.h) is on while
+// serving: it is the one place timings are kept.
 //
 // Determinism: decision lines carry the simulator clock, never
 // wall-clock, so the same request stream and flags produce
@@ -53,6 +52,7 @@
 #include <iostream>
 #include <string>
 
+#include "obs/prof.h"
 #include "obs/registry.h"
 #include "serve/daemon.h"
 #include "serve/request.h"
@@ -65,8 +65,7 @@ int usage() {
       "usage: pfaird --scheduler=KIND [--processors=N] [--algorithm=edf|rm]\n"
       "              [--input=FILE|-] [--output=FILE|-] [--advance=N]\n"
       "              [--exact-budget=N] [--overhead] [--cache-delay=US]\n"
-      "              [--batch=N] [--jobs=N] [--memo-capacity=N] [--shards=N]\n"
-      "              [--registry=FILE]\n"
+      "              [--memo-capacity=N] [--shards=N] [--registry=FILE]\n"
       "       pfaird --gen-requests=N [--seed=N] [--load=PCT] [--processors=N]\n"
       "              [--max-period=N] [--batch-requests=N] [--output=FILE|-]\n");
   return 1;
@@ -162,8 +161,6 @@ int main(int argc, char** argv) {
   dc.cache_delay_us = double_flag(argc, argv, "cache-delay", 33.3);
   dc.exact_budget = static_cast<std::uint64_t>(flag(argc, argv, "exact-budget", 1 << 20));
   dc.advance_per_request = static_cast<pfair::Time>(flag(argc, argv, "advance", 0));
-  dc.batch = static_cast<std::size_t>(std::max(1LL, flag(argc, argv, "batch", 1)));
-  dc.jobs = static_cast<int>(std::max(1LL, flag(argc, argv, "jobs", 1)));
   dc.memo_capacity =
       static_cast<std::size_t>(std::max(0LL, flag(argc, argv, "memo-capacity", 1 << 16)));
   dc.mirror_shards = static_cast<int>(std::max(1LL, flag(argc, argv, "shards", 16)));
@@ -180,9 +177,10 @@ int main(int argc, char** argv) {
     in = &in_file;
   }
 
+  pfair::obs::prof::set_enabled(true);
   pfair::serve::Daemon daemon(dc);
   const auto start = std::chrono::steady_clock::now();
-  const std::uint64_t handled = daemon.serve(*in, *out);
+  daemon.serve(*in, *out);
   const double secs =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
@@ -198,8 +196,10 @@ int main(int argc, char** argv) {
 
   const pfair::serve::DaemonStats& s = daemon.stats();
   const pfair::serve::AdmissionController& gate = daemon.controller();
-  // Rate over *requests* (batch sub-requests included), not input lines.
-  (void)handled;
+  const pfair::obs::Histogram latency =
+      pfair::obs::prof::collect_totals(pfair::obs::prof::Phase::kServeDecision).hist;
+  // Rate over *requests* (batch sub-requests included), not input lines;
+  // the decision percentiles are per input line.
   std::fprintf(stderr,
                "# pfaird %s m=%d: %llu requests in %.3fs (%.0f/sec): "
                "%llu admits, %llu rejects, %llu errors; tiers %llu/%llu/%llu "
@@ -217,6 +217,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(s.approx),
                static_cast<unsigned long long>(gate.memo_hits()),
                static_cast<unsigned long long>(gate.memo_misses()),
-               s.latency_ns.p50(), s.latency_ns.p95(), s.latency_ns.p99());
+               latency.p50(), latency.p95(), latency.p99());
   return 0;
 }
