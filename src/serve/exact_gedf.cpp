@@ -1,13 +1,35 @@
 #include "serve/exact_gedf.h"
 
 #include <algorithm>
-#include <queue>
-#include <set>
+#include <cstddef>
+#include <functional>
+#include <limits>
 #include <utility>
 
 #include "util/math.h"
 
 namespace pfair::serve {
+
+namespace {
+
+/// (release time or priority key, task index).  Pairs compare
+/// lexicographically, so equal times and keys go to the lower index.
+using Entry = std::pair<Time, std::uint32_t>;
+
+/// Restores the min-heap order of `heap` below position `k`.
+void sift_down(std::vector<Entry>& heap, std::size_t k) {
+  const std::size_t size = heap.size();
+  const Entry e = heap[k];
+  for (std::size_t c = 2 * k + 1; c < size; c = 2 * k + 1) {
+    if (c + 1 < size && heap[c + 1] < heap[c]) ++c;
+    if (!(heap[c] < e)) break;
+    heap[k] = heap[c];
+    k = c;
+  }
+  heap[k] = e;
+}
+
+}  // namespace
 
 const char* to_string(GedfVerdict v) noexcept {
   switch (v) {
@@ -43,54 +65,82 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& tasks, int m,
   // per task — a live predecessor at its release IS the miss that ends
   // the test, so no job queue is needed.
   //
-  // Two ordered structures replace the per-event O(n) scans the first
-  // cut of this test paid (the Tier-2 hot path at large n):
+  // Three flat arrays, sized here once, so no event allocates:
   //
-  //   - `releases`, a min-heap of (next release, task): pops due
-  //     releases in (time, index) order — the same order the old
-  //     index sweep visited them, so the *first* miss found is the
-  //     same one;
-  //   - `live`, a set ordered by (priority key, index) — deadline for
-  //     EDF, period for RM, ties by task index, matching
-  //     GlobalJobSimulator::higher_priority exactly — whose first
-  //     min(m, |live|) elements ARE the running set, no nth_element.
+  //   - `releases`, a min-heap of (next release, task): due releases
+  //     come off it in (time, index) order, so the *first* miss found
+  //     is the one an index sweep would find; a release rewrites the
+  //     top and sifts it down once;
+  //   - `running`, the live jobs that hold a processor, sorted by
+  //     (priority key, index) — deadline for EDF, period for RM, ties
+  //     by task index, matching GlobalJobSimulator::higher_priority;
+  //   - `waiting`, a min-heap of the other live jobs in the same order.
   //
-  // Event count, verdicts, and miss times are unchanged: the loop
-  // structure (releases, H check, budget, one event per running-set
-  // epoch) is identical, only the per-event cost drops from O(n) to
-  // O((releases + completions) log n + m).
-  using Rel = std::pair<Time, std::uint32_t>;
-  std::priority_queue<Rel, std::vector<Rel>, std::greater<Rel>> releases;
+  // Every running job precedes every waiting job, and `running` holds
+  // min(m, live) jobs, so it is exactly the m highest-priority live
+  // jobs.  An event costs O(m + log n) per release or completion.
+  const std::size_t cap = std::min(static_cast<std::size_t>(m), n);
+  std::vector<Entry> releases(n);
+  for (std::size_t i = 0; i < n; ++i) releases[i] = {Time{0}, static_cast<std::uint32_t>(i)};
+  std::vector<Entry> running;
+  running.reserve(cap);
+  std::vector<Entry> waiting;
+  waiting.reserve(n);
   std::vector<std::int64_t> remaining(n, 0);
-  std::set<std::pair<Time, std::uint32_t>> live;  // (EDF deadline | RM period, index)
-  for (std::size_t i = 0; i < n; ++i)
-    releases.push({Time{0}, static_cast<std::uint32_t>(i)});
   const bool edf = algorithm == UniAlgorithm::kEDF;
+
+  // Places a released job, keeping every running job ahead of every
+  // waiting one.
+  const auto make_live = [&](const Entry& job) {
+    if (running.size() == cap) {
+      if (running.back() < job) {
+        waiting.push_back(job);
+        std::push_heap(waiting.begin(), waiting.end(), std::greater<>());
+        return;
+      }
+      waiting.push_back(running.back());
+      std::push_heap(waiting.begin(), waiting.end(), std::greater<>());
+      running.pop_back();
+    }
+    running.insert(std::upper_bound(running.begin(), running.end(), job), job);
+  };
 
   Time t = 0;
   while (true) {
+    // Every period divides H, so every task is due at H: a live job
+    // there has missed its deadline.  A clean pass through t == H means
+    // every job released in [0, H) completed by its deadline; the state
+    // at H equals the state at 0, so the schedule repeats forever.
+    // (t never steps past a release, so it meets a true H exactly; a
+    // saturated H is out of reach, as the clock guard below stops first.)
+    if (t >= h) {
+      out.verdict = running.empty() ? GedfVerdict::kSchedulable : GedfVerdict::kUnschedulable;
+      if (!running.empty()) out.first_miss = t;
+      out.simulated = t;
+      return out;
+    }
     // Releases due now; a live predecessor has missed its deadline
     // (deadline == this release under implicit deadlines).
-    while (!releases.empty() && releases.top().first == t) {
-      const std::uint32_t i = releases.top().second;
-      releases.pop();
+    while (releases.front().first == t) {
+      const std::uint32_t i = releases.front().second;
       if (remaining[i] > 0) {
         out.verdict = GedfVerdict::kUnschedulable;
         out.first_miss = t;
         out.simulated = t;
         return out;
       }
+      // Before H a next release can only pass the largest Time when H
+      // saturated; the test cannot reach H then, so it has no verdict.
+      const Time period = tasks[i].period;
+      if (t > std::numeric_limits<Time>::max() - period) {
+        out.verdict = GedfVerdict::kBudgetExceeded;
+        out.simulated = t;
+        return out;
+      }
       remaining[i] = tasks[i].execution;
-      live.insert({edf ? t + tasks[i].period : tasks[i].period, i});
-      releases.push({t + tasks[i].period, i});
-    }
-    // A clean pass through t == H means every job released in [0, H)
-    // completed by its deadline; the state at H equals the state at 0,
-    // so the schedule repeats forever.
-    if (t >= h) {
-      out.verdict = GedfVerdict::kSchedulable;
-      out.simulated = t;
-      return out;
+      releases.front().first = t + period;
+      sift_down(releases, 0);
+      make_live({edf ? t + period : period, i});
     }
     if (out.events >= max_events) {
       out.verdict = GedfVerdict::kBudgetExceeded;
@@ -101,20 +151,20 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& tasks, int m,
 
     // The running set is constant until the next release or the first
     // completion among the m highest-priority live jobs.
-    const std::size_t run = std::min(live.size(), static_cast<std::size_t>(m));
-    Time delta = releases.top().first - t;
-    auto it = live.begin();
-    for (std::size_t k = 0; k < run; ++k, ++it)
-      delta = std::min<Time>(delta, remaining[it->second]);
-    it = live.begin();
-    for (std::size_t k = 0; k < run; ++k) {
-      const std::uint32_t i = it->second;
-      remaining[i] -= delta;
-      if (remaining[i] == 0) {
-        it = live.erase(it);
-      } else {
-        ++it;
-      }
+    Time delta = releases.front().first - t;
+    for (const Entry& job : running) delta = std::min<Time>(delta, remaining[job.second]);
+    std::size_t kept = 0;
+    for (const Entry& job : running) {
+      remaining[job.second] -= delta;
+      if (remaining[job.second] > 0) running[kept++] = job;
+    }
+    running.resize(kept);
+    // Waiting jobs come off their heap in priority order, each behind
+    // every job still running.
+    while (running.size() < cap && !waiting.empty()) {
+      std::pop_heap(waiting.begin(), waiting.end(), std::greater<>());
+      running.push_back(waiting.back());
+      waiting.pop_back();
     }
     t += delta;
   }

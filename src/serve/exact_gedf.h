@@ -51,8 +51,12 @@ struct GedfResult {
 /// Runs the exact test for `tasks` on `m` processors under global
 /// `algorithm` (preemptive, deterministic tie-break).  `max_events`
 /// bounds the work: each event is one release or completion boundary
-/// and costs O(n log n).  Invalid tasks or total utilization above m
-/// are rejected immediately (necessary condition; no budget spent).
+/// and costs O(m + log n) per job released or completed there.  Invalid
+/// tasks are rejected immediately (no budget spent).  Total utilization
+/// is not checked here: above m the simulation finds a miss unless the
+/// budget runs out first, and the admission gate's Tier 0 rejects such
+/// sets before Tier 2 runs.  When H saturates and a release would pass
+/// the largest Time before H, the test stops with kBudgetExceeded.
 [[nodiscard]] GedfResult exact_global_schedulable(
     const std::vector<UniTask>& tasks, int m,
     UniAlgorithm algorithm = UniAlgorithm::kEDF, std::uint64_t max_events = 1u << 20);

@@ -1,9 +1,17 @@
-// The Tier-2 exact global-EDF/RM test, held to first principles and to
-// the job-level simulator it makes statements about.
+// The Tier-2 exact global-EDF/RM test, held to first principles, to
+// the job-level simulator it makes statements about, and to the
+// ordered-set event loop it replaced.
 #include "serve/exact_gedf.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
+#include <limits>
+#include <queue>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "sim/global_job_sim.h"
@@ -12,6 +20,86 @@
 
 namespace pfair::serve {
 namespace {
+
+/// The reference oracle: the event loop exact_global_schedulable ran on
+/// a std::set of live jobs and a std::priority_queue of releases, kept
+/// verbatim.  The flat-array loop must return the same GedfResult field
+/// for field — `events` is echoed on every Tier-2 decision line.
+GedfResult reference_exact_global_schedulable(const std::vector<UniTask>& tasks, int m,
+                                              UniAlgorithm algorithm,
+                                              std::uint64_t max_events) {
+  GedfResult out;
+  if (m < 1) m = 1;
+  if (tasks.empty()) {
+    out.verdict = GedfVerdict::kSchedulable;
+    return out;
+  }
+  for (const UniTask& t : tasks) {
+    if (!t.valid()) {
+      out.verdict = GedfVerdict::kUnschedulable;
+      out.first_miss = 0;
+      return out;
+    }
+  }
+
+  Time h = 1;
+  for (const UniTask& t : tasks) h = saturating_lcm(h, t.period);
+  out.hyperperiod = h;
+
+  const std::size_t n = tasks.size();
+  using Rel = std::pair<Time, std::uint32_t>;
+  std::priority_queue<Rel, std::vector<Rel>, std::greater<Rel>> releases;
+  std::vector<std::int64_t> remaining(n, 0);
+  std::set<std::pair<Time, std::uint32_t>> live;  // (EDF deadline | RM period, index)
+  for (std::size_t i = 0; i < n; ++i)
+    releases.push({Time{0}, static_cast<std::uint32_t>(i)});
+  const bool edf = algorithm == UniAlgorithm::kEDF;
+
+  Time t = 0;
+  while (true) {
+    while (!releases.empty() && releases.top().first == t) {
+      const std::uint32_t i = releases.top().second;
+      releases.pop();
+      if (remaining[i] > 0) {
+        out.verdict = GedfVerdict::kUnschedulable;
+        out.first_miss = t;
+        out.simulated = t;
+        return out;
+      }
+      remaining[i] = tasks[i].execution;
+      live.insert({edf ? t + tasks[i].period : tasks[i].period, i});
+      releases.push({t + tasks[i].period, i});
+    }
+    if (t >= h) {
+      out.verdict = GedfVerdict::kSchedulable;
+      out.simulated = t;
+      return out;
+    }
+    if (out.events >= max_events) {
+      out.verdict = GedfVerdict::kBudgetExceeded;
+      out.simulated = t;
+      return out;
+    }
+    ++out.events;
+
+    const std::size_t run = std::min(live.size(), static_cast<std::size_t>(m));
+    Time delta = releases.top().first - t;
+    auto it = live.begin();
+    for (std::size_t k = 0; k < run; ++k, ++it)
+      delta = std::min<Time>(delta, remaining[it->second]);
+    it = live.begin();
+    for (std::size_t k = 0; k < run; ++k) {
+      const std::uint32_t i = it->second;
+      remaining[i] -= delta;
+      if (remaining[i] == 0) {
+        it = live.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    t += delta;
+  }
+}
 
 TEST(ExactGedf, EmptySetIsSchedulable) {
   const GedfResult r = exact_global_schedulable({}, 2);
@@ -94,6 +182,94 @@ TEST(ExactGedf, AgreesWithGlobalJobSimulatorUnderEdf) {
 
 TEST(ExactGedf, AgreesWithGlobalJobSimulatorUnderRm) {
   differential_sweep(UniAlgorithm::kRM);
+}
+
+/// Holds the flat-array loop to the reference oracle over a seeded
+/// corpus built for ties: small period pools (one with a single period),
+/// executions rounded from a common per-task load, and repeated tasks,
+/// so equal deadlines and periods across task indices are the rule.
+/// Each set runs under every budget, so stops at every stage of the
+/// loop are compared, not only final verdicts.
+void reference_sweep(UniAlgorithm algorithm) {
+  const std::vector<std::vector<std::int64_t>> pools = {
+      {2, 3, 4, 6, 8, 12}, {4, 8, 16},      {10, 20},           {5, 10, 15, 30},
+      {6, 12, 24, 48},     {16, 32, 64},    {30, 60, 120, 240}, {7},
+      {3, 5, 7, 11}};
+  const int processors[] = {1, 2, 3, 4, 8};
+  const std::uint64_t budgets[] = {1, 7, 100, std::uint64_t{1} << 20};
+  Rng rng(algorithm == UniAlgorithm::kEDF ? 303 : 404);
+  int verdicts[3] = {0, 0, 0};
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::vector<std::int64_t>& pool =
+        pools[static_cast<std::size_t>(rng.uniform_int(0, std::ssize(pools) - 1))];
+    const int m = processors[rng.uniform_int(0, 4)];
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    const double load = rng.uniform(0.3, 1.1) * m / static_cast<double>(n);
+    std::vector<UniTask> tasks;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!tasks.empty() && rng.uniform01() < 0.25) {
+        tasks.push_back(tasks[static_cast<std::size_t>(rng.uniform_int(0, std::ssize(tasks) - 1))]);
+        continue;
+      }
+      const std::int64_t p =
+          pool[static_cast<std::size_t>(rng.uniform_int(0, std::ssize(pool) - 1))];
+      const std::int64_t e = std::llround(load * static_cast<double>(p)) + rng.uniform_int(-1, 1);
+      tasks.push_back(UniTask{std::clamp<std::int64_t>(e, 1, p), p});
+    }
+    for (const std::uint64_t budget : budgets) {
+      SCOPED_TRACE(testing::Message() << "trial " << trial << ": m=" << m << " n=" << n
+                                      << " max_events=" << budget);
+      const GedfResult got = exact_global_schedulable(tasks, m, algorithm, budget);
+      const GedfResult want = reference_exact_global_schedulable(tasks, m, algorithm, budget);
+      ASSERT_EQ(got.verdict, want.verdict);
+      ASSERT_EQ(got.hyperperiod, want.hyperperiod);
+      ASSERT_EQ(got.simulated, want.simulated);
+      ASSERT_EQ(got.events, want.events);
+      ASSERT_EQ(got.first_miss, want.first_miss);
+      ++verdicts[static_cast<int>(got.verdict)];
+    }
+  }
+  // The corpus must reach every verdict, or it proves less than it claims.
+  EXPECT_GT(verdicts[static_cast<int>(GedfVerdict::kSchedulable)], 0);
+  EXPECT_GT(verdicts[static_cast<int>(GedfVerdict::kUnschedulable)], 0);
+  EXPECT_GT(verdicts[static_cast<int>(GedfVerdict::kBudgetExceeded)], 0);
+}
+
+TEST(ExactGedf, MatchesReferenceEventLoopUnderEdf) {
+  reference_sweep(UniAlgorithm::kEDF);
+}
+
+TEST(ExactGedf, MatchesReferenceEventLoopUnderRm) {
+  reference_sweep(UniAlgorithm::kRM);
+}
+
+TEST(ExactGedf, ClockStopsBeforeOverflowWhenHyperperiodSaturates) {
+  // Two 0.9-utilization tasks never miss on two processors, but the lcm
+  // of their periods saturates, so H is out of reach.  Their releases
+  // would pass the largest Time after about a thousand periods; the
+  // test must stop there, with no verdict, long before the budget.
+  const std::vector<UniTask> tasks = {{8100000000000000, 8999999999999999},
+                                      {8100000000000000, 9000000000000000}};
+  for (const UniAlgorithm algorithm : {UniAlgorithm::kEDF, UniAlgorithm::kRM}) {
+    const GedfResult r = exact_global_schedulable(tasks, 2, algorithm);
+    EXPECT_EQ(r.verdict, GedfVerdict::kBudgetExceeded);
+    EXPECT_EQ(r.hyperperiod, std::numeric_limits<Time>::max());
+    EXPECT_GT(r.events, 0u);
+    EXPECT_LT(r.events, std::uint64_t{1} << 20);
+    EXPECT_GE(r.simulated, 0);
+    EXPECT_GT(r.simulated, std::numeric_limits<Time>::max() - 9000000000000000);
+  }
+}
+
+TEST(ExactGedf, HyperperiodAtTheLargestTimeIsReached) {
+  // A true H equal to the largest Time: the releases due at H need no
+  // successor, so the test ends clean instead of stepping past it.
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  const GedfResult r = exact_global_schedulable({UniTask{1, kMax}}, 1);
+  EXPECT_EQ(r.verdict, GedfVerdict::kSchedulable);
+  EXPECT_EQ(r.hyperperiod, kMax);
+  EXPECT_EQ(r.simulated, kMax);
+  EXPECT_EQ(r.events, 2u);
 }
 
 }  // namespace
