@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
   gc.count = n_requests;
   gc.seed = seed;
   gc.load = load;
-  gc.processors = m;
   std::string requests = serve::generate_requests(gc);
   if (batch > 1) requests = serve::batch_requests(requests, batch);
 

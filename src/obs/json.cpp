@@ -1,7 +1,6 @@
 #include "obs/json.h"
 
 #include <cassert>
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -9,172 +8,115 @@
 
 namespace pfair::obs::json {
 
-namespace {
-
-constexpr int kMaxDepth = 64;
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : s_(text) {}
-
-  std::optional<Value> run() {
-    skip_ws();
-    std::optional<Value> v = value(0);
-    if (!v) return std::nullopt;
-    skip_ws();
-    if (pos_ != s_.size()) return std::nullopt;  // trailing garbage
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  [[nodiscard]] bool eat(char c) {
-    if (pos_ < s_.size() && s_[pos_] == c) {
-      ++pos_;
+bool Reader::read_escaped(std::size_t start, std::size_t i) {
+  scratch_.assign(s_.data() + start, i - start);
+  while (i < s_.size()) {
+    const char c = s_[i++];
+    if (c == '"') {
+      str_ = scratch_;
+      pos_ = i;
       return true;
     }
-    return false;
-  }
-
-  [[nodiscard]] bool literal(std::string_view word) {
-    if (s_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  std::optional<Value> value(int depth) {
-    if (depth > kMaxDepth) return std::nullopt;
-    skip_ws();
-    if (pos_ >= s_.size()) return std::nullopt;
-    switch (s_[pos_]) {
-      case '{': return object(depth);
-      case '[': return array(depth);
-      case '"': {
-        std::optional<std::string> str = string();
-        if (!str) return std::nullopt;
-        return Value(std::move(*str));
-      }
-      case 't': return literal("true") ? std::optional<Value>(Value(true)) : std::nullopt;
-      case 'f': return literal("false") ? std::optional<Value>(Value(false)) : std::nullopt;
-      case 'n': return literal("null") ? std::optional<Value>(Value(nullptr)) : std::nullopt;
-      default: return number();
+    if (c != '\\') {
+      scratch_ += c;
+      continue;
     }
-  }
-
-  std::optional<Value> object(int depth) {
-    ++pos_;  // '{'
-    Object out;
-    skip_ws();
-    if (eat('}')) return Value(std::move(out));
-    while (true) {
-      skip_ws();
-      std::optional<std::string> key = string();
-      if (!key) return std::nullopt;
-      skip_ws();
-      if (!eat(':')) return std::nullopt;
-      std::optional<Value> v = value(depth + 1);
-      if (!v) return std::nullopt;
-      out.insert_or_assign(std::move(*key), std::move(*v));
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat('}')) return Value(std::move(out));
-      return std::nullopt;
-    }
-  }
-
-  std::optional<Value> array(int depth) {
-    ++pos_;  // '['
-    Array out;
-    skip_ws();
-    if (eat(']')) return Value(std::move(out));
-    while (true) {
-      std::optional<Value> v = value(depth + 1);
-      if (!v) return std::nullopt;
-      out.push_back(std::move(*v));
-      skip_ws();
-      if (eat(',')) continue;
-      if (eat(']')) return Value(std::move(out));
-      return std::nullopt;
-    }
-  }
-
-  std::optional<std::string> string() {
-    if (!eat('"')) return std::nullopt;
-    std::string out;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_++];
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) return std::nullopt;
-      const char esc = s_[pos_++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) return std::nullopt;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = s_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return std::nullopt;
-          }
-          // UTF-8 encode (surrogate pairs unsupported: our writers only
-          // escape control characters, all below U+0800).
-          if (code < 0x80) {
-            out += static_cast<char>(code);
-          } else if (code < 0x800) {
-            out += static_cast<char>(0xc0 | (code >> 6));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          } else {
-            out += static_cast<char>(0xe0 | (code >> 12));
-            out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (code & 0x3f));
-          }
-          break;
+    if (i >= s_.size()) break;
+    switch (s_[i++]) {
+      case '"': scratch_ += '"'; break;
+      case '\\': scratch_ += '\\'; break;
+      case '/': scratch_ += '/'; break;
+      case 'b': scratch_ += '\b'; break;
+      case 'f': scratch_ += '\f'; break;
+      case 'n': scratch_ += '\n'; break;
+      case 'r': scratch_ += '\r'; break;
+      case 't': scratch_ += '\t'; break;
+      case 'u': {
+        if (i + 4 > s_.size()) return fail();
+        unsigned code = 0;
+        for (int k = 0; k < 4; ++k) {
+          const char h = s_[i++];
+          code <<= 4;
+          if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+          else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+          else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+          else return fail();
         }
-        default: return std::nullopt;
+        // UTF-8 encode (surrogate pairs unsupported: our writers only
+        // escape control characters, all below U+0800).
+        if (code < 0x80) {
+          scratch_ += static_cast<char>(code);
+        } else if (code < 0x800) {
+          scratch_ += static_cast<char>(0xc0 | (code >> 6));
+          scratch_ += static_cast<char>(0x80 | (code & 0x3f));
+        } else {
+          scratch_ += static_cast<char>(0xe0 | (code >> 12));
+          scratch_ += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+          scratch_ += static_cast<char>(0x80 | (code & 0x3f));
+        }
+        break;
       }
+      default: return fail();
     }
-    return std::nullopt;  // unterminated
   }
+  return fail();  // unterminated
+}
 
-  std::optional<Value> number() {
-    const std::size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() && (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-                                s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-                                s_[pos_] == '+' || s_[pos_] == '-'))
-      ++pos_;
-    if (pos_ == start) return std::nullopt;
-    const std::string tok(s_.substr(start, pos_ - start));
-    char* end = nullptr;
-    const double v = std::strtod(tok.c_str(), &end);
-    if (end == nullptr || *end != '\0') return std::nullopt;
-    return Value(v);
+Reader::Token Reader::read_literal() {
+  for (const auto& [word, t] : {std::pair{std::string_view("true"), Token::kTrue},
+                                {std::string_view("false"), Token::kFalse},
+                                {std::string_view("null"), Token::kNull}}) {
+    if (s_.substr(pos_, word.size()) == word) {
+      pos_ += word.size();
+      return t;
+    }
   }
+  return error();
+}
 
-  std::string_view s_;
-  std::size_t pos_ = 0;
-};
+Reader::Token Reader::read_number_strtod(std::size_t start) {
+  const std::string token(s_.substr(start, pos_ - start));  // strtod wants a terminator
+  char* end = nullptr;
+  num_ = std::strtod(token.c_str(), &end);
+  return !token.empty() && end == token.c_str() + token.size() ? Token::kNumber : error();
+}
+
+void Reader::skip_children(Token t) {
+  if (t == Token::kObject) {
+    for (std::string_view key; next_member(&key);) skip(value());
+  } else {
+    while (next_element()) skip(value());
+  }
+}
+
+namespace {
+
+/// The tree under the token value() just returned; what it holds after
+/// a syntax error does not matter, since parse() then drops it.
+Value build(Reader& r, Reader::Token t) {
+  switch (t) {
+    case Reader::Token::kError:
+    case Reader::Token::kNull: return Value();
+    case Reader::Token::kFalse: return Value(false);
+    case Reader::Token::kTrue: return Value(true);
+    case Reader::Token::kNumber: return Value(r.number());
+    case Reader::Token::kString: return Value(std::string(r.string()));
+    case Reader::Token::kObject: {
+      Object out;
+      for (std::string_view key; r.next_member(&key);) {
+        std::string k(key);  // before value() overwrites the view
+        out.insert_or_assign(std::move(k), build(r, r.value()));
+      }
+      return Value(std::move(out));
+    }
+    case Reader::Token::kArray: {
+      Array out;
+      while (r.next_element()) out.push_back(build(r, r.value()));
+      return Value(std::move(out));
+    }
+  }
+  return Value();
+}
 
 void dump_string(std::string& out, std::string_view s) {
   out += '"';
@@ -249,7 +191,12 @@ std::string Value::dump() const {
   return out;
 }
 
-std::optional<Value> parse(std::string_view text) { return Parser(text).run(); }
+std::optional<Value> parse(std::string_view text) {
+  Reader r(text);
+  Value v = build(r, r.value());
+  if (!r.finish()) return std::nullopt;
+  return v;
+}
 
 ObjectWriter::ObjectWriter(std::string& out) : out_(out) { out_ += '{'; }
 

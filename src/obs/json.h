@@ -1,15 +1,22 @@
-// Minimal JSON reader/writer for the obs layer's own output.
+// Minimal JSON reader/writer for the obs layer and pfaird's requests.
 //
-// The repo bans external dependencies, and the obs tooling needs to
-// read back what its sinks write: JSONL event lines, Perfetto trace
-// JSON, and BENCH_*.json reports.  This is a small recursive-descent
-// parser over that closed world — full JSON syntax, values modelled as
-// a tagged variant — plus a canonical dump() for round-trip tests and
-// schema checks.  It is a *reader for trusted local files*, not a
-// hardened network-facing parser (recursion depth is capped, numbers
-// are doubles).
+// The repo bans external dependencies.  The obs tooling reads back what
+// its sinks write (JSONL event lines, Perfetto trace JSON, BENCH_*.json
+// reports), and pfaird reads every request line a client sends.  Both
+// go through the one grammar here: Reader, a pull reader over a string,
+// and parse(), which builds a tree of Values on top of it.  A canonical
+// dump() serves round-trip tests and schema checks.
+//
+// Since clients reach it, the reader keeps three bounds on any input:
+//   - nesting is capped at depth 64: a deeper value is a syntax error;
+//   - keys and strings without escapes are views into the text, so
+//     they allocate nothing;
+//   - a number is the longest run of [0-9.eE+-], read as strtod reads
+//     it, and a syntax error unless strtod takes the whole run (so +1,
+//     01 and 1. read as 1, 1e999 as inf and 1e-400 as 0).
 #pragma once
 
+#include <charconv>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -79,6 +86,175 @@ class Value {
 /// Parses one JSON document; std::nullopt on any syntax error or
 /// trailing garbage.
 [[nodiscard]] std::optional<Value> parse(std::string_view text);
+
+/// Pull reader: one pass over one JSON document, building nothing.
+/// value() reads the next value's first token: a whole scalar, or the
+/// bracket that opens an object or array, whose children the caller
+/// then steps through with next_member()/next_element(), or passes over
+/// with skip().  A syntax error sticks: value() returns kError and the
+/// stepping calls return false from then on, so every loop ends, and
+/// finish() reports it.
+///
+///   Reader r(text);
+///   if (r.value() == Reader::Token::kObject)
+///     for (std::string_view key; r.next_member(&key);) r.skip(r.value());
+///   const bool well_formed = r.finish();
+class Reader {
+ public:
+  enum class Token : std::uint8_t {
+    kError, kNull, kFalse, kTrue, kNumber, kString, kObject, kArray
+  };
+
+  explicit Reader(std::string_view text) noexcept : s_(text) {}
+
+  [[nodiscard]] Token value() {
+    switch (peek()) {
+      case '{': case '[':
+        ++depth_;
+        first_ = true;
+        return s_[pos_++] == '{' ? Token::kObject : Token::kArray;
+      case '"': return read_string() ? Token::kString : Token::kError;
+      case 't': case 'f': case 'n': return read_literal();
+      default: return read_number();
+    }
+  }
+
+  /// The value of the last kNumber.
+  [[nodiscard]] double number() const noexcept { return num_; }
+  /// The last kString or key, unescaped: a view into the text, or, for
+  /// one with an escape, into a buffer the next such string overwrites.
+  [[nodiscard]] std::string_view string() const noexcept { return str_; }
+
+  /// Steps to the next member of the object value() opened: true with
+  /// `key` set, ready for value() to read the member's value; false
+  /// past the closing '}' or on a syntax error.
+  [[nodiscard]] bool next_member(std::string_view* key) {
+    if (!next_child('}')) return false;
+    if (peek() != '"' || !read_string()) return fail();
+    *key = str_;
+    if (peek() != ':') return fail();
+    ++pos_;
+    return true;
+  }
+
+  /// Steps to the next element of the array value() opened, as above.
+  [[nodiscard]] bool next_element() { return next_child(']'); }
+
+  /// Passes over the rest of a value whose first token value() returned.
+  void skip(Token t) {
+    if (t == Token::kObject || t == Token::kArray) skip_children(t);
+  }
+
+  /// True when the text held one well-formed value and only whitespace
+  /// after it.
+  [[nodiscard]] bool finish() {
+    (void)peek();
+    return !failed_ && pos_ == s_.size();
+  }
+
+ private:
+  static constexpr int kMaxDepth = 64;
+
+  // The scans below advance a local index, not pos_: a char load may
+  // alias any member, so a member index would be stored every byte.
+
+  /// Skips whitespace; the next character, or '\0' at the end.
+  char peek() noexcept {
+    std::size_t i = pos_;
+    while (i < s_.size() && (s_[i] == ' ' || s_[i] == '\t' || s_[i] == '\n' || s_[i] == '\r'))
+      ++i;
+    pos_ = i;
+    return i < s_.size() ? s_[i] : '\0';
+  }
+
+  /// True past a ',' or at the first child, false past `close`.  depth_
+  /// counts the open containers, so it is the child's depth.
+  bool next_child(char close) {
+    const char c = peek();
+    if (c == close) {
+      ++pos_;
+      --depth_;
+      first_ = false;
+      return false;
+    }
+    if (!first_) {
+      if (c != ',') return fail();
+      ++pos_;
+    }
+    first_ = false;
+    return depth_ <= kMaxDepth || fail();
+  }
+
+  bool read_string() {
+    const std::size_t start = ++pos_;  // past the opening quote
+    for (std::size_t i = start; i < s_.size(); ++i) {
+      if (s_[i] == '\\') return read_escaped(start, i);
+      if (s_[i] == '"') {
+        str_ = std::string_view(s_.data() + start, i - start);
+        pos_ = i + 1;
+        return true;
+      }
+    }
+    return fail();  // unterminated
+  }
+
+  Token read_number() {
+    const std::size_t start = pos_;
+    std::size_t i = start;
+    // A run of at most 15 digits is exact as a double, so it is read
+    // as an integer; any other run goes to from_chars.
+    std::int64_t digits = 0;
+    bool integer = true;
+    for (; i < s_.size(); ++i) {
+      const char c = s_[i];
+      if (c >= '0' && c <= '9') {
+        integer = integer && i - start < 15;
+        if (integer) digits = digits * 10 + (c - '0');
+      } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
+        integer = false;
+      } else {
+        break;
+      }
+    }
+    pos_ = i;
+    if (integer && i > start) {
+      num_ = static_cast<double>(digits);
+      return Token::kNumber;
+    }
+    // from_chars rounds as strtod does, but refuses some spellings
+    // strtod takes (+1) and values it cannot hold (1e999).
+    const char* last = s_.data() + i;
+    const auto [end, ec] =
+        std::from_chars(s_.data() + start, last, num_, std::chars_format::general);
+    if (ec == std::errc{} && end == last) return Token::kNumber;
+    return read_number_strtod(start);
+  }
+
+  /// Records a syntax error and moves to the end of the text; false.
+  bool fail() noexcept {
+    failed_ = true;
+    pos_ = s_.size();
+    return false;
+  }
+  Token error() noexcept {
+    fail();
+    return Token::kError;
+  }
+
+  bool read_escaped(std::size_t start, std::size_t i);
+  Token read_literal();
+  Token read_number_strtod(std::size_t start);
+  void skip_children(Token t);
+
+  std::string_view s_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;
+  bool first_ = false;  ///< value() just opened a container
+  bool failed_ = false;
+  double num_ = 0.0;
+  std::string_view str_;
+  std::string scratch_;  ///< the last string with an escape, unescaped
+};
 
 /// Streaming writer for one flat JSON object on the serving hot path.
 ///

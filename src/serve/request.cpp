@@ -1,8 +1,11 @@
 #include "serve/request.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
+#include <iterator>
+#include <stdexcept>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -12,20 +15,15 @@ namespace pfair::serve {
 
 namespace {
 
-/// obs::json numbers are doubles; task parameters must be integral and
-/// inside the exactly-representable range.
-bool to_int(const obs::json::Value& v, std::int64_t* out) {
-  if (!v.is_number()) return false;
-  const double d = v.as_number();
-  if (d != std::floor(d) || d < -9.0e15 || d > 9.0e15) return false;
-  *out = static_cast<std::int64_t>(d);
-  return true;
-}
+using Token = obs::json::Reader::Token;
 
-bool member_int(const obs::json::Value& obj, const char* key, std::int64_t* out) {
-  const obs::json::Value* m = obj.find(key);
-  return m != nullptr && to_int(*m, out);
-}
+/// Task parameters must be integral and exactly representable as the
+/// doubles obs::json reads; the generator keeps its periods inside too.
+constexpr double kParameterLimit = 9.0e15;
+
+/// The "op" names, indexed by RequestOp.
+constexpr std::string_view kOpNames[] = {"join", "leave", "reweight", "query", "advance", "batch"};
+static_assert(std::size(kOpNames) == static_cast<std::size_t>(RequestOp::kBatch) + 1);
 
 void fail(std::string* error, const char* why) {
   if (error != nullptr) *error = why;
@@ -34,298 +32,148 @@ void fail(std::string* error, const char* why) {
 }  // namespace
 
 const char* to_string(RequestOp op) noexcept {
-  switch (op) {
-    case RequestOp::kJoin: return "join";
-    case RequestOp::kLeave: return "leave";
-    case RequestOp::kReweight: return "reweight";
-    case RequestOp::kQuery: return "query";
-    case RequestOp::kAdvance: return "advance";
-    case RequestOp::kBatch: return "batch";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(op);
+  return i < std::size(kOpNames) ? kOpNames[i].data() : "unknown";
 }
 
 namespace {
 
-/// Parses one request object.  `allow_batch` is off for the elements
-/// of a batch: batches never nest (a nested batch is "bad-field").
-std::optional<Request> parse_request_value(const obs::json::Value& doc,
-                                           std::string* error, bool allow_batch) {
-  if (!doc.is_object()) {
-    fail(error, "bad-json");
-    return std::nullopt;
-  }
-  const std::string op = doc.string_or("op", "");
-  Request r;
-  if (op == "batch") {
-    if (!allow_batch) {
-      fail(error, "bad-field");
-      return std::nullopt;
-    }
-    r.op = RequestOp::kBatch;
-    const obs::json::Value* reqs = doc.find("requests");
-    if (reqs == nullptr || !reqs->is_array() || reqs->as_array().empty()) {
-      fail(error, "bad-field");
-      return std::nullopt;
-    }
-    r.batch.reserve(reqs->as_array().size());
-    for (const obs::json::Value& sub : reqs->as_array()) {
-      std::optional<Request> parsed = parse_request_value(sub, error, false);
-      if (!parsed.has_value()) return std::nullopt;  // error already set
-      r.batch.push_back(std::move(*parsed));
-    }
-    return r;
-  }
-  if (op == "join" || op == "reweight") {
-    r.op = op == "join" ? RequestOp::kJoin : RequestOp::kReweight;
-    if (!member_int(doc, "execution", &r.execution) ||
-        !member_int(doc, "period", &r.period)) {
-      fail(error, "bad-field");
-      return std::nullopt;
-    }
-    if (r.op == RequestOp::kJoin) {
-      r.name = doc.string_or("name", "");
-    } else {
-      std::int64_t id = 0;
-      if (!member_int(doc, "task", &id) || id < 0 || id >= kNoTask) {
-        fail(error, "bad-field");
-        return std::nullopt;
-      }
-      r.task = static_cast<TaskId>(id);
-    }
-    return r;
-  }
-  if (op == "leave") {
-    r.op = RequestOp::kLeave;
-    std::int64_t id = 0;
-    if (!member_int(doc, "task", &id) || id < 0 || id >= kNoTask) {
-      fail(error, "bad-field");
-      return std::nullopt;
-    }
-    r.task = static_cast<TaskId>(id);
-    return r;
-  }
-  if (op == "query") {
-    r.op = RequestOp::kQuery;
-    return r;
-  }
-  if (op == "advance") {
-    r.op = RequestOp::kAdvance;
-    if (!member_int(doc, "to", &r.to) || r.to < 0) {
-      fail(error, "bad-field");
-      return std::nullopt;
-    }
-    return r;
-  }
-  fail(error, "bad-op");
-  return std::nullopt;
-}
-
-/// One member scanned off the fast path: a key plus a string view, a
-/// number, or a bool (null members carry no payload).
-struct FlatField {
-  enum class Kind : std::uint8_t { kString, kNumber, kTrue, kFalse, kNull };
-  std::string_view key;
-  std::string_view str;
-  double num = 0.0;
-  Kind kind = Kind::kNull;
+/// The members a request acts on; it reads and ignores any other.
+enum class Member : std::uint8_t {
+  kOther, kOp, kExecution, kPeriod, kTask, kTo, kName, kRequests
 };
 
-/// Scans a *flat* JSON object — string keys, string/number/bool/null
-/// members, no escapes, no nesting — into `out`.  Returns false on
-/// anything outside that shape (including every malformed line), in
-/// which case the caller falls back to the full obs::json parser; the
-/// fast path therefore accepts a strict subset of what the DOM parser
-/// accepts and never changes how errors classify.
-bool scan_flat(std::string_view s, std::vector<FlatField>& out) {
-  out.clear();
-  std::size_t i = 0;
-  const auto ws = [&] {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\n' || s[i] == '\r'))
-      ++i;
-  };
-  const auto scan_string = [&](std::string_view* v) {
-    if (i >= s.size() || s[i] != '"') return false;
-    const std::size_t start = ++i;
-    while (i < s.size()) {
-      const char c = s[i];
-      if (c == '"') {
-        *v = s.substr(start, i - start);
-        ++i;
-        return true;
-      }
-      if (c == '\\' || static_cast<unsigned char>(c) < 0x20) return false;  // slow path
-      ++i;
-    }
-    return false;
-  };
-  ws();
-  if (i >= s.size() || s[i] != '{') return false;
-  ++i;
-  ws();
-  if (i < s.size() && s[i] == '}') {
-    ++i;
-    ws();
-    return i == s.size();
-  }
-  while (true) {
-    FlatField f;
-    ws();
-    if (!scan_string(&f.key)) return false;
-    ws();
-    if (i >= s.size() || s[i] != ':') return false;
-    ++i;
-    ws();
-    if (i >= s.size()) return false;
-    const char c = s[i];
-    if (c == '"') {
-      if (!scan_string(&f.str)) return false;
-      f.kind = FlatField::Kind::kString;
-    } else if (c == 't' && s.substr(i, 4) == "true") {
-      i += 4;
-      f.kind = FlatField::Kind::kTrue;
-    } else if (c == 'f' && s.substr(i, 5) == "false") {
-      i += 5;
-      f.kind = FlatField::Kind::kFalse;
-    } else if (c == 'n' && s.substr(i, 4) == "null") {
-      i += 4;
-      f.kind = FlatField::Kind::kNull;
-    } else if (c == '-' || (c >= '0' && c <= '9')) {
-      const std::size_t start = i;
-      if (c == '-') ++i;
-      while (i < s.size() &&
-             ((s[i] >= '0' && s[i] <= '9') || s[i] == '.' || s[i] == 'e' ||
-              s[i] == 'E' || s[i] == '+' || s[i] == '-'))
-        ++i;
-      if (i == start) return false;
-      // Correctly rounded like the DOM parser's strtod; any token it
-      // parses only partially (e.g. "1.") bails to the slow path, which
-      // reaches the same verdict.
-      const auto [end, ec] =
-          std::from_chars(s.data() + start, s.data() + i, f.num,
-                          std::chars_format::general);
-      if (ec != std::errc{} || end != s.data() + i) return false;
-      f.kind = FlatField::Kind::kNumber;
-    } else {
-      return false;  // nested object/array or garbage: slow path decides
-    }
-    out.push_back(f);
-    ws();
-    if (i < s.size() && s[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < s.size() && s[i] == '}') {
-      ++i;
-      ws();
-      return i == s.size();
-    }
-    return false;
-  }
+constexpr std::pair<std::string_view, Member> kMembers[] = {
+    {"op", Member::kOp},     {"execution", Member::kExecution}, {"period", Member::kPeriod},
+    {"task", Member::kTask}, {"to", Member::kTo},               {"name", Member::kName},
+    {"requests", Member::kRequests}};
+
+Member member_named(std::string_view key) {
+  for (const auto& [name, member] : kMembers)
+    if (key == name) return member;
+  return Member::kOther;
 }
 
-/// Interprets scanned fields with exactly parse_request_value's rules
-/// (last duplicate wins, unknown keys ignored, non-string op/name
-/// treated as absent, to_int range checks).
-std::optional<Request> request_from_flat(const std::vector<FlatField>& fields,
-                                         std::string* error) {
-  std::string_view op;
-  bool have_exec = false, have_period = false, have_task = false, have_to = false;
-  std::int64_t exec = 0, period = 0, task_raw = 0, to = 0;
-  std::string_view name;
-  const auto as_int = [](const FlatField& f, bool* ok, std::int64_t* v) {
-    if (f.kind != FlatField::Kind::kNumber || f.num != std::floor(f.num) ||
-        f.num < -9.0e15 || f.num > 9.0e15) {
-      *ok = false;
-      return;
-    }
-    *ok = true;
-    *v = static_cast<std::int64_t>(f.num);
-  };
-  for (const FlatField& f : fields) {
-    if (f.key == "op") {
-      op = f.kind == FlatField::Kind::kString ? f.str : std::string_view{};
-    } else if (f.key == "execution") {
-      as_int(f, &have_exec, &exec);
-    } else if (f.key == "period") {
-      as_int(f, &have_period, &period);
-    } else if (f.key == "task") {
-      as_int(f, &have_task, &task_raw);
-    } else if (f.key == "to") {
-      as_int(f, &have_to, &to);
-    } else if (f.key == "name") {
-      name = f.kind == FlatField::Kind::kString ? f.str : std::string_view{};
-    }
-  }
-  Request r;
-  if (op == "join" || op == "reweight") {
-    r.op = op == "join" ? RequestOp::kJoin : RequestOp::kReweight;
-    if (!have_exec || !have_period) {
-      fail(error, "bad-field");
-      return std::nullopt;
-    }
-    r.execution = exec;
-    r.period = period;
-    if (r.op == RequestOp::kJoin) {
-      r.name = std::string(name);
-    } else {
-      if (!have_task || task_raw < 0 || task_raw >= kNoTask) {
-        fail(error, "bad-field");
-        return std::nullopt;
-      }
-      r.task = static_cast<TaskId>(task_raw);
-    }
-    return r;
-  }
-  if (op == "leave") {
-    r.op = RequestOp::kLeave;
-    if (!have_task || task_raw < 0 || task_raw >= kNoTask) {
-      fail(error, "bad-field");
-      return std::nullopt;
-    }
-    r.task = static_cast<TaskId>(task_raw);
-    return r;
-  }
-  if (op == "query") {
-    r.op = RequestOp::kQuery;
-    return r;
-  }
-  if (op == "advance") {
-    r.op = RequestOp::kAdvance;
-    if (!have_to || to < 0) {
-      fail(error, "bad-field");
-      return std::nullopt;
-    }
-    r.to = to;
-    return r;
-  }
-  fail(error, "bad-op");
+std::optional<RequestOp> op_named(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kOpNames); ++i)
+    if (name == kOpNames[i]) return static_cast<RequestOp>(i);
   return std::nullopt;
+}
+
+/// A member's value as a task parameter: an integral number within
+/// +-kParameterLimit, else nullopt.
+std::optional<std::int64_t> int_value(const obs::json::Reader& r, Token t) {
+  if (t != Token::kNumber) return std::nullopt;
+  const double d = r.number();
+  if (d != std::floor(d) || d < -kParameterLimit || d > kParameterLimit) return std::nullopt;
+  return static_cast<std::int64_t>(d);
+}
+
+const char* read_batch(obs::json::Reader& r, Token t, std::vector<Request>* subs);
+
+/// Reads the members of the object value() just opened and interprets
+/// them into `out`: nullptr, or the error token.  Members come in any
+/// order and the last duplicate wins.  Only a top-level request may be
+/// a batch (`top`), so only its "requests" are read as requests.  The
+/// caller still owes the verdict on the line's syntax.
+const char* read_request(obs::json::Reader& r, bool top, Request* out) {
+  std::optional<RequestOp> op;
+  std::optional<std::int64_t> execution, period, task, to;
+  const char* batch_error = "bad-field";  // until "requests" holds some
+  for (std::string_view key; r.next_member(&key);) {
+    const Member m = member_named(key);  // before value() moves the view
+    const Token t = r.value();
+    switch (m) {
+      case Member::kOp:
+        op = t == Token::kString ? op_named(r.string()) : std::nullopt;
+        break;
+      case Member::kExecution: execution = int_value(r, t); break;
+      case Member::kPeriod: period = int_value(r, t); break;
+      case Member::kTask: task = int_value(r, t); break;
+      case Member::kTo: to = int_value(r, t); break;
+      case Member::kName:
+        out->name = t == Token::kString ? r.string() : std::string_view();
+        break;
+      case Member::kRequests:
+        if (top) {
+          batch_error = read_batch(r, t, &out->batch);
+          continue;
+        }
+        break;
+      case Member::kOther: break;
+    }
+    r.skip(t);
+  }
+  if (!op.has_value()) return "bad-op";
+  out->op = *op;
+  // Only a join keeps its name and only a batch its requests.
+  if (*op != RequestOp::kJoin) out->name.clear();
+  if (*op != RequestOp::kBatch) out->batch.clear();
+  switch (*op) {
+    case RequestOp::kJoin:
+    case RequestOp::kReweight:
+      if (!execution.has_value() || !period.has_value()) return "bad-field";
+      out->execution = *execution;
+      out->period = *period;
+      if (*op == RequestOp::kJoin) return nullptr;
+      [[fallthrough]];
+    case RequestOp::kLeave:
+      if (!task.has_value() || *task < 0 || *task >= kNoTask) return "bad-field";
+      out->task = static_cast<TaskId>(*task);
+      return nullptr;
+    case RequestOp::kQuery: return nullptr;
+    case RequestOp::kAdvance:
+      if (!to.has_value() || *to < 0) return "bad-field";
+      out->to = *to;
+      return nullptr;
+    case RequestOp::kBatch:
+      if (!top) return "bad-field";
+      return batch_error;
+  }
+  return "bad-op";
+}
+
+/// Reads the rest of a batch's "requests" value, whose first token
+/// value() returned as `t`, into `subs`: nullptr for a
+/// non-empty array of valid requests, else the error token of its first
+/// bad element ("bad-json" for one that is not an object), or
+/// "bad-field" when there is none.
+const char* read_batch(obs::json::Reader& r, Token t, std::vector<Request>* subs) {
+  subs->clear();
+  if (t != Token::kArray) {
+    r.skip(t);
+    return "bad-field";
+  }
+  const char* error = nullptr;
+  while (r.next_element()) {
+    Request sub;
+    const char* why = "bad-json";
+    const Token e = r.value();
+    if (e == Token::kObject) {
+      why = read_request(r, false, &sub);
+    } else {
+      r.skip(e);
+    }
+    if (error == nullptr && why != nullptr) error = why;
+    if (error == nullptr) subs->push_back(std::move(sub));
+  }
+  return error == nullptr && subs->empty() ? "bad-field" : error;
 }
 
 }  // namespace
 
 std::optional<Request> parse_request(std::string_view line, std::string* error) {
-  // Hot path: the daemon parses one line per decision, and nearly all
-  // of them are flat objects this scanner handles without building a
-  // DOM.  "batch" lines carry a nested array, so they (and anything
-  // else unusual) take the full parser below.
-  thread_local std::vector<FlatField> fields;
-  if (scan_flat(line, fields)) {
-    bool is_batch = false;
-    for (const FlatField& f : fields)
-      if (f.key == "op" && f.kind == FlatField::Kind::kString && f.str == "batch")
-        is_batch = true;
-    if (!is_batch) return request_from_flat(fields, error);
-    // A flat "batch" has no parseable "requests" array; let the DOM
-    // parser produce the authoritative bad-field/bad-json verdict.
-  }
-  const std::optional<obs::json::Value> doc = obs::json::parse(line);
-  if (!doc.has_value()) {
-    fail(error, "bad-json");
+  // One pass: members are interpreted as they are read, and a syntax
+  // error anywhere in the line outranks what they said.
+  obs::json::Reader r(line);
+  Request req;
+  const char* why = r.value() == Token::kObject ? read_request(r, true, &req) : "bad-json";
+  if (!r.finish()) why = "bad-json";
+  if (why != nullptr) {
+    fail(error, why);
     return std::nullopt;
   }
-  return parse_request_value(*doc, error, true);
+  return req;
 }
 
 namespace {
@@ -406,6 +254,10 @@ std::string batch_requests(std::string_view jsonl, std::size_t size) {
 }
 
 std::string generate_requests(const GenConfig& config) {
+  if (config.max_period < 2 || config.max_period > static_cast<std::int64_t>(kParameterLimit))
+    throw std::invalid_argument(
+        "generate_requests: max_period must lie in [2, 9e15], the periods parse_request "
+        "accepts");
   Rng rng(config.seed);
   std::string out;
   out.reserve(config.count * 48);

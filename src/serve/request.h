@@ -17,8 +17,8 @@
 // request order, byte-identical to the lines the sub-requests would
 // have produced arriving individually — batching saves round trips,
 // never changes answers.
-// Numbers follow obs::json (doubles); values outside the int64
-// task-parameter range fail parsing rather than truncate.
+// Numbers follow obs::json (doubles); task parameters must be integers
+// within +-9e15, and any other value fails parsing rather than truncate.
 //
 // Requests parse into a flat Request struct, and dump back to the same
 // canonical line (obs::json sorted-key form) — the generator, the
@@ -68,17 +68,19 @@ struct Request {
 [[nodiscard]] std::string batch_requests(std::string_view jsonl, std::size_t size);
 
 /// Deterministic request-stream generator for benches and the CI smoke
-/// test: a seeded mix of joins (task weights drawn so the stream hovers
-/// around `load` x m total utilization), leaves and reweights of
-/// previously joined ids, periodic queries, and monotone advances.
+/// test: a seeded mix of joins and reweights of previously joined ids
+/// (each task's utilization drawn from [0.02, 0.25 x `load`], the upper
+/// end kept within [0.05, 1]), leaves, periodic queries, and monotone
+/// advances.
 struct GenConfig {
   std::size_t count = 1000;     ///< request lines to emit
   std::uint64_t seed = 42;      ///< Rng seed; same seed => same bytes
-  double load = 1.5;            ///< offered load relative to capacity
-  int processors = 4;           ///< capacity the load is relative to
+  double load = 1.5;            ///< scales the per-task utilization range
   std::int64_t max_period = 40;  ///< periods drawn from [2, max_period]
 };
 
+/// Throws std::invalid_argument unless 2 <= max_period <= 9e15, the
+/// periods parse_request accepts.
 [[nodiscard]] std::string generate_requests(const GenConfig& config);
 
 }  // namespace pfair::serve

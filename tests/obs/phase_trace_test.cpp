@@ -85,7 +85,6 @@ TEST(PhaseTrace, JsonlStreamByteIdenticalShardedVsUnsharded) {
   serve::GenConfig gen;
   gen.count = 400;
   gen.seed = 11;
-  gen.processors = 4;
   const std::string requests = serve::generate_requests(gen);
   const auto run = [&requests](int mirror_shards) {
     obs::prof::set_enabled(true);
@@ -132,7 +131,6 @@ TEST(PhaseTrace, PerfettoCarriesServeDecisionSlices) {
   serve::GenConfig gen;
   gen.count = 50;
   gen.seed = 3;
-  gen.processors = 2;
   obs::prof::set_enabled(true);
   obs::prof::set_span_recording(true);
   obs::prof::reset();

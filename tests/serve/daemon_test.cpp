@@ -79,7 +79,6 @@ TEST(Daemon, DecisionLogIsByteIdenticalAcrossRunsAndLatencyModes) {
   GenConfig gen;
   gen.count = 400;
   gen.seed = 9;
-  gen.processors = 2;
   const std::string requests = generate_requests(gen);
 
   // Latency is timed only while profiling is enabled; wall-clock must
@@ -140,7 +139,6 @@ TEST(Daemon, PublishRegistryMirrorsTheStats) {
   GenConfig gen;
   gen.count = 120;
   gen.seed = 4;
-  gen.processors = 2;
   (void)serve_string(d, generate_requests(gen));
   obs::prof::set_enabled(false);
   d.publish_registry();

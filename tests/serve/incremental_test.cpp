@@ -1,9 +1,8 @@
 // The high-throughput admission machinery: the sharded TaskMirror and
 // its multiset fingerprint, the incremental Tier-2 memo (byte-equal
 // decisions with the cache on or off), batch lines answering like their
-// sub-requests sent alone, the fast-path request parser against the
-// DOM parser, and ObjectWriter against the dumped-Object form it
-// replaces on the serving hot path.
+// sub-requests sent alone, and ObjectWriter against the dumped-Object
+// form it replaces on the serving hot path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -213,7 +212,6 @@ std::string storm_stream() {
   gc.count = 400;
   gc.seed = 1234;
   gc.load = 1.8;
-  gc.processors = 2;
   return generate_requests(gc);
 }
 
@@ -243,91 +241,6 @@ TEST(Batching, BatchLinesAnswerLikeTheirSubRequestsArrivingAlone) {
     EXPECT_EQ(d.controller().memo_hits(), plain.controller().memo_hits()) << "size=" << size;
     EXPECT_EQ(d.controller().memo_misses(), plain.controller().memo_misses())
         << "size=" << size;
-  }
-}
-
-// --- request parsing (fast path vs DOM) -----------------------------
-
-TEST(RequestParse, FastAndSlowSpellingsAgree) {
-  // Each pair is the same request spelled flat (fast-path eligible) and
-  // with whitespace/escapes/duplicates that force or exercise the DOM
-  // fallback.  dump_request canonicalizes, so equality of dumps is
-  // equality of parses.
-  const std::vector<std::pair<std::string, std::string>> pairs = {
-      {R"({"op":"join","execution":2,"period":10})",
-       R"(  { "op" : "join" , "execution" : 2 , "period" : 10 }  )"},
-      {R"({"op":"join","execution":2,"period":10})",
-       R"({"op":"join","execution":2,"period":10})"},
-      {R"({"op":"join","execution":3,"period":10})",
-       R"({"op":"join","execution":1,"execution":3,"period":10})"},  // last wins
-      {R"({"op":"join","execution":2,"period":100})",
-       R"({"op":"join","execution":2,"period":1e2})"},
-      {R"({"op":"join","execution":2,"period":4,"ignored":true})",
-       R"({"op":"join","execution":2.0,"period":4,"unknown":[1,{"x":2}]})"},
-      {R"({"op":"leave","task":3})", R"({"op":"leave","task":3,"name":7})"},
-      {R"({"op":"advance","to":40})", R"({"op":"advance","to":40.0})"},
-  };
-  for (const auto& [flat, slow] : pairs) {
-    const std::optional<Request> a = parse_request(flat);
-    const std::optional<Request> b = parse_request(slow);
-    ASSERT_TRUE(a.has_value()) << flat;
-    ASSERT_TRUE(b.has_value()) << slow;
-    EXPECT_EQ(dump_request(*a), dump_request(*b)) << slow;
-  }
-}
-
-TEST(RequestParse, ErrorTokensMatchAcrossParserPaths) {
-  const std::vector<std::pair<std::string, std::string>> cases = {
-      {"not json at all", "bad-json"},
-      {R"({"op":"join","execution":2,"period":10} trailing)", "bad-json"},
-      {R"({"op":"frobnicate"})", "bad-op"},
-      {R"({"op":42})", "bad-op"},
-      {R"({"op":"join","execution":1})", "bad-field"},
-      {R"({"op":"join","execution":1.5,"period":10})", "bad-field"},
-      {R"({"op":"join","execution":1,"period":1e19})", "bad-field"},
-      {R"({"op":"leave","task":-1})", "bad-field"},
-      {R"({"op":"leave"})", "bad-field"},
-  };
-  for (const auto& [line, want] : cases) {
-    std::string error;
-    EXPECT_FALSE(parse_request(line, &error).has_value()) << line;
-    EXPECT_EQ(error, want) << line;
-  }
-}
-
-TEST(RequestParse, BatchesCarrySubRequestsAndNeverNest) {
-  const std::string requests =
-      "{\"op\":\"join\",\"execution\":1,\"period\":4}\n"
-      "{\"op\":\"query\"}\n"
-      "{\"op\":\"advance\",\"to\":8}\n";
-  const std::string batched = batch_requests(requests, 3);
-  EXPECT_EQ(std::count(batched.begin(), batched.end(), '\n'), 1);
-  const std::optional<Request> b =
-      parse_request(batched.substr(0, batched.find('\n')));
-  ASSERT_TRUE(b.has_value());
-  ASSERT_EQ(b->op, RequestOp::kBatch);
-  ASSERT_EQ(b->batch.size(), 3u);
-  EXPECT_EQ(b->batch[0].op, RequestOp::kJoin);
-  EXPECT_EQ(b->batch[2].to, 8);
-
-  std::string error;
-  const std::string nested =
-      R"({"op":"batch","requests":[{"op":"batch","requests":[{"op":"query"}]}]})";
-  EXPECT_FALSE(parse_request(nested, &error).has_value());
-  EXPECT_EQ(error, "bad-field");
-  EXPECT_FALSE(parse_request(R"({"op":"batch","requests":[]})").has_value());
-}
-
-TEST(RequestParse, DumpRoundTripsEveryGeneratedLine) {
-  GenConfig gc;
-  gc.count = 300;
-  gc.seed = 5;
-  std::istringstream in(generate_requests(gc));
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::optional<Request> r = parse_request(line);
-    ASSERT_TRUE(r.has_value()) << line;
-    EXPECT_EQ(dump_request(*r), line);
   }
 }
 

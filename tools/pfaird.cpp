@@ -32,6 +32,7 @@
 //   --batch-requests=N   with --gen-requests: wrap the stream into
 //                        {"op":"batch"} lines of N sub-requests
 //   --seed=N --load=PCT --max-period=N   generator parameters
+//                        (2 <= max-period <= 9e15)
 //
 // One thread serves every line.  Self-profiling (obs/prof.h) is on while
 // serving: it is the one place timings are kept.
@@ -42,14 +43,17 @@
 // runs).  Wall-clock only feeds the stderr summary and the registry
 // snapshot — observability side channels.
 //
-// Exit status: 0 on success, 1 on bad usage or unreadable/unwritable
-// files.
+// Exit status: 0 on success, 1 on bad usage (a configuration the
+// generator or the daemon refuses included, such as --processors=0) or
+// unreadable/unwritable files.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <stdexcept>
 #include <string>
 
 #include "obs/prof.h"
@@ -66,8 +70,14 @@ int usage() {
       "              [--input=FILE|-] [--output=FILE|-] [--advance=N]\n"
       "              [--exact-budget=N] [--overhead] [--cache-delay=US]\n"
       "              [--memo-capacity=N] [--shards=N] [--registry=FILE]\n"
-      "       pfaird --gen-requests=N [--seed=N] [--load=PCT] [--processors=N]\n"
-      "              [--max-period=N] [--batch-requests=N] [--output=FILE|-]\n");
+      "       pfaird --gen-requests=N [--seed=N] [--load=PCT] [--max-period=N]\n"
+      "              [--batch-requests=N] [--output=FILE|-]\n");
+  return 1;
+}
+
+/// A configuration the generator or the daemon refused.
+int bad_config(const std::invalid_argument& e) {
+  std::fprintf(stderr, "pfaird: %s\n", e.what());
   return 1;
 }
 
@@ -124,9 +134,13 @@ int main(int argc, char** argv) {
     gc.count = static_cast<std::size_t>(gen);
     gc.seed = static_cast<std::uint64_t>(flag(argc, argv, "seed", 42));
     gc.load = static_cast<double>(flag(argc, argv, "load", 150)) / 100.0;
-    gc.processors = static_cast<int>(flag(argc, argv, "processors", 4));
     gc.max_period = flag(argc, argv, "max-period", 40);
-    std::string stream = pfair::serve::generate_requests(gc);
+    std::string stream;
+    try {
+      stream = pfair::serve::generate_requests(gc);
+    } catch (const std::invalid_argument& e) {
+      return bad_config(e);
+    }
     if (const long long bs = flag(argc, argv, "batch-requests", 0); bs > 1)
       stream = pfair::serve::batch_requests(stream, static_cast<std::size_t>(bs));
     *out << stream;
@@ -178,7 +192,13 @@ int main(int argc, char** argv) {
   }
 
   pfair::obs::prof::set_enabled(true);
-  pfair::serve::Daemon daemon(dc);
+  std::optional<pfair::serve::Daemon> served;
+  try {
+    served.emplace(dc);
+  } catch (const std::invalid_argument& e) {
+    return bad_config(e);
+  }
+  pfair::serve::Daemon& daemon = *served;
   const auto start = std::chrono::steady_clock::now();
   daemon.serve(*in, *out);
   const double secs =
