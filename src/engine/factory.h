@@ -73,6 +73,19 @@ struct SimulatorConfig {
   CbsConfig cbs;
   BfConfig bf;
   RunConfig run;
+
+  /// Sets every multiprocessor kind's processor count to `m` (the
+  /// partitioned kind's upper bound on bins).  uniproc and cbs run on one
+  /// processor and have no count.  A driver with one processor flag for
+  /// any kind sets it here, so no kind is left on its default of one.
+  void set_processors(int m) noexcept {
+    pfair.processors = m;
+    partitioned.max_processors = m;
+    global_job.processors = m;
+    wrr.processors = m;
+    bf.processors = m;
+    run.processors = m;
+  }
 };
 
 /// Builds an empty simulator of `kind`; load it via Simulator::admit()

@@ -27,13 +27,14 @@ namespace {
 
 [[nodiscard]] engine::SimulatorConfig simulator_config(const DaemonConfig& c) {
   engine::SimulatorConfig sc;
-  sc.pfair.processors = c.processors;
-  sc.partitioned.max_processors = c.processors;
+  sc.set_processors(c.processors);
   sc.partitioned.algorithm = c.algorithm;
-  sc.global_job.processors = c.processors;
   sc.global_job.algorithm = c.algorithm;
   sc.uniproc.algorithm = c.algorithm;
-  sc.wrr.processors = c.processors;
+  // Nothing reads BF's slot trace or RUN's segment log here, and both
+  // grow with every slot served.
+  sc.bf.record_trace = false;
+  sc.run.record_segments = false;
   return sc;
 }
 

@@ -40,8 +40,22 @@ const char* to_string(GedfVerdict v) noexcept {
   return "unknown";
 }
 
-GedfResult exact_global_schedulable(const std::vector<UniTask>& tasks, int m,
+GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
                                     UniAlgorithm algorithm, std::uint64_t max_events) {
+  // Ties go by the task — (period, execution), then index — as in
+  // GlobalJobSimulator.  Simulated in that canonical order, the index
+  // alone breaks them, and the verdict depends only on the multiset.
+  // The admission gate's workloads are canonical already.
+  const auto canonical = [](const UniTask& a, const UniTask& b) {
+    return a.period != b.period ? a.period < b.period : a.execution < b.execution;
+  };
+  std::vector<UniTask> sorted;
+  if (!std::is_sorted(input.begin(), input.end(), canonical)) {
+    sorted = input;
+    std::stable_sort(sorted.begin(), sorted.end(), canonical);
+  }
+  const std::vector<UniTask>& tasks = sorted.empty() ? input : sorted;
+
   GedfResult out;
   if (m < 1) m = 1;
   if (tasks.empty()) {
@@ -73,7 +87,7 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& tasks, int m,
   //     top and sifts it down once;
   //   - `running`, the live jobs that hold a processor, sorted by
   //     (priority key, index) — deadline for EDF, period for RM, ties
-  //     by task index, matching GlobalJobSimulator::higher_priority;
+  //     by canonical index, matching GlobalJobSimulator::higher_priority;
   //   - `waiting`, a min-heap of the other live jobs in the same order.
   //
   // Every running job precedes every waiting job, and `running` holds

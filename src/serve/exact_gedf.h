@@ -14,11 +14,13 @@
 // time H (hyperperiods explode combinatorially; the admission gate
 // falls back to its Tier-1 answer, marked approximate).
 //
-// Tie-breaking matches GlobalJobSimulator exactly (deadline, then task
-// index, for EDF; period, then task index, for RM), so the verdict is a
-// statement about the scheduler the daemon actually serves — the
-// differential test in tests/serve/exact_gedf_test.cpp holds the two
-// to each other.
+// Tie-breaking matches GlobalJobSimulator exactly (deadline, then
+// period, execution and task index, for EDF; period, execution and task
+// index, for RM), so the verdict is a statement about the scheduler the
+// daemon actually serves — the differential test in
+// tests/serve/exact_gedf_test.cpp holds the two to each other.  The
+// test simulates its input in canonical (period, execution) order, so
+// the verdict is the same for every ordering of the same tasks.
 #pragma once
 
 #include <cstdint>

@@ -2,55 +2,32 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 
 #include "core/windows.h"
 #include "util/math.h"
 
 namespace pfair {
 
-namespace {
-
-/// PD2 urgency of the pending subtask (1-based index `s`) of a task,
-/// aggregated to the interval level: earlier pseudo-deadline first,
-/// then b-bit 1 before 0, then larger group deadline, then lower id.
-/// The same comparison chain the per-quantum PD2 scheduler uses — BF
-/// only changes *when* it is consulted, not *what* it prefers.
-struct OptionalRank {
-  Time deadline = 0;
-  int b = 0;
-  Time group = 0;
-  TaskId id = 0;
-
-  [[nodiscard]] bool before(const OptionalRank& o) const noexcept {
-    if (deadline != o.deadline) return deadline < o.deadline;
-    if (b != o.b) return b > o.b;
-    if (group != o.group) return group > o.group;
-    return id < o.id;
-  }
-};
-
-OptionalRank rank_of(TaskId id, const Task& t, SubtaskIndex s) {
-  OptionalRank r;
-  r.deadline = subtask_deadline(t.execution, t.period, s);
-  r.b = b_bit(t.execution, t.period, s);
-  r.group = group_deadline(t.execution, t.period, s);
-  r.id = id;
-  return r;
-}
-
-}  // namespace
-
 BfSimulator::BfSimulator(TaskSet tasks, BfConfig config)
     : tasks_(std::move(tasks)),
       config_(config),
-      allocated_(tasks_.size(), 0),
+      fill_cursor_(static_cast<std::size_t>(config.processors), 0),
       prev_proc_task_(static_cast<std::size_t>(config.processors), kNoTask),
-      cur_proc_task_(static_cast<std::size_t>(config.processors), kNoTask),
-      prev_sched_(tasks_.size(), false),
-      cur_sched_(tasks_.size(), false),
-      last_proc_(tasks_.size(), kNoProc),
-      quota_(tasks_.size(), 0) {
+      cur_proc_task_(static_cast<std::size_t>(config.processors), kNoTask) {
   assert(config_.processors >= 1);
+  for (TaskId id = 0; id < tasks_.size(); ++id) add_task_state(tasks_[id]);
+}
+
+void BfSimulator::add_task_state(const Task& t) {
+  allocated_.push_back(0);
+  next_boundary_.push_back(0);
+  due_.push_back(0);
+  job_left_.push_back(t.execution);
+  job_release_.push_back(0);
+  last_slot_.push_back(-1);
+  last_proc_.push_back(kNoProc);
+  quota_.push_back(0);
 }
 
 bool BfSimulator::admit(const engine::TaskSpec& spec) {
@@ -61,11 +38,7 @@ bool BfSimulator::admit(const engine::TaskSpec& spec) {
   const Task t = make_task(spec.resolved_execution(), spec.resolved_period(),
                            TaskKind::kPeriodic, spec.name);
   tasks_.add(t);
-  allocated_.push_back(0);
-  prev_sched_.push_back(false);
-  cur_sched_.push_back(false);
-  last_proc_.push_back(kNoProc);
-  quota_.push_back(0);
+  add_task_state(t);
   ++metrics_.tasks_admitted;
   return true;
 }
@@ -74,40 +47,43 @@ void BfSimulator::plan_interval() {
   const Time b = now_;
   const std::size_t n = tasks_.size();
   const std::int64_t m_procs = config_.processors;
+  const auto rank_of = [&](TaskId id, SubtaskIndex s) {
+    const Task& t = tasks_[id];
+    return Rank{subtask_deadline(t.execution, t.period, s), b_bit(t.execution, t.period, s),
+                group_deadline(t.execution, t.period, s), id};
+  };
 
-  // Next boundary: the smallest period multiple strictly after b.
-  Time b_next = -1;
+  // Period boundaries of individual tasks: job deadlines are checked
+  // and the next jobs released exactly here — every job deadline is a
+  // boundary, so no miss can hide between decisions.  Each task's cursor
+  // holds its next period multiple, so the next boundary is their
+  // minimum once the tasks due at b have stepped on.
+  Time b_next = std::numeric_limits<Time>::max();
   for (TaskId id = 0; id < n; ++id) {
-    const Time next = (b / tasks_[id].period + 1) * tasks_[id].period;
-    if (b_next < 0 || next < b_next) b_next = next;
+    const Task& t = tasks_[id];
+    if (next_boundary_[id] == b) {
+      // due_ is what the job ending at b needed (0 at time 0).
+      if (allocated_[id] < due_[id]) {
+        metrics_.record_miss(b);
+        obs::emit(bus_, obs::EventKind::kDeadlineMiss, b, id);
+      }
+      ++metrics_.jobs_released;
+      obs::emit(bus_, obs::EventKind::kJobRelease, b, id, kNoProc,
+                static_cast<double>(b + t.period));
+      next_boundary_[id] = b + t.period;
+      due_[id] += t.execution;
+    }
+    b_next = std::min(b_next, next_boundary_[id]);
   }
   assert(b_next > b);
   interval_begin_ = b;
   interval_end_ = b_next;
   const Time L = b_next - b;
 
-  // Period boundaries of individual tasks: job deadlines are checked
-  // and the next jobs released exactly here — every job deadline is a
-  // boundary, so no miss can hide between decisions.
-  for (TaskId id = 0; id < n; ++id) {
-    const Task& t = tasks_[id];
-    if (b % t.period != 0) continue;
-    if (b > 0) {
-      const std::int64_t k = b / t.period;  // job k's deadline is b
-      if (allocated_[id] < checked_mul(k, t.execution)) {
-        metrics_.record_miss(b);
-        obs::emit(bus_, obs::EventKind::kDeadlineMiss, b, id);
-      }
-    }
-    ++metrics_.jobs_released;
-    obs::emit(bus_, obs::EventKind::kJobRelease, b, id, kNoProc,
-              static_cast<double>(b + t.period));
-  }
-
   // Mandatory units: m_i = max(0, floor(F_i)) with F_i the fluid target
   // wt * b_next - allocated.  All per-task arithmetic stays over the
   // task's own denominator p_i, so nothing ever needs a common period
-  // lcm.  F_i < 0 means the task holds its ceiling allocation and a
+  // lcm.  F_i <= 0 means the task holds its ceiling allocation and a
   // short interval ends before the fluid schedule catches up: it gets
   // (and may take) nothing.
   std::int64_t mandatory_total = 0;
@@ -116,48 +92,48 @@ void BfSimulator::plan_interval() {
     const Task& t = tasks_[id];
     const std::int64_t f_num =
         checked_mul(t.execution, b_next) - checked_mul(allocated_[id], t.period);
-    std::int64_t m = std::max<std::int64_t>(0, floor_div(f_num, t.period));
-    if (m > L) m = L;  // defensive: only reachable after a prior overload
+    std::int64_t m = 0;
+    if (f_num > 0) {
+      // m > L is only reachable after a prior overload: capped.
+      m = std::min<std::int64_t>(f_num / t.period, L);
+      if (f_num % t.period != 0 && m < L) eligible_.push_back(id);
+    }
     quota_[id] = m;
     mandatory_total += m;
-    if (f_num > 0 && f_num % t.period != 0 && m < L) eligible_.push_back(id);
   }
 
   const std::int64_t capacity = checked_mul(m_procs, L);
+  ranks_.clear();
   if (mandatory_total > capacity) {
     // Overloaded interval (sum wt > M, or an earlier overload's debt):
     // serve mandatory units in PD2 urgency order until capacity runs
     // out; the shortfall surfaces as boundary deadline misses above.
-    std::vector<TaskId> order;
     for (TaskId id = 0; id < n; ++id)
-      if (quota_[id] > 0) order.push_back(id);
-    std::sort(order.begin(), order.end(), [&](TaskId a, TaskId bb) {
-      return rank_of(a, tasks_[a], allocated_[a] + 1)
-          .before(rank_of(bb, tasks_[bb], allocated_[bb] + 1));
-    });
+      if (quota_[id] > 0) ranks_.push_back(rank_of(id, allocated_[id] + 1));
+    std::sort(ranks_.begin(), ranks_.end(),
+              [](const Rank& x, const Rank& y) { return x.before(y); });
     std::int64_t left = capacity;
-    std::vector<std::int64_t> want(n, 0);
-    for (TaskId id = 0; id < n; ++id) std::swap(want[id], quota_[id]);
-    for (const TaskId id : order) {
-      const std::int64_t take = std::min(want[id], left);
-      quota_[id] = take;
+    for (const Rank& r : ranks_) {
+      const std::int64_t take = std::min(quota_[r.id], left);
+      quota_[r.id] = take;
       left -= take;
     }
   } else {
-    // Optional units: hand the RC = M*L - sum m_i leftover quanta to
-    // eligible tasks by the urgency of the first subtask *after* the
-    // mandatory batch (the one the extra quantum would serve).
-    std::int64_t rc = capacity - mandatory_total;
-    if (rc > 0 && !eligible_.empty()) {
-      std::sort(eligible_.begin(), eligible_.end(), [&](TaskId a, TaskId bb) {
-        return rank_of(a, tasks_[a], allocated_[a] + quota_[a] + 1)
-            .before(rank_of(bb, tasks_[bb], allocated_[bb] + quota_[bb] + 1));
-      });
-      for (const TaskId id : eligible_) {
-        if (rc == 0) break;
-        ++quota_[id];
-        --rc;
-      }
+    // Optional units: hand the RC = M*L - sum m_i leftover quanta to the
+    // RC most urgent eligible tasks, ranked by the first subtask *after*
+    // the mandatory batch (the one the extra quantum would serve).  Each
+    // winner gets exactly one unit, so only the set of winners matters:
+    // when every candidate wins no rank is needed, otherwise a selection
+    // by rank finds the same RC tasks a full sort would put first.
+    const auto rc = static_cast<std::size_t>(capacity - mandatory_total);
+    if (rc >= eligible_.size()) {
+      for (const TaskId id : eligible_) ++quota_[id];
+    } else if (rc > 0) {
+      for (const TaskId id : eligible_)
+        ranks_.push_back(rank_of(id, allocated_[id] + quota_[id] + 1));
+      std::nth_element(ranks_.begin(), ranks_.begin() + static_cast<std::ptrdiff_t>(rc),
+                       ranks_.end(), [](const Rank& x, const Rank& y) { return x.before(y); });
+      for (std::size_t k = 0; k < rc; ++k) ++quota_[ranks_[k].id];
     }
   }
 
@@ -165,20 +141,22 @@ void BfSimulator::plan_interval() {
   // slot by slot, overflow wraps onto the next processor.  Each task's
   // quanta stay contiguous (split across at most two processors), so an
   // interval causes at most M-1 mid-job splits — the decision-point
-  // economy BF exists for.
-  layout_.assign(static_cast<std::size_t>(L),
-                 std::vector<TaskId>(static_cast<std::size_t>(m_procs), kNoTask));
-  std::size_t proc = 0;
-  std::size_t offset = 0;
+  // economy BF exists for.  The layout is kept as the fill order itself:
+  // processor p runs fill positions [p*L, (p+1)*L), and fill_cursor_[p]
+  // points at the run covering its current slot.
+  fill_.clear();
+  filled_ = 0;
   for (TaskId id = 0; id < n; ++id) {
-    for (std::int64_t q = 0; q < quota_[id]; ++q) {
-      assert(proc < static_cast<std::size_t>(m_procs));
-      layout_[offset][proc] = id;
-      if (++offset == static_cast<std::size_t>(L)) {
-        offset = 0;
-        ++proc;
-      }
-    }
+    if (quota_[id] == 0) continue;
+    filled_ += quota_[id];
+    fill_.push_back(FillRun{id, filled_});
+  }
+  assert(filled_ <= capacity);
+  std::size_t run = 0;
+  for (std::size_t proc = 0; proc < static_cast<std::size_t>(m_procs); ++proc) {
+    const std::int64_t start = static_cast<std::int64_t>(proc) * L;
+    while (run < fill_.size() && fill_[run].end <= start) ++run;
+    fill_cursor_[proc] = run;
   }
 
   ++metrics_.scheduler_invocations;
@@ -189,21 +167,27 @@ void BfSimulator::plan_interval() {
 void BfSimulator::emit_slot() {
   const Time s = now_;
   const std::size_t m = static_cast<std::size_t>(config_.processors);
-  const std::vector<TaskId>& row = layout_[static_cast<std::size_t>(s - interval_begin_)];
+  const std::int64_t L = interval_end_ - interval_begin_;
+  const std::int64_t offset = s - interval_begin_;
 
   obs::emit(bus_, obs::EventKind::kSlotBegin, s, kNoTask, kNoProc,
             static_cast<double>(config_.processors));
   if (config_.record_trace) trace_.begin_slot(m);
-  std::fill(cur_sched_.begin(), cur_sched_.end(), false);
-  std::fill(cur_proc_task_.begin(), cur_proc_task_.end(), kNoTask);
   int served = 0;
   for (std::size_t proc = 0; proc < m; ++proc) {
-    const TaskId id = row[proc];
-    if (id == kNoTask) continue;
+    const std::int64_t at = static_cast<std::int64_t>(proc) * L + offset;
+    if (at >= filled_) {
+      cur_proc_task_[proc] = kNoTask;
+      continue;
+    }
+    // Runs are at least one quantum long: one step reaches the next.
+    std::size_t& run = fill_cursor_[proc];
+    if (fill_[run].end <= at) ++run;
+    const TaskId id = fill_[run].task;
     const Task& t = tasks_[id];
     if (config_.record_trace) trace_.record(static_cast<ProcId>(proc), id);
-    cur_sched_[id] = true;
     cur_proc_task_[proc] = id;
+    last_slot_[id] = s;
     ++allocated_[id];
     ++served;
     obs::emit(bus_, obs::EventKind::kDispatch, s, id, static_cast<ProcId>(proc),
@@ -218,11 +202,11 @@ void BfSimulator::emit_slot() {
                 static_cast<double>(last_proc_[id]));
     }
     last_proc_[id] = static_cast<ProcId>(proc);
-    if (allocated_[id] % t.execution == 0) {
-      // Job k = allocated/e just finished; released at (k-1)*p.
-      const std::int64_t k = allocated_[id] / t.execution;
-      const double response =
-          static_cast<double>(s + 1 - checked_mul(k - 1, t.period));
+    if (--job_left_[id] == 0) {
+      // The current job, released at job_release_, just finished.
+      const double response = static_cast<double>(s + 1 - job_release_[id]);
+      job_left_[id] = t.execution;
+      job_release_[id] += t.period;
       ++metrics_.jobs_completed;
       metrics_.response_time.add(response);
       obs::emit(bus_, obs::EventKind::kJobComplete, s, id, static_cast<ProcId>(proc),
@@ -230,14 +214,17 @@ void BfSimulator::emit_slot() {
     }
   }
   // Sec.-4 preemption rule: scheduled in s-1, current job incomplete,
-  // not scheduled in s.
-  for (TaskId id = 0; id < tasks_.size(); ++id) {
-    if (prev_sched_[id] && !cur_sched_[id] && allocated_[id] % tasks_[id].execution != 0) {
+  // not scheduled in s.  Only the previous slot's tasks can qualify.  A
+  // McNaughton row holds ascending ids across processors (processor p's
+  // slot is fill position p*L + offset, and the fill runs in id order),
+  // so walking it by processor emits in id order.
+  for (const TaskId id : prev_proc_task_) {
+    if (id == kNoTask) break;  // idle processors come after the busy ones
+    if (last_slot_[id] != s && job_left_[id] != tasks_[id].execution) {
       ++metrics_.preemptions;
       obs::emit(bus_, obs::EventKind::kPreemption, s, id, kNoProc, -1.0);
     }
   }
-  std::swap(prev_sched_, cur_sched_);
   std::swap(prev_proc_task_, cur_proc_task_);
   ++metrics_.slots;
   metrics_.busy_quanta += static_cast<std::uint64_t>(served);

@@ -76,17 +76,35 @@ class BfSimulator : public engine::Simulator {
   void plan_interval();
   /// Emits one laid-out slot (trace, obs events, Sec.-4 accounting).
   void emit_slot();
+  /// Grows the per-task state for a task added to tasks_.
+  void add_task_state(const Task& t);
+
+  /// One task's quanta in the McNaughton fill order of an interval: it
+  /// covers fill positions [previous entry's end, end).
+  struct FillRun {
+    TaskId task;
+    std::int64_t end;
+  };
 
   TaskSet tasks_;
   BfConfig config_;
   Time now_ = 0;
   std::vector<std::int64_t> allocated_;  ///< cumulative quanta per task
 
-  // Current interval [interval_begin_, interval_end_), laid out as
-  // layout_[slot - interval_begin_][proc] = task (kNoTask = idle).
+  // Per-task cursors, advanced as time passes instead of divided out.
+  std::vector<Time> next_boundary_;     ///< next multiple of the period >= now_
+  std::vector<std::int64_t> due_;       ///< quanta owed by next_boundary_
+  std::vector<std::int64_t> job_left_;  ///< quanta left in the current job
+  std::vector<Time> job_release_;       ///< release of the current job
+  std::vector<Time> last_slot_;         ///< last slot the task ran in (-1: never)
+
+  // Current interval [interval_begin_, interval_end_).  Processor p runs
+  // fill positions [p*L, (p+1)*L); fill_cursor_[p] is its current run.
   Time interval_begin_ = 0;
   Time interval_end_ = 0;
-  std::vector<std::vector<TaskId>> layout_;
+  std::vector<FillRun> fill_;
+  std::int64_t filled_ = 0;  ///< total quanta laid out this interval
+  std::vector<std::size_t> fill_cursor_;
 
   ScheduleTrace trace_;
   engine::Metrics metrics_;
@@ -95,12 +113,29 @@ class BfSimulator : public engine::Simulator {
   // Scratch for the Sec.-4 event accounting, reused every slot.
   std::vector<TaskId> prev_proc_task_;
   std::vector<TaskId> cur_proc_task_;
-  std::vector<bool> prev_sched_;
-  std::vector<bool> cur_sched_;
   std::vector<ProcId> last_proc_;
   // Per-interval allocation scratch.
-  std::vector<std::int64_t> quota_;     ///< x_i for the current interval
-  std::vector<TaskId> eligible_;        ///< optional-unit candidates
+  std::vector<std::int64_t> quota_;  ///< x_i for the current interval
+  std::vector<TaskId> eligible_;     ///< optional-unit candidates
+  /// PD2 urgency of a task's pending subtask, aggregated to the interval
+  /// level: earlier pseudo-deadline first, then b-bit 1 before 0, then
+  /// larger group deadline, then lower id.  The same comparison chain the
+  /// per-quantum PD2 scheduler uses — BF only changes *when* it is
+  /// consulted, not *what* it prefers.
+  struct Rank {
+    Time deadline = 0;
+    int b = 0;
+    Time group = 0;
+    TaskId id = 0;
+
+    [[nodiscard]] bool before(const Rank& o) const noexcept {
+      if (deadline != o.deadline) return deadline < o.deadline;
+      if (b != o.b) return b > o.b;
+      if (group != o.group) return group > o.group;
+      return id < o.id;
+    }
+  };
+  std::vector<Rank> ranks_;  ///< ranks of the candidates, each computed once
 };
 
 }  // namespace pfair

@@ -28,12 +28,16 @@ bool GlobalJobSimulator::admit(const engine::TaskSpec& spec) {
 }
 
 bool GlobalJobSimulator::higher_priority(const Job& a, const Job& b) const {
-  if (config_.algorithm == UniAlgorithm::kEDF) {
-    if (a.deadline != b.deadline) return a.deadline < b.deadline;
-  } else {
-    if (tasks_[a.task].period != tasks_[b.task].period)
-      return tasks_[a.task].period < tasks_[b.task].period;
-  }
+  if (config_.algorithm == UniAlgorithm::kEDF && a.deadline != b.deadline)
+    return a.deadline < b.deadline;
+  // Ties (and RM) go by the task, not by when it arrived: (period,
+  // execution), then index.  Tasks equal in both are interchangeable, so
+  // the schedule, and exact_global_schedulable's verdict, depend only on
+  // the multiset of tasks, never on admission order.
+  const UniTask& ta = tasks_[a.task];
+  const UniTask& tb = tasks_[b.task];
+  if (ta.period != tb.period) return ta.period < tb.period;
+  if (ta.execution != tb.execution) return ta.execution < tb.execution;
   return a.task < b.task;
 }
 

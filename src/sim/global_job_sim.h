@@ -11,7 +11,8 @@
 //
 // Continuous time (no quantisation); priorities change only at job
 // releases, so the event loop advances between releases and
-// completions.  Processor assignment uses the same affinity policy as
+// completions.  Priority is (EDF: deadline, then) period, execution and
+// task index, so equal keys never fall back on admission order.  Processor assignment uses the same affinity policy as
 // the Pfair simulator (keep a continuing job on its processor) so the
 // migration counts are comparable.
 #pragma once

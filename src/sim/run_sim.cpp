@@ -4,6 +4,7 @@
 #include <cassert>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/math.h"
 
@@ -16,6 +17,7 @@ constexpr std::uint32_t kNoNode = 0xffffffff;
 RunSimulator::RunSimulator(RunConfig config) : config_(config) {
   assert(config_.processors >= 1);
   proc_owner_.assign(static_cast<std::size_t>(config_.processors), kNoNode);
+  proc_used_.assign(static_cast<std::size_t>(config_.processors), 0);
 }
 
 bool RunSimulator::admit(const engine::TaskSpec& spec) {
@@ -44,6 +46,7 @@ bool RunSimulator::admit(const engine::TaskSpec& spec) {
 
 void RunSimulator::build_tree() {
   built_ = true;
+  max_slot_ = std::numeric_limits<std::int64_t>::max() / ticks_;
   if (tasks_.empty()) return;
 
   // Leaves: one per task, plus at most one fractional idle leaf that
@@ -77,14 +80,12 @@ void RunSimulator::build_tree() {
     leaves_.push_back(static_cast<std::uint32_t>(nodes_.size()));
     nodes_.push_back(std::move(idle));
   }
-  leaf_proc_.assign(nodes_.size() + 1, kNoProc);  // grows below with packs/duals
 
-  for (std::size_t i = 0; i < tasks_.size(); ++i)
-    distinct_periods_.push_back(tasks_[i].period);
-  std::sort(distinct_periods_.begin(), distinct_periods_.end());
-  distinct_periods_.erase(
-      std::unique(distinct_periods_.begin(), distinct_periods_.end()),
-      distinct_periods_.end());
+  std::vector<Time> periods;
+  for (std::size_t i = 0; i < tasks_.size(); ++i) periods.push_back(tasks_[i].period);
+  std::sort(periods.begin(), periods.end());
+  periods.erase(std::unique(periods.begin(), periods.end()), periods.end());
+  for (const Time p : periods) boundary_cursors_.push_back(PeriodCursor{p, 0});
 
   // Reduce: pack (FFD) -> unit packs become roots -> dual the rest.
   std::vector<std::uint32_t> items = leaves_;
@@ -121,6 +122,7 @@ void RunSimulator::build_tree() {
       pack.clients = std::move(bins[b]);
       std::sort(pack.clients.begin(), pack.clients.end());
       const std::uint32_t pack_idx = static_cast<std::uint32_t>(nodes_.size());
+      for (const std::uint32_t c : pack.clients) nodes_[c].parent = pack_idx;
       nodes_.push_back(std::move(pack));
       if (bin_rate[b] == ticks_) {
         roots_.push_back(pack_idx);
@@ -133,17 +135,21 @@ void RunSimulator::build_tree() {
       dual.primal = pack_idx;
       dual.rate_num = ticks_ - bin_rate[b];
       // The dual's deadline set is the union of leaf periods below it.
+      periods.clear();
       for (const std::uint32_t c : nodes_[pack_idx].clients) {
         const Node& child = nodes_[c];
-        if (child.kind == Node::Kind::kLeaf)
-          dual.periods.push_back(child.period);
-        else
-          dual.periods.insert(dual.periods.end(), child.periods.begin(),
-                              child.periods.end());
+        if (child.kind == Node::Kind::kLeaf) {
+          periods.push_back(child.period);
+        } else {
+          for (std::uint32_t k = child.cursors_begin; k < child.cursors_end; ++k)
+            periods.push_back(dual_cursors_[k].period);
+        }
       }
-      std::sort(dual.periods.begin(), dual.periods.end());
-      dual.periods.erase(std::unique(dual.periods.begin(), dual.periods.end()),
-                         dual.periods.end());
+      std::sort(periods.begin(), periods.end());
+      periods.erase(std::unique(periods.begin(), periods.end()), periods.end());
+      dual.cursors_begin = static_cast<std::uint32_t>(dual_cursors_.size());
+      for (const Time p : periods) dual_cursors_.push_back(PeriodCursor{p, 0});
+      dual.cursors_end = static_cast<std::uint32_t>(dual_cursors_.size());
       const std::uint32_t dual_idx = static_cast<std::uint32_t>(nodes_.size());
       duals_.push_back(dual_idx);
       nodes_.push_back(std::move(dual));
@@ -153,19 +159,28 @@ void RunSimulator::build_tree() {
     if (dualized) ++levels_;
   }
   leaf_proc_.assign(nodes_.size(), kNoProc);
+
+  // Initial marks: no client is picked yet, so every pack executes —
+  // roots always, the others because their duals do not.
+  exec_.assign(nodes_.size(), 0);
+  dirty_.assign(nodes_.size(), 0);
+  for (std::uint32_t idx = static_cast<std::uint32_t>(nodes_.size()); idx-- > 0;) {
+    if (nodes_[idx].kind != Node::Kind::kPack) continue;
+    exec_[idx] = 1;
+    packs_desc_.push_back(idx);
+  }
 }
 
-Time RunSimulator::next_boundary_after(Time t_real) const {
-  Time next = std::numeric_limits<Time>::max();
-  for (const Time p : distinct_periods_)
-    next = std::min(next, (t_real / p + 1) * p);
-  return next;
+std::int64_t RunSimulator::tick_of(Time t) const noexcept {
+  return t > max_slot_ ? std::numeric_limits<std::int64_t>::max() : t * ticks_;
 }
 
 void RunSimulator::process_boundary(Time t_real) {
+  // Every multiple of every leaf period is a boundary, so each node's
+  // cursor (its `deadline`) meets the boundaries that concern it exactly.
   for (const std::uint32_t idx : leaves_) {
     Node& leaf = nodes_[idx];
-    if (t_real % leaf.period != 0) continue;
+    if (leaf.deadline != t_real) continue;
     if (leaf.task != kNoTask) {
       if (leaf.work > 0) {
         // Predecessor job incomplete at its implicit deadline.  With
@@ -184,120 +199,149 @@ void RunSimulator::process_boundary(Time t_real) {
   }
   for (const std::uint32_t idx : duals_) {
     Node& dual = nodes_[idx];
-    bool hit = false;
+    if (dual.deadline != t_real) continue;  // not a deadline of this subtree: budget carries on
     Time next = std::numeric_limits<Time>::max();
-    for (const Time p : dual.periods) {
-      if (t_real % p == 0) hit = true;
-      next = std::min(next, (t_real / p + 1) * p);
+    for (std::uint32_t k = dual.cursors_begin; k < dual.cursors_end; ++k) {
+      PeriodCursor& c = dual_cursors_[k];
+      if (c.next == t_real) c.next += c.period;
+      next = std::min(next, c.next);
     }
-    if (!hit) continue;  // not a deadline of this subtree: budget carries on
     dual.deadline = next;
     dual.budget = checked_mul(dual.rate_num, next - t_real);
   }
-  pending_boundary_ = next_boundary_after(t_real);
+  Time next = std::numeric_limits<Time>::max();
+  for (PeriodCursor& c : boundary_cursors_) {
+    if (c.next == t_real) c.next += c.period;
+    next = std::min(next, c.next);
+  }
+  pending_boundary_ = next;
+  boundary_tick_ = tick_of(next);
+  // Deadlines, work and budgets may all have moved: re-pick every pack.
+  for (const std::uint32_t idx : packs_desc_) mark_dirty(idx);
 }
 
-void RunSimulator::mark_pack(std::uint32_t idx, bool exec) {
-  Node& pack = nodes_[idx];
-  pack.executing = exec;
-  std::uint32_t pick = kNoNode;
-  if (exec) {
-    for (const std::uint32_t c : pack.clients) {
-      const Node& cand = nodes_[c];
-      const bool available = cand.kind == Node::Kind::kLeaf ? cand.work > 0
-                                                            : cand.budget > 0;
-      if (!available) continue;
-      if (pick == kNoNode || cand.deadline < nodes_[pick].deadline) pick = c;
-    }
-  }
-  for (const std::uint32_t c : pack.clients) {
-    const bool sel = c == pick;
-    Node& child = nodes_[c];
-    child.executing = sel;
-    // The inversion at the heart of RUN: a primal pack executes exactly
-    // when its dual does not — unconditionally, so an idle parent pack
-    // (sel = false for all dual clients) turns every primal below ON.
-    if (child.kind == Node::Kind::kDual) mark_pack(child.primal, !sel);
-  }
-}
-
-void RunSimulator::select() {
+bool RunSimulator::select() {
   ++metrics_.scheduler_invocations;
   ++metrics_.scheduling_points;
-  obs::emit(bus_, obs::EventKind::kSchedInvoke,
-            static_cast<Time>(now_tick_ / ticks_));
-  for (const std::uint32_t r : roots_) mark_pack(r, true);
-  executing_leaves_.clear();
-  for (const std::uint32_t idx : leaves_)
-    if (nodes_[idx].executing) executing_leaves_.push_back(idx);
-  assert(executing_leaves_.size() <=
-         static_cast<std::size_t>(config_.processors));
-  // Defensive cap: the RUN theorem bounds the executing set by M; never
-  // let a bookkeeping bug write past the processor array in release.
-  if (executing_leaves_.size() > static_cast<std::size_t>(config_.processors))
-    executing_leaves_.resize(static_cast<std::size_t>(config_.processors));
+  emit_now(obs::EventKind::kSchedInvoke);
+  reselect_ = false;
+  started_.clear();
+  stopped_.clear();
+  // Parent-first: a pack's parent and its dual both have higher indices,
+  // so every mark that feeds a pack is final before the pack is visited.
+  for (const std::uint32_t idx : packs_desc_) {
+    if (dirty_[idx] == 0) continue;
+    dirty_[idx] = 0;
+    const Node& pack = nodes_[idx];
+    std::uint32_t pick = kNoNode;
+    if (exec_[idx] != 0) {
+      for (const std::uint32_t c : pack.clients) {
+        const Node& cand = nodes_[c];
+        const bool available = cand.kind == Node::Kind::kLeaf ? cand.work > 0
+                                                              : cand.budget > 0;
+        if (!available) continue;
+        if (pick == kNoNode || cand.deadline < nodes_[pick].deadline) pick = c;
+      }
+    }
+    for (const std::uint32_t c : pack.clients) {
+      const std::uint8_t sel = c == pick ? 1 : 0;
+      if (exec_[c] == sel) continue;
+      exec_[c] = sel;
+      const Node& child = nodes_[c];
+      if (child.kind == Node::Kind::kDual) {
+        // The inversion at the heart of RUN: a primal pack executes
+        // exactly when its dual does not — unconditionally, so an idle
+        // parent pack (sel = 0 for all dual clients) turns every primal
+        // below ON.
+        exec_[child.primal] = sel ^ 1;
+        dirty_[child.primal] = 1;
+      } else {
+        (sel != 0 ? started_ : stopped_).push_back(c);
+      }
+    }
+  }
+  if (started_.empty() && stopped_.empty()) return false;
+  // Each leaf flips at most once per pass (only its pack sets it).
+  std::sort(started_.begin(), started_.end());
+  std::sort(stopped_.begin(), stopped_.end());
+  // Branch-free: which leaves execute changes at nearly every event.
+  executing_leaves_.resize(leaves_.size());
+  std::size_t count = 0;
+  for (const std::uint32_t idx : leaves_) {
+    executing_leaves_[count] = idx;
+    count += exec_[idx];
+  }
+  executing_leaves_.resize(count);
+  // The RUN theorem bounds the executing set by M; a bookkeeping bug
+  // must not write past the processor arrays, in any build.
+  if (count > static_cast<std::size_t>(config_.processors))
+    throw std::logic_error("RunSimulator: more leaves executing than processors");
+  return true;
 }
 
-void RunSimulator::assign_processors(Time event_real) {
+void RunSimulator::assign_processors() {
   const std::size_t m = static_cast<std::size_t>(config_.processors);
-  // Pass 1: a leaf keeps its previous processor when no newly selected
-  // leaf already claimed it (affinity minimises migrations).
-  std::vector<bool> used(m, false);
-  std::vector<std::uint32_t> unplaced;
-  for (const std::uint32_t idx : executing_leaves_) {
+  // A leaf that keeps executing keeps its processor: it owns it, and no
+  // other leaf may take a processor whose owner still executes.  Only
+  // the leaves that started or stopped at this event need work.
+  const auto held = [&](std::size_t p) {
+    return proc_owner_[p] != kNoNode && exec_[proc_owner_[p]] != 0;
+  };
+  // Pass 1: a started leaf takes back its previous processor when no
+  // lower started leaf already claimed it and its owner stopped
+  // (affinity minimises migrations).
+  std::fill(proc_used_.begin(), proc_used_.end(), 0);
+  unplaced_.clear();
+  for (const std::uint32_t idx : started_) {
     const ProcId p = leaf_proc_[idx];
-    if (p != kNoProc && !used[p] &&
+    if (p != kNoProc && proc_used_[p] == 0 &&
         (proc_owner_[p] == idx || proc_owner_[p] == kNoNode ||
-         !nodes_[proc_owner_[p]].executing)) {
-      used[p] = true;
+         exec_[proc_owner_[p]] == 0)) {
+      proc_used_[p] = 1;
     } else {
-      unplaced.push_back(idx);
+      unplaced_.push_back(idx);
     }
   }
   // Pass 2: remaining leaves take the lowest free processor, id order.
   std::size_t next_free = 0;
-  for (const std::uint32_t idx : unplaced) {
-    while (next_free < m && used[next_free]) ++next_free;
+  for (const std::uint32_t idx : unplaced_) {
+    while (next_free < m && (proc_used_[next_free] != 0 || held(next_free))) ++next_free;
     assert(next_free < m);
     const ProcId p = static_cast<ProcId>(next_free);
-    used[p] = true;
+    proc_used_[p] = 1;
     const Node& leaf = nodes_[idx];
     if (leaf.task != kNoTask) {
       if (leaf_proc_[idx] != kNoProc && leaf_proc_[idx] != p) {
         ++metrics_.migrations;
-        obs::emit(bus_, obs::EventKind::kMigration, event_real, leaf.task, p,
-                  static_cast<double>(leaf_proc_[idx]));
+        emit_now(obs::EventKind::kMigration, leaf.task, p,
+                 static_cast<double>(leaf_proc_[idx]));
       }
     }
     leaf_proc_[idx] = p;
   }
   // Preemptions (Sec.-4 rule): was executing, no longer is, job unfinished.
-  for (const std::uint32_t idx : prev_executing_) {
+  for (const std::uint32_t idx : stopped_) {
     const Node& leaf = nodes_[idx];
-    if (!leaf.executing && leaf.work > 0 && leaf.task != kNoTask) {
+    if (leaf.work > 0 && leaf.task != kNoTask) {
       ++metrics_.preemptions;
-      obs::emit(bus_, obs::EventKind::kPreemption, event_real, leaf.task, kNoProc,
-                -1.0);
+      emit_now(obs::EventKind::kPreemption, leaf.task, kNoProc, -1.0);
     }
   }
   // Context switches: the processor's occupant changed.
-  for (const std::uint32_t idx : executing_leaves_) {
+  for (const std::uint32_t idx : started_) {
     const ProcId p = leaf_proc_[idx];
     if (proc_owner_[p] != idx) {
       if (nodes_[idx].task != kNoTask) {
         ++metrics_.context_switches;
-        obs::emit(bus_, obs::EventKind::kContextSwitch, event_real,
-                  nodes_[idx].task, p);
-        obs::emit(bus_, obs::EventKind::kDispatch, event_real, nodes_[idx].task,
-                  p, -1.0);
+        emit_now(obs::EventKind::kContextSwitch, nodes_[idx].task, p);
+        emit_now(obs::EventKind::kDispatch, nodes_[idx].task, p, -1.0);
       }
       proc_owner_[p] = idx;
     }
   }
-  for (std::size_t p = 0; p < m; ++p)
-    if (proc_owner_[p] != kNoNode && !nodes_[proc_owner_[p]].executing)
-      proc_owner_[p] = kNoNode;
-  prev_executing_ = executing_leaves_;
+  // A stopped leaf's processor is free unless a started leaf took it.
+  for (const std::uint32_t idx : stopped_)
+    if (proc_owner_[leaf_proc_[idx]] == idx) proc_owner_[leaf_proc_[idx]] = kNoNode;
 }
 
 Time RunSimulator::now() const noexcept {
@@ -306,53 +350,55 @@ Time RunSimulator::now() const noexcept {
 
 void RunSimulator::run_until(Time until) {
   if (!built_) build_tree();
-  assert(until <= std::numeric_limits<std::int64_t>::max() / ticks_);
-  const std::int64_t until_tick = checked_mul(until, ticks_);
+  // A slot whose tick would pass INT64_MAX is out of reach: run to the
+  // last one that fits, so now() reports where the run stopped.
+  const std::int64_t until_tick = tick_of(std::clamp<Time>(until, 0, max_slot_));
   if (leaves_.empty()) {
     now_tick_ = std::max(now_tick_, until_tick);
   } else {
     while (now_tick_ < until_tick) {
-      if (now_tick_ == checked_mul(pending_boundary_, ticks_))
-        process_boundary(pending_boundary_);
-      const Time event_real = static_cast<Time>(now_tick_ / ticks_);
-      select();
-      assign_processors(event_real);
+      if (now_tick_ == boundary_tick_) process_boundary(pending_boundary_);
+      if (reselect_ && select()) assign_processors();
 
-      std::int64_t next =
-          std::min(until_tick, checked_mul(pending_boundary_, ticks_));
+      // The marks hold until the next boundary, the next completion of
+      // an executing leaf, or the exhaustion of an executing dual.
+      std::int64_t delta = std::min(until_tick, boundary_tick_) - now_tick_;
       for (const std::uint32_t idx : executing_leaves_)
-        next = std::min(next, now_tick_ + nodes_[idx].work);
+        delta = std::min(delta, nodes_[idx].work);
       for (const std::uint32_t idx : duals_)
-        if (nodes_[idx].executing) next = std::min(next, now_tick_ + nodes_[idx].budget);
-      assert(next > now_tick_);
+        delta = std::min(delta, exec_[idx] != 0 ? nodes_[idx].budget : delta);
+      assert(delta > 0);
 
-      const std::int64_t delta = next - now_tick_;
+      const std::int64_t start = now_tick_;
+      now_tick_ += delta;
       for (const std::uint32_t idx : executing_leaves_) {
         Node& leaf = nodes_[idx];
         leaf.work -= delta;
+        if (leaf.work == 0) mark_dirty(leaf.parent);
         if (leaf.task == kNoTask) continue;
         busy_ticks_ += delta;
         if (config_.record_segments) {
           if (!segments_.empty() && segments_.back().task == leaf.task &&
-              segments_.back().end == now_tick_) {
-            segments_.back().end = next;  // contiguous: extend in place
+              segments_.back().end == start) {
+            segments_.back().end = now_tick_;  // contiguous: extend in place
           } else {
-            segments_.push_back(RunSegment{leaf.task, now_tick_, next});
+            segments_.push_back(RunSegment{leaf.task, start, now_tick_});
           }
         }
         if (leaf.work == 0) {
           ++metrics_.jobs_completed;
-          const double response =
-              static_cast<double>(next - leaf.release_tick) / static_cast<double>(ticks_);
+          const double response = static_cast<double>(now_tick_ - leaf.release_tick) /
+                                   static_cast<double>(ticks_);
           metrics_.response_time.add(response);
-          obs::emit(bus_, obs::EventKind::kJobComplete,
-                    static_cast<Time>(next / ticks_), leaf.task, leaf_proc_[idx],
-                    response);
+          emit_now(obs::EventKind::kJobComplete, leaf.task, leaf_proc_[idx], response);
         }
       }
-      for (const std::uint32_t idx : duals_)
-        if (nodes_[idx].executing) nodes_[idx].budget -= delta;
-      now_tick_ = next;
+      for (const std::uint32_t idx : duals_) {
+        if (exec_[idx] == 0) continue;
+        Node& dual = nodes_[idx];
+        dual.budget -= delta;
+        if (dual.budget == 0) mark_dirty(dual.parent);
+      }
     }
   }
   metrics_.slots = static_cast<std::uint64_t>(now_tick_ / ticks_);

@@ -18,13 +18,23 @@
 // leftover is impossible and the reduction terminates in O(log n)
 // levels with every chain ending at a unit root.
 //
-// Online, at each event instant the selection is recomputed top-down:
-// roots always execute; an executing pack EDF-picks the one client with
-// remaining work/budget (earliest deadline, tie -> lower node id); a
-// dual executes iff picked, and — the inversion at the heart of RUN — a
-// pack executes iff its dual does NOT, *unconditionally* (a dual whose
-// parent pack is idle does not execute, so its primal does).  At most M
-// leaves are marked executing at any instant (asserted).
+// Online, the selection follows the tree top-down: roots always
+// execute; an executing pack EDF-picks the one client with remaining
+// work/budget (earliest deadline, tie -> lower node id); a dual executes
+// iff picked, and — the inversion at the heart of RUN — a pack executes
+// iff its dual does NOT, *unconditionally* (a dual whose parent pack is
+// idle does not execute, so its primal does).  At most M leaves are
+// marked executing at any instant (checked in every build).
+//
+// A scheduling point is an instant at which some pick may change: a
+// period boundary (releases, deadlines, budget refills), or the
+// completion of a leaf's job or the exhaustion of a dual's budget, which
+// changes its parent pack's inputs.  Only those packs are re-picked, in
+// one parent-first pass (descending node index), and a change flows down
+// through the duals it flips; a boundary re-picks every pack.  An
+// instant where nothing changed — such as where an earlier run_until
+// stopped — is not a scheduling point, so splitting a run never changes
+// its metrics.
 //
 // Time is kept in integer "fine ticks" of 1/L slots, L = lcm of all
 // admitted periods: every server rate is then an integral number of
@@ -125,9 +135,10 @@ class RunSimulator : public engine::Simulator {
   /// run_until.  0 means every pack was already a unit root.
   [[nodiscard]] int reduction_levels() const noexcept { return levels_; }
 
-  /// Largest period lcm admit() accepts.  Chosen so that every product
-  /// formed by the simulator (tick times horizon * lcm, budgets
-  /// rate_num * interval <= lcm * max period) stays inside int64.
+  /// Largest period lcm admit() accepts.  Chosen so that the budgets
+  /// and job work the simulator forms (rate_num * interval <= lcm * max
+  /// period) stay inside int64; run_until stops at the last slot whose
+  /// tick (slot * lcm) fits.
   static constexpr std::int64_t kMaxLcm = 1'000'000'000;
 
  private:
@@ -135,7 +146,10 @@ class RunSimulator : public engine::Simulator {
     enum class Kind : std::uint8_t { kLeaf, kPack, kDual };
     Kind kind = Kind::kLeaf;
     std::int64_t rate_num = 0;  ///< rate = rate_num / ticks_
-    // Tree links (indices into nodes_; kNoNode = absent).
+    // Tree links (indices into nodes_; kNoNode = absent).  A node is
+    // created after its clients and right after its primal, so a parent
+    // always has the higher index.
+    std::uint32_t parent = 0xffffffff;        ///< leaf/dual -> the pack it is a client of
     std::uint32_t primal = 0xffffffff;        ///< dual -> its pack
     std::vector<std::uint32_t> clients;       ///< pack -> children
     // Leaf state.
@@ -145,42 +159,76 @@ class RunSimulator : public engine::Simulator {
     std::int64_t work = 0;          ///< remaining work of current job, ticks
     std::int64_t release_tick = 0;  ///< current job's release, ticks
     // Dual state.
-    std::vector<Time> periods;      ///< distinct leaf periods of the subtree
-    std::int64_t budget = 0;        ///< remaining dual budget, ticks
-    // Shared EDF key: current deadline in real slots (leaves: job
-    // deadline; duals: next deadline of the primal subtree).
+    std::uint32_t cursors_begin = 0;  ///< [begin, end) of dual_cursors_: the
+    std::uint32_t cursors_end = 0;    ///< distinct leaf periods of the subtree
+    std::int64_t budget = 0;          ///< remaining dual budget, ticks
+    // Shared EDF key in real slots, and the node's boundary cursor:
+    // leaves: job deadline = next release; duals: next deadline of the
+    // primal subtree, the next boundary at which the budget refills.
     Time deadline = 0;
-    bool executing = false;
+  };
+
+  /// The next multiple of `period` that no boundary has passed yet.
+  struct PeriodCursor {
+    Time period = 0;
+    Time next = 0;
   };
 
   void build_tree();
   void process_boundary(Time t_real);
-  /// Recomputes the executing marks top-down; fills executing_leaves_.
-  void select();
-  void mark_pack(std::uint32_t idx, bool exec);
-  void assign_processors(Time event_real);
-  [[nodiscard]] Time next_boundary_after(Time t_real) const;
+  /// Re-picks the dirty packs parent-first; returns whether the set of
+  /// executing leaves changed (then started_, stopped_ and
+  /// executing_leaves_ say how).
+  bool select();
+  void mark_dirty(std::uint32_t pack) {
+    dirty_[pack] = 1;
+    reselect_ = true;
+  }
+  void assign_processors();
+  /// Emits an event at the current slot; the slot (a 64-bit division) is
+  /// only computed when an observer is attached.
+  void emit_now(obs::EventKind kind, TaskId task = kNoTask, ProcId proc = kNoProc,
+                double value = 0.0) const {
+    if (bus_ != nullptr)
+      bus_->emit(kind, static_cast<Time>(now_tick_ / ticks_), task, proc, value);
+  }
+  /// `t` in ticks, saturated at the largest representable tick.
+  [[nodiscard]] std::int64_t tick_of(Time t) const noexcept;
 
   TaskSet tasks_;
   RunConfig config_;
   std::int64_t ticks_ = 1;  ///< running lcm of admitted periods
+  Time max_slot_ = 0;       ///< last slot whose tick fits in int64 (set at build)
   bool built_ = false;
   int levels_ = 0;
 
   std::vector<Node> nodes_;
   std::vector<std::uint32_t> roots_;
-  std::vector<std::uint32_t> leaves_;  ///< leaf node index per creation order
+  std::vector<std::uint32_t> leaves_;      ///< leaf node index per creation order
   std::vector<std::uint32_t> duals_;
-  std::vector<Time> distinct_periods_;
+  std::vector<std::uint32_t> packs_desc_;  ///< every pack, highest index first
+  std::vector<PeriodCursor> dual_cursors_;
+  std::vector<PeriodCursor> boundary_cursors_;  ///< one per distinct task period
 
   std::int64_t now_tick_ = 0;
   Time pending_boundary_ = 0;  ///< next boundary to process, real slots
+  std::int64_t boundary_tick_ = 0;  ///< tick_of(pending_boundary_)
+
+  // Selection marks, one byte per node: exec_ = executing (packs: set by
+  // their dual or as roots; clients: picked by their pack), dirty_ = a
+  // pack whose pick must be recomputed at the next decision point.
+  std::vector<std::uint8_t> exec_;
+  std::vector<std::uint8_t> dirty_;
+  bool reselect_ = false;  ///< some pack is dirty
 
   // Processor-assignment scratch (Sec.-4 accounting across segments).
-  std::vector<std::uint32_t> executing_leaves_;   ///< node indices
-  std::vector<std::uint32_t> prev_executing_;
+  std::vector<std::uint32_t> executing_leaves_;   ///< node indices, ascending
+  std::vector<std::uint32_t> started_;            ///< leaves that began executing, ascending
+  std::vector<std::uint32_t> stopped_;            ///< leaves that stopped, ascending
   std::vector<std::uint32_t> proc_owner_;         ///< proc -> leaf node or kNoNode
   std::vector<ProcId> leaf_proc_;                 ///< node index -> last proc run on
+  std::vector<std::uint8_t> proc_used_;
+  std::vector<std::uint32_t> unplaced_;
 
   std::vector<RunSegment> segments_;
   std::int64_t busy_ticks_ = 0;

@@ -100,5 +100,25 @@ TEST(Factory, ValidationOnlyReadsTheRequestedKindsSection) {
   EXPECT_NE(make_simulator(SchedulerKind::kGlobalJob, config), nullptr);
 }
 
+TEST(Factory, SetProcessorsReachesEveryMultiprocessorKind) {
+  // Three weight-1 tasks fill three processors exactly: a kind left on
+  // one processor refuses a task, misses, or (WRR, which counts no
+  // misses) serves a third of the quanta.  uniproc and cbs are the
+  // one-processor kinds and have no count to set.
+  SimulatorConfig config;
+  config.set_processors(3);
+  for (const SchedulerKind kind : all_scheduler_kinds()) {
+    if (kind == SchedulerKind::kUniproc || kind == SchedulerKind::kCbs) continue;
+    const std::unique_ptr<Simulator> sim = make_simulator(kind, config);
+    for (int i = 0; i < 3; ++i)
+      EXPECT_TRUE(sim->admit(task_spec(4, 4))) << to_string(kind) << " task " << i;
+    sim->run_until(40);
+    EXPECT_EQ(sim->metrics().deadline_misses, 0u) << to_string(kind);
+    if (sim->metrics().slots > 0) {
+      EXPECT_EQ(sim->metrics().busy_quanta, 3 * sim->metrics().slots) << to_string(kind);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pfair::engine

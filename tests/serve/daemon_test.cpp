@@ -131,6 +131,70 @@ TEST(Daemon, ImmediateReweightKeepsSimulatorAndGateInStep) {
   EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
 }
 
+TEST(Daemon, ExactGlobalEdfAdmitsHoldInArrivalOrder) {
+  // Tier 2 judges the set in canonical (period, execution) order, while
+  // the served simulator holds the tasks in arrival order.  Broken by
+  // arrival order, deadline ties make this set miss twice by t = 480
+  // although every join was admitted exactly.
+  DaemonConfig c;
+  c.kind = engine::SchedulerKind::kGlobalJob;
+  c.processors = 4;
+  Daemon d(c);
+  const std::pair<int, int> joins[] = {{11, 60}, {1, 5},  {15, 240}, {5, 20}, {1, 5},
+                                       {3, 16},  {1, 6},  {11, 120}, {2, 16}, {7, 24},
+                                       {19, 80}, {34, 40}, {4, 24},  {3, 24}};
+  for (const auto& [e, p] : joins) {
+    const std::string reply = d.process_line("{\"op\":\"join\",\"execution\":" +
+                                             std::to_string(e) + ",\"period\":" +
+                                             std::to_string(p) + "}");
+    ASSERT_NE(reply.find("\"admit\":true"), std::string::npos) << reply;
+    ASSERT_NE(reply.find("\"approx\":false"), std::string::npos) << reply;
+  }
+  EXPECT_EQ(d.stats().tier2, 3u);
+  d.simulator().run_until(480);
+  EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
+}
+
+TEST(Daemon, RosterKindsRunOnTheConfiguredProcessors) {
+  // On one processor RUN refuses the third (1,2) join at ΣU = 3/2 and BF
+  // misses: the daemon's processor count must reach both.
+  for (const engine::SchedulerKind kind :
+       {engine::SchedulerKind::kBf, engine::SchedulerKind::kRun}) {
+    DaemonConfig c;
+    c.kind = kind;
+    c.processors = 4;
+    Daemon d(c);
+    for (int i = 0; i < 3; ++i) {
+      const std::string reply =
+          d.process_line("{\"op\":\"join\",\"execution\":1,\"period\":2}");
+      EXPECT_NE(reply.find("\"admit\":true"), std::string::npos)
+          << engine::to_string(kind) << ": " << reply;
+    }
+    (void)d.process_line("{\"op\":\"advance\",\"to\":20}");
+    const engine::Metrics& m = d.simulator().metrics();
+    EXPECT_EQ(m.tasks_admitted, 3u) << engine::to_string(kind);
+    EXPECT_EQ(m.deadline_misses, 0u) << engine::to_string(kind);
+    EXPECT_EQ(m.busy_quanta, 30u) << engine::to_string(kind);
+    EXPECT_EQ(m.busy_quanta + m.idle_quanta, 4u * m.slots) << engine::to_string(kind);
+  }
+}
+
+TEST(Daemon, RunAdvanceBeyondTheTickRangeStopsAtTheLastSlotThatFits) {
+  // One slot is 10^9 ticks here, so slot * ticks wraps past slot
+  // 9223372036; a wrapped product would run nothing and answer "now":0.
+  DaemonConfig c;
+  c.kind = engine::SchedulerKind::kRun;
+  Daemon d(c);
+  ASSERT_NE(d.process_line("{\"op\":\"join\",\"execution\":1,\"period\":1000000000}")
+                .find("\"admit\":true"),
+            std::string::npos);
+  const std::string reply = d.process_line("{\"op\":\"advance\",\"to\":10000000000}");
+  EXPECT_NE(reply.find("\"now\":9223372036"), std::string::npos) << reply;
+  EXPECT_EQ(d.simulator().now(), 9223372036);
+  EXPECT_EQ(d.simulator().metrics().jobs_completed, 10u);
+  EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
+}
+
 TEST(Daemon, PublishRegistryMirrorsTheStats) {
   obs::MetricsRegistry::global().reset_values();
   obs::prof::reset();

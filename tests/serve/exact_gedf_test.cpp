@@ -11,6 +11,7 @@
 #include <limits>
 #include <queue>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -23,8 +24,11 @@ namespace {
 
 /// The reference oracle: the event loop exact_global_schedulable ran on
 /// a std::set of live jobs and a std::priority_queue of releases, kept
-/// verbatim.  The flat-array loop must return the same GedfResult field
-/// for field — `events` is echoed on every Tier-2 decision line.
+/// verbatim but for its tie key, which now goes by the task — (period,
+/// execution, index) after the EDF deadline or RM period — as
+/// GlobalJobSimulator's does.  The flat-array loop must return the same
+/// GedfResult field for field — `events` is echoed on every Tier-2
+/// decision line.
 GedfResult reference_exact_global_schedulable(const std::vector<UniTask>& tasks, int m,
                                               UniAlgorithm algorithm,
                                               std::uint64_t max_events) {
@@ -50,7 +54,8 @@ GedfResult reference_exact_global_schedulable(const std::vector<UniTask>& tasks,
   using Rel = std::pair<Time, std::uint32_t>;
   std::priority_queue<Rel, std::vector<Rel>, std::greater<Rel>> releases;
   std::vector<std::int64_t> remaining(n, 0);
-  std::set<std::pair<Time, std::uint32_t>> live;  // (EDF deadline | RM period, index)
+  // (EDF deadline | RM period, period, execution, index)
+  std::set<std::tuple<Time, Time, Time, std::uint32_t>> live;
   for (std::size_t i = 0; i < n; ++i)
     releases.push({Time{0}, static_cast<std::uint32_t>(i)});
   const bool edf = algorithm == UniAlgorithm::kEDF;
@@ -67,7 +72,8 @@ GedfResult reference_exact_global_schedulable(const std::vector<UniTask>& tasks,
         return out;
       }
       remaining[i] = tasks[i].execution;
-      live.insert({edf ? t + tasks[i].period : tasks[i].period, i});
+      live.insert({edf ? t + tasks[i].period : tasks[i].period, tasks[i].period,
+                   tasks[i].execution, i});
       releases.push({t + tasks[i].period, i});
     }
     if (t >= h) {
@@ -86,10 +92,10 @@ GedfResult reference_exact_global_schedulable(const std::vector<UniTask>& tasks,
     Time delta = releases.top().first - t;
     auto it = live.begin();
     for (std::size_t k = 0; k < run; ++k, ++it)
-      delta = std::min<Time>(delta, remaining[it->second]);
+      delta = std::min<Time>(delta, remaining[std::get<3>(*it)]);
     it = live.begin();
     for (std::size_t k = 0; k < run; ++k) {
-      const std::uint32_t i = it->second;
+      const std::uint32_t i = std::get<3>(*it);
       remaining[i] -= delta;
       if (remaining[i] == 0) {
         it = live.erase(it);
@@ -241,6 +247,53 @@ TEST(ExactGedf, MatchesReferenceEventLoopUnderEdf) {
 
 TEST(ExactGedf, MatchesReferenceEventLoopUnderRm) {
   reference_sweep(UniAlgorithm::kRM);
+}
+
+/// The test is exact only for a deterministic scheduler, and its tie
+/// rule is part of that scheduler: ties go by the task, so the verdict
+/// (every GedfResult field) is a function of the multiset of tasks and
+/// never of the order they arrive in.
+TEST(ExactGedf, VerdictIsTheSameForEveryOrderOfItsInput) {
+  const auto all_fields_equal = [](const GedfResult& a, const GedfResult& b) {
+    return a.verdict == b.verdict && a.hyperperiod == b.hyperperiod &&
+           a.simulated == b.simulated && a.events == b.events &&
+           a.first_miss == b.first_miss;
+  };
+  // Every permutation of small tie-heavy sets, under both algorithms.
+  const std::vector<std::vector<UniTask>> sets = {
+      {{1, 4}, {2, 4}, {1, 2}, {3, 8}, {2, 4}, {4, 8}},
+      {{2, 3}, {2, 3}, {1, 6}, {5, 6}, {3, 6}, {1, 3}},
+      {{1, 5}, {3, 10}, {7, 10}, {1, 5}, {4, 5}, {2, 10}},
+  };
+  for (const UniAlgorithm algorithm : {UniAlgorithm::kEDF, UniAlgorithm::kRM}) {
+    for (const std::vector<UniTask>& set : sets) {
+      for (const int m : {1, 2, 3}) {
+        std::vector<std::size_t> order(set.size());
+        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+        const GedfResult first = exact_global_schedulable(set, m, algorithm);
+        do {
+          std::vector<UniTask> permuted;
+          for (const std::size_t i : order) permuted.push_back(set[i]);
+          ASSERT_TRUE(all_fields_equal(exact_global_schedulable(permuted, m, algorithm), first))
+              << "m=" << m << " algorithm=" << static_cast<int>(algorithm);
+        } while (std::next_permutation(order.begin(), order.end()));
+      }
+    }
+  }
+  // Random orders of a 14-task set whose verdict flips when ties go by
+  // arrival order (schedulable in canonical order, a miss at t = 40 in
+  // the order a client sent it).
+  std::vector<UniTask> tasks = {{11, 60}, {1, 5},   {15, 240}, {5, 20}, {1, 5},
+                                {3, 16},  {1, 6},   {11, 120}, {2, 16}, {7, 24},
+                                {19, 80}, {34, 40}, {4, 24},   {3, 24}};
+  const GedfResult arrival = exact_global_schedulable(tasks, 4);
+  EXPECT_EQ(arrival.verdict, GedfVerdict::kSchedulable);
+  Rng rng(505);
+  for (int trial = 0; trial < 200; ++trial) {
+    for (std::size_t i = tasks.size(); i > 1; --i)
+      std::swap(tasks[i - 1], tasks[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+    ASSERT_TRUE(all_fields_equal(exact_global_schedulable(tasks, 4), arrival)) << "trial " << trial;
+  }
 }
 
 TEST(ExactGedf, ClockStopsBeforeOverflowWhenHyperperiodSaturates) {

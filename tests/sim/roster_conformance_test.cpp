@@ -7,10 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "engine/factory.h"
 #include "engine/parallel.h"
+#include "obs/bus.h"
+#include "obs/jsonl_sink.h"
 #include "sim/bf_sim.h"
 #include "sim/run_sim.h"
 #include "sim/verifier.h"
@@ -218,6 +222,55 @@ TEST(RosterDeterminism, SweepResultsIdenticalAcrossJobs) {
   ASSERT_EQ(serial.size(), par.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
     EXPECT_EQ(serial[i], par[i]) << "trial " << i;
+}
+
+TEST(RosterDeterminism, SplitRunsMatchOneCall) {
+  // A run_until that stops where nothing happens must not add a
+  // scheduling point (re-selecting on every resume adds one to most sets
+  // split at t = 1).  Metrics rows and JSONL event streams of split runs
+  // must equal one call's.
+  const Time horizon = 1200;
+  const auto row = [](const engine::Metrics& m) {
+    return std::vector<std::uint64_t>{m.tasks_admitted,   m.slots,
+                                      m.busy_quanta,      m.idle_quanta,
+                                      m.jobs_released,    m.jobs_completed,
+                                      m.deadline_misses,  m.preemptions,
+                                      m.migrations,       m.context_switches,
+                                      m.scheduler_invocations, m.scheduling_points};
+  };
+  Rng rng(0x5b17);
+  for (int trial = 0; trial < 24; ++trial) {
+    const int m = 2 + trial % 3;
+    const TaskSet tasks = generate_feasible_taskset(rng, m, 12, 48);
+    for (const SchedulerKind kind : {SchedulerKind::kBf, SchedulerKind::kRun}) {
+      const auto run = [&](Time split, std::string* events) {
+        SimulatorConfig cfg;
+        cfg.set_processors(m);
+        const auto sim = make_simulator(kind, cfg);
+        std::ostringstream os;
+        obs::JsonlSink sink(os);
+        obs::EventBus bus;
+        bus.add_sink(&sink);
+        sim->attach_observer(&bus);
+        for (TaskId i = 0; i < tasks.size(); ++i)
+          EXPECT_TRUE(sim->admit(task_spec(tasks[i].execution, tasks[i].period)));
+        if (split > 0) sim->run_until(split);
+        sim->run_until(horizon);
+        bus.flush();
+        *events = os.str();
+        return row(sim->metrics());
+      };
+      std::string whole_events;
+      const std::vector<std::uint64_t> whole = run(0, &whole_events);
+      for (const Time split : {1, 7, 100, 1001}) {
+        std::string events;
+        EXPECT_EQ(run(split, &events), whole)
+            << to_string(kind) << " trial " << trial << " split at " << split;
+        EXPECT_EQ(events, whole_events)
+            << to_string(kind) << " trial " << trial << " split at " << split;
+      }
+    }
+  }
 }
 
 TEST(RosterDeterminism, Pd2RerunIsByteIdentical) {

@@ -15,7 +15,7 @@
 //
 // It can also *produce* a trace, via the simulator factory:
 //
-//   pfair_trace simulate <pfair|partitioned|global-job|uniproc|wrr|cbs>
+//   pfair_trace simulate <pfair|partitioned|global-job|uniproc|wrr|cbs|bf|run>
 //       [--processors=2] [--tasks=8] [--load=60] [--horizon=1000] [--seed=1]
 //       [--prof=FILE] [--trace=FILE]
 //
@@ -178,9 +178,11 @@ int run_simulate(int argc, char** argv) {
   const char* trace_file = string_flag(argc, argv, "trace");
 
   pfair::engine::SimulatorConfig cfg;
-  cfg.pfair.processors = processors;
-  cfg.partitioned.max_processors = processors;
-  cfg.global_job.processors = processors;
+  cfg.set_processors(processors);
+  // The JSONL stream is the output; BF's slot trace and RUN's segment
+  // log would only grow.
+  cfg.bf.record_trace = false;
+  cfg.run.record_segments = false;
 
   pfair::Rng rng(seed);
   const double u_cap =

@@ -11,7 +11,8 @@
 //   pfaird --scheduler=pfair --processors=4 < requests.jsonl > decisions.jsonl
 //
 // Flags:
-//   --scheduler=KIND     pfair|partitioned|global-job|uniproc|wrr|cbs
+//   --scheduler=KIND     pfair|partitioned|global-job|uniproc|wrr|cbs|bf|run
+//                        (bf and run admit tasks only before they start)
 //   --processors=N       capacity the gate admits against (default 1)
 //   --algorithm=edf|rm   uniproc / global-job flavour (default edf)
 //   --input=FILE|-       request stream (default stdin)
@@ -67,6 +68,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: pfaird --scheduler=KIND [--processors=N] [--algorithm=edf|rm]\n"
+      "              KIND: pfair|partitioned|global-job|uniproc|wrr|cbs|bf|run\n"
       "              [--input=FILE|-] [--output=FILE|-] [--advance=N]\n"
       "              [--exact-budget=N] [--overhead] [--cache-delay=US]\n"
       "              [--memo-capacity=N] [--shards=N] [--registry=FILE]\n"
