@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/priority.h"
+#include "sim/ready_queue.h"
 #include "util/rng.h"
 
 namespace {
@@ -124,10 +125,12 @@ BENCHMARK(BM_PD_Compare_Legacy);
 BENCHMARK(BM_EPDF_Compare_Packed);
 BENCHMARK(BM_EPDF_Compare_Legacy);
 
-// Steady-state ready-queue churn at queue depth N: one push + one pop of
-// the minimum per iteration against a resident population, the mix the
-// slot kernel drives every quantum.  Refs are prebuilt outside the timed
-// loop so the numbers isolate the queue itself.
+// Steady-state ready-queue churn at queue depth N: N resident tasks in
+// the simulator's task-keyed ready queue.  A task leaving the queue is
+// re-queued with the next ref of a prebuilt pool of 2N (deadlines spread
+// over ~200 slots, as resident_refs draws them), retagged with its id
+// and repacked the way the simulator packs a pending ref (PD2 keys for
+// the packed rows, none for the legacy ones).
 std::vector<SubtaskRef> resident_refs(std::size_t n, Algorithm alg) {
   Rng rng(7);
   std::vector<SubtaskRef> refs;
@@ -140,17 +143,42 @@ std::vector<SubtaskRef> resident_refs(std::size_t n, Algorithm alg) {
   return refs;
 }
 
+class Churn {
+ public:
+  Churn(std::size_t n, bool packed)
+      : queue_(Algorithm::kPD2),
+        key_alg_(packed ? Algorithm::kPD2 : Algorithm::kWRR),
+        pool_(resident_refs(n, key_alg_)) {
+    for (TaskId id = 0; id < n; ++id) requeue(id);
+  }
+
+  [[nodiscard]] ReadyQueue& queue() noexcept { return queue_; }
+
+  /// Queues `id` with the pool's next ref.
+  void requeue(TaskId id) {
+    SubtaskRef& s = queue_.pending(id);
+    s = pool_[next_];
+    next_ = (next_ + 1) % pool_.size();
+    s.task = id;
+    pack_subtask_ref(s, key_alg_);
+    queue_.push(id);
+  }
+
+ private:
+  ReadyQueue queue_;
+  Algorithm key_alg_;
+  std::vector<SubtaskRef> pool_;
+  std::size_t next_ = 0;
+};
+
+// One take of the top plus its re-queue per iteration.
 void bm_heap_push_pop(benchmark::State& state, bool packed) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const Algorithm alg = packed ? Algorithm::kPD2 : Algorithm::kWRR;
-  const auto refs = resident_refs(n, alg);
-  BinaryHeap<SubtaskRef, SubtaskPriority> heap(SubtaskPriority(Algorithm::kPD2));
-  for (std::size_t i = 0; i < n; ++i) heap.push(refs[i]);
-  std::size_t next = n;
+  Churn churn(static_cast<std::size_t>(state.range(0)), packed);
+  std::vector<TaskId> top;
   for (auto _ : state) {
-    heap.push(refs[next]);
-    next = (next + 1) % refs.size();
-    benchmark::DoNotOptimize(heap.pop());
+    churn.queue().take_top(1, top);
+    churn.requeue(top[0]);
+    benchmark::DoNotOptimize(top.data());
   }
 }
 
@@ -159,26 +187,37 @@ void BM_SubtaskHeap_PushPop_Legacy(benchmark::State& s) { bm_heap_push_pop(s, fa
 BENCHMARK(BM_SubtaskHeap_PushPop_Packed)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 BENCHMARK(BM_SubtaskHeap_PushPop_Legacy)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 
-// Erase-by-handle at depth N (the deadline-miss / departure path): one
-// push + one erase of a rotating resident handle per iteration.
+// Erase by task id at depth N (the deadline-miss / departure path): one
+// erase of a rotating resident task plus its re-queue per iteration.
 void bm_heap_erase(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const auto refs = resident_refs(n, Algorithm::kPD2);
-  BinaryHeap<SubtaskRef, SubtaskPriority> heap(SubtaskPriority(Algorithm::kPD2));
-  std::vector<HeapHandle> handles;
-  for (std::size_t i = 0; i < n; ++i) handles.push_back(heap.push(refs[i]));
-  std::size_t victim = 0;
-  std::size_t next = n;
+  Churn churn(n, true);
+  TaskId victim = 0;
   for (auto _ : state) {
-    heap.erase(handles[victim]);
-    handles[victim] = heap.push(refs[next]);
-    next = (next + 1) % refs.size();
-    victim = (victim + 1) % handles.size();
+    churn.queue().erase(victim);
+    churn.requeue(victim);
+    victim = static_cast<TaskId>((victim + 1) % n);
   }
 }
 
 void BM_SubtaskHeap_Erase(benchmark::State& s) { bm_heap_erase(s); }
 BENCHMARK(BM_SubtaskHeap_Erase)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
+
+// One slot's selection on M processors: take_top(M) over N resident
+// tasks, then the M picks re-queued (so every iteration starts from the
+// same steady state).  Args are (M, N); N = 5M is the task-to-processor
+// ratio of the sim-pd2-16p benchmark workload.
+void BM_SubtaskHeap_TakeTop(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  Churn churn(static_cast<std::size_t>(state.range(1)), true);
+  std::vector<TaskId> picks;
+  for (auto _ : state) {
+    churn.queue().take_top(m, picks);
+    for (const TaskId id : picks) churn.requeue(id);
+    benchmark::DoNotOptimize(picks.data());
+  }
+}
+BENCHMARK(BM_SubtaskHeap_TakeTop)->Args({4, 20})->Args({16, 80});
 
 void BM_MakeSubtaskRef(benchmark::State& state) {
   // Cost of computing (r, d, b, D) for one subtask — the per-schedule

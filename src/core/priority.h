@@ -133,8 +133,8 @@ class ScopedPd2BBitFlip {
 /// matter).
 [[nodiscard]] bool epdf_higher_priority(const SubtaskRef& a, const SubtaskRef& b) noexcept;
 
-/// Comparator functor selecting one of the rules at construction; usable
-/// as the Less parameter of BinaryHeap.  When both operands carry a
+/// Comparator functor selecting one of the rules at construction (the
+/// order sim/ready_queue.h keeps).  When both operands carry a
 /// packed key for this comparator's algorithm, the comparison is a
 /// single PackedKey compare; the packing in priority.cpp guarantees that
 /// path returns exactly what the legacy chain below would, so mixing
@@ -178,9 +178,3 @@ class SubtaskPriority {
 };
 
 }  // namespace pfair
-
-// The ready-queue heap specialization (sifts on PackedKey instead of
-// whole SubtaskRefs).  Included here, after the types it specializes
-// over, so no translation unit can instantiate the primary
-// BinaryHeap<SubtaskRef, SubtaskPriority> and split the ODR.
-#include "core/subtask_heap.h"  // IWYU pragma: keep

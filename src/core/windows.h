@@ -9,7 +9,11 @@
 //   d(T_i) = ceil(i / wt(T))      = ceil(i * p / e)
 //
 // All functions here are pure integer arithmetic on (e, p, i); absolute
-// times for later jobs / IS offsets are obtained by shifting.
+// times for later jobs / IS offsets are obtained by shifting.  Products
+// such as i*p are formed exactly (in 128 bits once they pass int64), so
+// every closed form holds for any i whose result fits a Time — pfaird
+// accepts periods up to 9e15, where i*p passes 2^63 after ~1000
+// subtasks.
 #pragma once
 
 #include "util/math.h"
@@ -21,7 +25,7 @@ namespace pfair {
 [[nodiscard]] constexpr Time subtask_release(std::int64_t e, std::int64_t p,
                                              SubtaskIndex i) noexcept {
   assert(e > 0 && e <= p && i >= 1);
-  return floor_div(checked_mul(i - 1, p), e);
+  return mul_floor_div(i - 1, p, e);
 }
 
 /// Pseudo-deadline of subtask i: the subtask must be scheduled in a slot
@@ -29,7 +33,7 @@ namespace pfair {
 [[nodiscard]] constexpr Time subtask_deadline(std::int64_t e, std::int64_t p,
                                               SubtaskIndex i) noexcept {
   assert(e > 0 && e <= p && i >= 1);
-  return ceil_div(checked_mul(i, p), e);
+  return mul_ceil_div(i, p, e);
 }
 
 /// Window length |w(T_i)| = d(T_i) - r(T_i).
@@ -42,7 +46,7 @@ namespace pfair {
 /// which holds exactly when i*p is not a multiple of e.
 [[nodiscard]] constexpr int b_bit(std::int64_t e, std::int64_t p, SubtaskIndex i) noexcept {
   assert(e > 0 && e <= p && i >= 1);
-  return checked_mul(i, p) % e != 0 ? 1 : 0;
+  return mul_mod(i, p, e) != 0 ? 1 : 0;
 }
 
 /// True iff weight e/p is "heavy" (wt >= 1/2).  Heavy tasks are the only
@@ -62,14 +66,20 @@ namespace pfair {
 /// and for weight-1 tasks (every slot is a window; cascades never end,
 /// but such a task is always scheduled, so the tie-break is moot — we
 /// return a value larger than any deadline in the first job instead).
+///
+/// Windows repeat every job (D(T_{i+e}) = D(T_i) + p), so the closed form
+/// runs on the job-relative index (i-1) mod e + 1 and adds the job offset
+/// floor((i-1)/e) * p.  Then d <= p and k <= p - e, and each product is
+/// at most p^2.
 [[nodiscard]] constexpr Time group_deadline(std::int64_t e, std::int64_t p,
                                             SubtaskIndex i) noexcept {
   assert(e > 0 && e <= p && i >= 1);
   if (!is_heavy(e, p)) return 0;
   if (e == p) return subtask_deadline(e, p, i) + p;  // weight 1: see doc block
-  const std::int64_t d = subtask_deadline(e, p, i);
-  const std::int64_t k = ceil_div(checked_mul(d, p - e), p);
-  return ceil_div(checked_mul(k, p), p - e);
+  const SubtaskIndex job = i > e ? (i - 1) / e : 0;  // the kernel passes i <= e
+  const std::int64_t d = subtask_deadline(e, p, i - job * e);
+  const std::int64_t k = mul_ceil_div(d, p - e, p);
+  return checked_mul(job, p) + mul_ceil_div(k, p, p - e);
 }
 
 /// Group deadline computed directly from the paper's definition (earliest
@@ -127,7 +137,7 @@ struct WindowCursor {
     p_mod_e = p % e;
     rel = subtask_release(e, p, i);
     rel_next = subtask_release(e, p, i + 1);
-    rem_next = checked_mul(i, p) - e * rel_next;
+    rem_next = mul_mod(i, p, e);
     idx_in_job = (i - 1) % e + 1;
     job_rel = (i - 1) / e * p;
   }

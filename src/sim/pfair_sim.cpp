@@ -11,7 +11,7 @@ namespace pfair {
 
 PfairSimulator::PfairSimulator(PfairConfig config)
     : config_(config),
-      ready_(SubtaskPriority(config.algorithm)),
+      ready_(config.algorithm),
       timer_(config.measure_overhead) {
   assert(config_.processors >= 1);
   live_processors_ = config_.processors;
@@ -243,6 +243,7 @@ void PfairSimulator::restart_with_weight(TaskId id, std::int64_t e, std::int64_t
   rt.next_index = 1;
   rt.cursor.reset(e, p, 1);
   rt.last_sched_index = 0;
+  rt.job_open = false;
   rt.offset = t;
   rt.allocated = 0;
   enqueue_next_subtask(id, t);
@@ -321,16 +322,14 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
     }
   }
   const Time eligible = eligibility_time(id, i, earliest_slot - 1);
-  // Build the ref once, here, from the cursor's division-free window
-  // values; the release/selection paths read it unchanged.  Everything
-  // the ref depends on (e, p, offset, alg) is invariant until the
-  // subtask leaves the queues — any mutation goes through
-  // remove_from_queues + a fresh enqueue.  The ref is refreshed
-  // field-wise rather than rebuilt: task/e/p never change and offset
-  // only moves for IS shifts.
+  // Build the ref once, here, in the ready queue's per-task slot, from
+  // the cursor's division-free window values; the release/selection
+  // paths read it unchanged.  Everything the ref depends on (e, p,
+  // offset, alg) is invariant until the subtask leaves the queues — any
+  // mutation goes through remove_from_queues + a fresh enqueue.
   const std::int64_t e = rt.spec.execution;
   const std::int64_t p = rt.spec.period;
-  SubtaskRef& ref = rt.ref;
+  SubtaskRef& ref = ready_.pending(id);
   ref.task = id;
   ref.index = i;
   ref.e = e;
@@ -340,8 +339,10 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
   ref.deadline = rt.offset + cursor.deadline();
   ref.b = cursor.b();
   // Light tasks keep group_dl = 0: the comparators treat zero as "no
-  // group deadline".
-  const Time gdl = is_heavy(e, p) ? group_deadline(e, p, i) : 0;
+  // group deadline".  Group deadlines repeat every job, so the cursor's
+  // job-relative index keeps every product at most p².
+  const Time gdl =
+      is_heavy(e, p) ? cursor.job_rel + group_deadline(e, p, cursor.idx_in_job) : 0;
   ref.group_dl = gdl == 0 ? 0 : rt.offset + gdl;
   pack_subtask_ref(ref, config_.algorithm);
 #ifndef NDEBUG
@@ -356,7 +357,7 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
 #endif
   rt.miss_counted = false;
   if (eligible <= now_) {
-    rt.ready_handle = ready_.push(ref);
+    ready_.push(id);
   } else {
     rt.calendar_when = eligible;
     ++calendar_live_;
@@ -366,10 +367,7 @@ void PfairSimulator::enqueue_next_subtask(TaskId id, Time earliest_slot) {
 
 void PfairSimulator::remove_from_queues(TaskId id) {
   TaskRuntime& rt = tasks_[id];
-  if (rt.ready_handle != kInvalidHandle && ready_.contains(rt.ready_handle)) {
-    ready_.erase(rt.ready_handle);
-  }
-  rt.ready_handle = kInvalidHandle;
+  if (ready_.contains(id)) ready_.erase(id);
   if (rt.calendar_when >= 0) {
     // Lazy wheel erase: the abandoned bucket entry no longer matches
     // calendar_when and is dropped whenever its bucket next drains.
@@ -386,24 +384,22 @@ void PfairSimulator::release_eligible(Time t) {
     rt.calendar_when = -1;
     --calendar_live_;
     if (!rt.active) return;
-    rt.ready_handle = ready_.push(rt.ref);
+    ready_.push(id);
   });
 }
 
 void PfairSimulator::detect_misses(Time t) {
   // Entries with deadline <= t sit at the top of the queue (every
-  // priority rule orders by deadline first).  Pop them in priority order
-  // (the obs event order is part of the simulator's contract), count
-  // each miss once, and either drop the subtask or requeue it for late
-  // execution.  A queued entry is always the task's pending ref,
-  // unchanged, so the requeue pushes that instead of hauling popped
-  // copies around.
+  // priority rule orders by deadline first).  Pop them one at a time in
+  // priority order (the obs event order is part of the simulator's
+  // contract), count each miss once, and either drop the subtask or
+  // requeue it for late execution.  A queued entry is always the task's
+  // pending ref, unchanged, so the requeue just queues the task again.
   requeue_.clear();
-  while (!ready_.empty() && ready_.top().deadline <= t) {
-    const TaskId id = ready_.top().task;
-    ready_.erase(ready_.top_handle());
+  while (!ready_.empty() && ready_.min_deadline() <= t) {
+    const TaskId id = ready_.top();
+    ready_.erase(id);
     TaskRuntime& rt = tasks_[id];
-    rt.ready_handle = kInvalidHandle;
     if (!rt.miss_counted) {
       rt.miss_counted = true;
       metrics_.record_miss(t);
@@ -417,9 +413,7 @@ void PfairSimulator::detect_misses(Time t) {
       requeue_.push_back(id);
     }
   }
-  for (const TaskId id : requeue_) {
-    tasks_[id].ready_handle = ready_.push(tasks_[id].ref);
-  }
+  for (const TaskId id : requeue_) ready_.push(id);
 }
 
 void PfairSimulator::dispatch_supertask_quantum(TaskRuntime& rt, Time t) {
@@ -529,30 +523,27 @@ void PfairSimulator::simulate_slot() {
     detect_misses(t);
   }
 
-  // 4. Scheduler invocation: pop the M highest-priority subtasks and
-  //    advance each task to its next subtask.
+  // 4. Scheduler invocation: take the M highest-priority subtasks in one
+  //    pass over the ready queue, record what the assignment and
+  //    accounting passes need, and advance each task to its next
+  //    subtask (whose eligibility is at least t + 1, so it goes to the
+  //    release calendar).
   {
     const obs::prof::ProfScope prof_select(obs::prof::Phase::kSelect, t);
     timer_.start();
 
+    ready_.take_top(static_cast<std::size_t>(std::max(live_processors_, 0)), selected_);
     picked_.clear();
-    const std::size_t want = static_cast<std::size_t>(std::max(live_processors_, 0));
-    while (picked_.size() < want && !ready_.empty()) {
-      const HeapHandle h = ready_.top_handle();
-      const SubtaskRef& ref = ready_.get(h);
-      TaskRuntime& rt = tasks_[ref.task];
-      rt.ready_handle = kInvalidHandle;
-      rt.last_sched_index = ref.index;
-      picked_.push_back(Pick{ref.task, ref.release, 0});
-      ready_.erase(h);
-    }
-    for (const Pick& pick : picked_) {
-      TaskRuntime& rt = tasks_[pick.task];
-      rt.picked_slot = t;
+    for (const TaskId id : selected_) {
+      TaskRuntime& rt = tasks_[id];
+      picked_.push_back(Pick{id, rt.last_proc, ready_.ref(id).release,
+                             static_cast<std::uint8_t>(rt.last_sched_slot == t - 1), 0});
+      rt.last_sched_index = rt.next_index;
+      rt.job_open = !rt.cursor.last_of_job();
       ++rt.next_index;
       rt.cursor.advance();
       ++rt.allocated;
-      enqueue_next_subtask(pick.task, t + 1);
+      enqueue_next_subtask(id, t + 1);
     }
 
     const double sched_ns = timer_.stop(metrics_);
@@ -585,23 +576,22 @@ void PfairSimulator::simulate_slot() {
     }
   }
   if (config_.affinity) {
-    // Pass 1: tasks that ran in slot t-1 keep their processor.
+    // Pass 1: tasks that ran in slot t-1 keep their processor.  (A
+    // last_proc of kNoProc is never below m.)
     for (std::size_t k = 0; k < picked_.size(); ++k) {
-      if (picked_[k].placed != 0) continue;
-      TaskRuntime& rt = tasks_[picked_[k].task];
-      if (rt.last_sched_slot == t - 1 && rt.last_proc != kNoProc && rt.last_proc < m &&
-          assign_[rt.last_proc] == kIdle) {
-        assign_[rt.last_proc] = static_cast<std::int32_t>(k);
-        picked_[k].placed = 1;
+      Pick& pk = picked_[k];
+      if (pk.placed == 0 && pk.ran_prev != 0 && pk.last_proc < m &&
+          assign_[pk.last_proc] == kIdle) {
+        assign_[pk.last_proc] = static_cast<std::int32_t>(k);
+        pk.placed = 1;
       }
     }
     // Pass 2: idle-resuming tasks prefer their previous processor.
     for (std::size_t k = 0; k < picked_.size(); ++k) {
-      if (picked_[k].placed != 0) continue;
-      TaskRuntime& rt = tasks_[picked_[k].task];
-      if (rt.last_proc != kNoProc && rt.last_proc < m && assign_[rt.last_proc] == kIdle) {
-        assign_[rt.last_proc] = static_cast<std::int32_t>(k);
-        picked_[k].placed = 1;
+      Pick& pk = picked_[k];
+      if (pk.placed == 0 && pk.last_proc < m && assign_[pk.last_proc] == kIdle) {
+        assign_[pk.last_proc] = static_cast<std::int32_t>(k);
+        pk.placed = 1;
       }
     }
   }
@@ -616,19 +606,22 @@ void PfairSimulator::simulate_slot() {
     }
   }
 
-  // 6. Metrics + state updates.
+  // 6. Metrics + state updates.  This pass also stamps last_sched_slot
+  // and builds the next slot's processor map, so after it "ran in t-1
+  // and not now" is last_sched_slot == t - 1.
   if (config_.record_trace) trace_.begin_slot(m);
+  next_slot_tasks_.assign(m, kNoTask);
   for (std::size_t proc = 0; proc < m; ++proc) {
     const std::int32_t ki = assign_[proc];
     if (ki == kIdle) continue;
-    const Pick& picked_ref = picked_[static_cast<std::size_t>(ki)];
-    const TaskId id = picked_ref.task;
+    const Pick& pk = picked_[static_cast<std::size_t>(ki)];
+    const TaskId id = pk.task;
     TaskRuntime& rt = tasks_[id];
-    const ProcId old_proc = rt.last_proc;
+    const ProcId old_proc = pk.last_proc;
     if (bus_ != nullptr) {
       // Dispatch latency: slots between the subtask's pseudo-release and
       // this quantum.
-      const double latency = static_cast<double>(t - picked_ref.release);
+      const double latency = static_cast<double>(t - pk.release);
       bus_->emit(obs::EventKind::kDispatch, t, id, static_cast<ProcId>(proc), latency);
     }
     if (proc < prev_slot_tasks_.size() && prev_slot_tasks_[proc] != id) {
@@ -641,12 +634,14 @@ void PfairSimulator::simulate_slot() {
                 static_cast<double>(old_proc));
     }
     rt.last_proc = static_cast<ProcId>(proc);
+    rt.last_sched_slot = t;
+    next_slot_tasks_[proc] = id;
     if (config_.record_trace) trace_.record(static_cast<ProcId>(proc), id);
     if (rt.is_supertask) dispatch_supertask_quantum(rt, t);
-    // Job completion bookkeeping (the job of subtask i ends when
-    // i % e == 0, i.e. exactly when the cursor — already advanced to
-    // i + 1 by the scheduler pass — wrapped to a new job).
-    if (rt.cursor.idx_in_job == 1) {
+    // Job completion bookkeeping: the scheduled subtask was the last of
+    // its job (the cursor, already advanced by the scheduler pass,
+    // wrapped to a new job).
+    if (!rt.job_open) {
       ++metrics_.jobs_completed;
       // Response time of the completed job (the paper motivates ERfair
       // with improved response times; measured here for the ablation).
@@ -661,17 +656,13 @@ void PfairSimulator::simulate_slot() {
       rt.cur_job_preemptions = 0;
     }
   }
-  // Preemptions: ran in t-1, job incomplete, not running now.  Every
-  // picked task was stamped picked_slot = t above, so "runs now" is one
-  // field test instead of an O(M) scan per previous-slot task.
+  // Preemptions: ran in t-1 with its job open, not running now.  Every
+  // task running now was stamped last_sched_slot = t above, so "not
+  // running now" is one field test instead of an O(M) scan.
   for (const TaskId id : prev_slot_tasks_) {
     if (id == kNoTask) continue;
     TaskRuntime& rt = tasks_[id];
-    if (!rt.active) continue;
-    if (rt.last_sched_slot != t - 1) continue;  // stale entry
-    const bool runs_now = rt.picked_slot == t;
-    const bool job_incomplete = rt.last_sched_index % rt.spec.execution != 0;
-    if (!runs_now && job_incomplete) {
+    if (rt.active && rt.last_sched_slot == t - 1 && rt.job_open) {
       ++metrics_.preemptions;
       ++rt.cur_job_preemptions;
       if (bus_ != nullptr) {
@@ -684,14 +675,7 @@ void PfairSimulator::simulate_slot() {
       }
     }
   }
-  prev_slot_tasks_.assign(m, kNoTask);
-  for (std::size_t proc = 0; proc < m; ++proc) {
-    const std::int32_t ki = assign_[proc];
-    if (ki == kIdle) continue;
-    const TaskId id = picked_[static_cast<std::size_t>(ki)].task;
-    tasks_[id].last_sched_slot = t;
-    prev_slot_tasks_[proc] = id;
-  }
+  std::swap(prev_slot_tasks_, next_slot_tasks_);
 
   metrics_.busy_quanta += picked_.size();
   metrics_.idle_quanta += m - picked_.size();

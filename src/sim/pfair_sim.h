@@ -5,13 +5,15 @@
 //   2. moves newly eligible subtasks from the release calendar into the
 //      ready queue,
 //   3. detects subtasks whose pseudo-deadline has passed,
-//   4. invokes the scheduler: pop the M highest-priority subtasks
-//      (optionally timing the invocation for the Fig.-2 experiments),
+//   4. invokes the scheduler: takes the M highest-priority subtasks in
+//      one pass over the ready queue and advances each picked task to
+//      its next subtask (optionally timing the invocation for the
+//      Fig.-2 experiments),
 //   5. assigns processors with affinity (a task scheduled in consecutive
 //      quanta keeps its processor — the optimisation the paper uses to
 //      derive the 1 + min(E-1, P-E) context-switch bound),
-//   6. advances each scheduled task to its next subtask and updates
-//      preemption / migration / context-switch / lag accounting.
+//   6. updates preemption / migration / context-switch / lag accounting
+//      from the picks.
 //
 // Supertasks participate as ordinary Pfair servers; each quantum they
 // receive is passed to an internal EDF dispatcher over their component
@@ -34,9 +36,9 @@
 #include "engine/simulator.h"
 #include "core/windows.h"
 #include "obs/bus.h"
+#include "sim/ready_queue.h"
 #include "sim/release_wheel.h"
 #include "sim/trace.h"
-#include "util/binary_heap.h"
 #include "util/rational.h"
 #include "util/types.h"
 
@@ -215,29 +217,30 @@ class PfairSimulator : public engine::Simulator {
   };
 
   struct TaskRuntime {
-    Task spec;
+    // Fields every pick, release and accounting pass touches come first,
+    // so a slot reads the fewest cache lines per task.
     bool active = false;
     bool is_supertask = false;
-    std::int32_t super_index = -1;     ///< into supertasks_ if is_supertask
-    ProcId bound_proc = kNoProc;       ///< fixed processor (supertask binding)
+    bool job_open = false;             ///< the last scheduled subtask was not
+                                       ///< the last of its job (preemption test)
+    bool miss_counted = false;         ///< its pending subtask's miss was counted
+    ProcId last_proc = kNoProc;
     SubtaskIndex next_index = 1;       ///< next subtask to schedule
     SubtaskIndex last_sched_index = 0; ///< 0 = never scheduled
     Time offset = 0;                   ///< accumulated IS window shift
+    std::int64_t allocated = 0;
+    Time last_sched_slot = -2;         ///< slot of most recent allocation
+    // The pending subtask (the next one to schedule) and where it is
+    // queued.  Its ref lives in ready_.pending(id).  A task sits in at
+    // most one of the ready queue and the release calendar; inactive and
+    // departing tasks sit in neither.
+    Time calendar_when = -1;           ///< release-wheel slot (-1 = none)
+    WindowCursor cursor;               ///< its windows, O(1) advance
+    Task spec;
+    std::int32_t super_index = -1;     ///< into supertasks_ if is_supertask
+    ProcId bound_proc = kNoProc;       ///< fixed processor (supertask binding)
     Time join_time = 0;
     std::vector<Time> arrivals;        ///< IS arrival times (absolute)
-    std::int64_t allocated = 0;
-    ProcId last_proc = kNoProc;
-    Time last_sched_slot = -2;         ///< slot of most recent allocation
-    Time picked_slot = -2;             ///< slot the scheduler last picked this
-                                       ///< task (replaces the O(M) runs-now scan)
-    // The pending subtask (the next one to schedule) and where it is
-    // queued.  A task sits in at most one of the ready queue and the
-    // release calendar; inactive and departing tasks sit in neither.
-    SubtaskRef ref;                        ///< prebuilt ref of the pending subtask
-    WindowCursor cursor;                   ///< its windows, O(1) advance
-    HeapHandle ready_handle = kInvalidHandle;  ///< ready-queue entry, if queued
-    Time calendar_when = -1;               ///< release-wheel slot (-1 = none)
-    bool miss_counted = false;             ///< its deadline miss was counted
     Time leave_at = -1;          ///< pending departure (weight frees then)
     std::int64_t pending_e = 0;  ///< pending reweight (0 = plain leave)
     std::int64_t pending_p = 0;
@@ -276,7 +279,7 @@ class PfairSimulator : public engine::Simulator {
   std::vector<TaskRuntime> tasks_;
   std::vector<SupertaskRuntime> supertasks_;
   std::int64_t bound_count_ = 0;             ///< tasks with a fixed processor
-  BinaryHeap<SubtaskRef, SubtaskPriority> ready_;
+  ReadyQueue ready_;                         ///< task-keyed calendar ready queue
   ReleaseWheel wheel_;                       ///< release calendar (O(1) push/drain)
   std::int64_t calendar_live_ = 0;           ///< tasks with calendar_when >= 0
   std::vector<ProcessorEvent> proc_events_;  ///< sorted by time, applied in order
@@ -292,17 +295,21 @@ class PfairSimulator : public engine::Simulator {
                                       ///< may still fire one slot later)
   // Scratch buffers reused every slot (the slot kernel is allocation-free
   // once they reach steady-state capacity).
-  /// What the assignment/accounting passes need from a scheduled subtask
-  /// — the full SubtaskRef stays in the task's pending_ref and never
-  /// crosses the kernel by value.
+  /// What the assignment/accounting passes need from a scheduled
+  /// subtask, recorded at selection so the affinity passes never read
+  /// TaskRuntime.
   struct Pick {
     TaskId task;
-    Time release;
-    std::uint8_t placed;  ///< assignment passes: already given a processor
+    ProcId last_proc;       ///< processor of the task's previous quantum
+    Time release;           ///< the subtask's pseudo-release (dispatch latency)
+    std::uint8_t ran_prev;  ///< the task ran in slot t-1
+    std::uint8_t placed;    ///< assignment passes: already given a processor
   };
+  std::vector<TaskId> selected_;             ///< ready_.take_top output
   std::vector<Pick> picked_;
   std::vector<TaskId> requeue_;              ///< kScheduleLate miss re-inserts
   std::vector<TaskId> prev_slot_tasks_;      ///< proc -> task of previous slot
+  std::vector<TaskId> next_slot_tasks_;      ///< proc -> task of this slot (swapped in)
   std::vector<std::int32_t> assign_;         ///< proc -> index into picked_ (-1 idle)
 };
 

@@ -34,8 +34,7 @@ bool RunSimulator::admit(const engine::TaskSpec& spec) {
   // reduction requires sum e/p <= M, so admission is capacity-checked
   // (unlike PD2, which accepts anything and lets misses surface).
   std::int64_t sum_num = checked_mul(e, new_lcm / p);
-  for (std::size_t i = 0; i < tasks_.size(); ++i)
-    sum_num += checked_mul(tasks_[i].execution, new_lcm / tasks_[i].period);
+  for (const Task& t : tasks_.tasks()) sum_num += checked_mul(t.execution, new_lcm / t.period);
   if (sum_num > checked_mul(config_.processors, new_lcm))
     return reject();
   ticks_ = new_lcm;
@@ -53,15 +52,16 @@ void RunSimulator::build_tree() {
   // pads the effective processor count to an exact integral rate sum.
   std::int64_t sum_num = 0;
   Time max_period = 1;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) {
+  for (TaskId id = 0; id < tasks_.size(); ++id) {
+    const Task& t = tasks_[id];
     Node leaf;
     leaf.kind = Node::Kind::kLeaf;
-    leaf.task = static_cast<TaskId>(i);
-    leaf.period = tasks_[i].period;
-    leaf.rate_num = checked_mul(tasks_[i].execution, ticks_ / tasks_[i].period);
-    leaf.job_work = checked_mul(tasks_[i].execution, ticks_);
+    leaf.task = id;
+    leaf.period = t.period;
+    leaf.rate_num = checked_mul(t.execution, ticks_ / t.period);
+    leaf.job_work = checked_mul(t.execution, ticks_);
     sum_num += leaf.rate_num;
-    max_period = std::max(max_period, tasks_[i].period);
+    max_period = std::max(max_period, t.period);
     leaves_.push_back(static_cast<std::uint32_t>(nodes_.size()));
     nodes_.push_back(std::move(leaf));
   }
@@ -82,7 +82,7 @@ void RunSimulator::build_tree() {
   }
 
   std::vector<Time> periods;
-  for (std::size_t i = 0; i < tasks_.size(); ++i) periods.push_back(tasks_[i].period);
+  for (const Task& t : tasks_.tasks()) periods.push_back(t.period);
   std::sort(periods.begin(), periods.end());
   periods.erase(std::unique(periods.begin(), periods.end()), periods.end());
   for (const Time p : periods) boundary_cursors_.push_back(PeriodCursor{p, 0});

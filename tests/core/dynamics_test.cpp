@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 namespace pfair {
 namespace {
 
@@ -41,6 +43,30 @@ TEST(EarliestLeave, LeaveTimeNeverBeforeSubtaskDeadline) {
       }
     }
   }
+}
+
+// The leave rules read d(T_i) + b(T_i) (light) and the group deadline
+// (heavy), so a weight scaled by k up to 10^15 must free at the same
+// time as its small twin, although i*p passes 2^63 for the large ones.
+TEST(EarliestLeave, ScaledWeightsLeaveLikeTheirTwinsWhenProductsPassInt64) {
+  const std::pair<std::int64_t, std::int64_t> weights[] = {
+      {1, 9}, {4, 9}, {1, 2}, {5, 9}, {2, 3}, {7, 9}, {8, 9}, {3, 7}, {6, 7}, {7, 8}};
+  std::size_t bad = 0;
+  for (const auto& [e, p] : weights) {
+    for (std::int64_t k = 1; k <= 1'000'000'000'000'000; k *= 1000) {
+      if (k * p > 9'000'000'000'000'000) continue;
+      for (SubtaskIndex i = 1; i <= 4000; ++i) {
+        const Time want = earliest_leave_time(e, p, i, 7);
+        const Time got = earliest_leave_time(k * e, k * p, i, 7);
+        if (got == want) continue;
+        if (bad++ == 0) {
+          ADD_FAILURE() << "first difference: (" << e << ", " << p << ") scaled by " << k
+                        << ", subtask " << i << ": " << got << " vs " << want;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(bad, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <utility>
 
 namespace pfair {
 namespace {
@@ -166,6 +167,38 @@ TEST(Windows, ReleaseTimesAreNonDecreasing) {
       }
     }
   }
+}
+
+// Scaling a weight's (e, p) by k leaves every window unchanged, so
+// (k*e, k*p) must answer like (e, p) (weight 1 aside: its conventional
+// group deadline d + p is not a window property).  pfaird accepts periods up to
+// 9e15, where i*p passes 2^63 after ~1000 subtasks and d*(p-e), k*p in
+// the group-deadline closed form even earlier.
+TEST(Windows, ScaledWeightsKeepTheirWindowsWhenProductsPassInt64) {
+  const std::pair<std::int64_t, std::int64_t> weights[] = {
+      {1, 9}, {4, 9}, {1, 2}, {5, 9}, {2, 3}, {7, 9}, {8, 9}, {3, 7}, {6, 7}, {7, 8}};
+  std::size_t checked = 0;
+  std::size_t bad = 0;
+  for (const auto& [e, p] : weights) {
+    for (std::int64_t k = 1; k <= 1'000'000'000'000'000; k *= 1000) {
+      if (k * p > 9'000'000'000'000'000) continue;
+      for (SubtaskIndex i = 1; i <= 4000; ++i) {
+        ++checked;
+        const bool same = subtask_release(k * e, k * p, i) == subtask_release(e, p, i) &&
+                          subtask_deadline(k * e, k * p, i) == subtask_deadline(e, p, i) &&
+                          b_bit(k * e, k * p, i) == b_bit(e, p, i) &&
+                          group_deadline(k * e, k * p, i) == group_deadline(e, p, i);
+        if (same) continue;
+        if (bad++ == 0) {
+          ADD_FAILURE() << "first difference: (" << e << ", " << p << ") scaled by " << k
+                        << ", subtask " << i << ": deadline " << subtask_deadline(k * e, k * p, i)
+                        << " vs " << subtask_deadline(e, p, i) << ", group deadline "
+                        << group_deadline(k * e, k * p, i) << " vs " << group_deadline(e, p, i);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(bad, 0u) << "of " << checked;
 }
 
 }  // namespace

@@ -195,6 +195,33 @@ TEST(Daemon, RunAdvanceBeyondTheTickRangeStopsAtTheLastSlotThatFits) {
   EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
 }
 
+TEST(Daemon, HugePeriodLeavesFreeCapacityLikeTheirSmallTwins) {
+  // (4e15, 9e15) is light and (5e15, 9e15) heavy; by the advance each
+  // has run past subtask 1024, where i*p passes 2^63.  Their leave rules
+  // must free the weight when those of (4, 9) and (5, 9) do, not early.
+  struct Twin {
+    const char* execution;
+    const char* period;
+    int advance;
+    const char* free_at;
+  };
+  const Twin twins[] = {{"4000000000000000", "9000000000000000", 2400, "\"free_at\":2402"},
+                        {"4", "9", 2400, "\"free_at\":2402"},
+                        {"5000000000000000", "9000000000000000", 3000, "\"free_at\":3003"},
+                        {"5", "9", 3000, "\"free_at\":3003"}};
+  for (const Twin& tw : twins) {
+    Daemon d(pfair_config(1));
+    ASSERT_NE(d.process_line(std::string("{\"op\":\"join\",\"execution\":") + tw.execution +
+                             ",\"period\":" + tw.period + "}")
+                  .find("\"admit\":true"),
+              std::string::npos);
+    (void)d.process_line("{\"op\":\"advance\",\"to\":" + std::to_string(tw.advance) + "}");
+    const std::string reply = d.process_line("{\"op\":\"leave\",\"task\":0}");
+    EXPECT_NE(reply.find(tw.free_at), std::string::npos)
+        << "(" << tw.execution << ", " << tw.period << "): " << reply;
+  }
+}
+
 TEST(Daemon, PublishRegistryMirrorsTheStats) {
   obs::MetricsRegistry::global().reset_values();
   obs::prof::reset();

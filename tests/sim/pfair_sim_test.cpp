@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "util/rational.h"
+#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace pfair {
@@ -172,6 +177,51 @@ TEST(PfairSim, WeightOneTaskAlwaysScheduledEvenAmongHeavyCompetitors) {
   EXPECT_EQ(sim.allocated(full), 99);
   EXPECT_EQ(sim.metrics().deadline_misses, 0u);
   EXPECT_EQ(sim.metrics().lag_violations, 0u);
+}
+
+// A set and its copy with every (e, p) scaled by 10^15 have the same
+// windows, b-bits and group deadlines, so PD2 must schedule them
+// identically.  At that scale a heavy task's group-deadline products
+// pass int64 after ~1000 subtasks, which used to wrap the group deadline
+// negative and change PD2's ties.  Full-load, heavy-biased sets on up to
+// three processors, 4000 slots each.
+TEST(PfairSim, SetScaledBy1e15SchedulesLikeItsTwin) {
+  constexpr std::int64_t kScale = 1'000'000'000'000'000;
+  std::size_t differing = 0;
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(0x5ca1e + seed);
+    const int m = 1 + static_cast<int>(seed % 3);
+    std::vector<std::pair<std::int64_t, std::int64_t>> set;
+    Rational total(0);
+    for (int attempt = 0; attempt < 60; ++attempt) {
+      const std::int64_t p = rng.uniform_int(2, 9);
+      const std::int64_t e = rng.uniform_int(0, 3) == 0 ? rng.uniform_int(1, p)
+                                                         : rng.uniform_int((p + 1) / 2, p);
+      if (total + Rational(e, p) > Rational(m)) continue;
+      total += Rational(e, p);
+      set.emplace_back(e, p);
+    }
+    ScheduleTrace traces[2];
+    for (const int scaled : {0, 1}) {
+      PfairConfig cfg;
+      cfg.processors = m;
+      cfg.record_trace = true;
+      PfairSimulator sim(cfg);
+      const std::int64_t k = scaled == 1 ? kScale : 1;
+      for (const auto& [e, p] : set) sim.add_task(make_task(k * e, k * p));
+      sim.run_until(4000);
+      traces[scaled] = sim.trace();
+    }
+    ASSERT_EQ(traces[0].size(), traces[1].size());
+    for (std::size_t t = 0; t < traces[0].size(); ++t) {
+      if (traces[0][t].proc_to_task != traces[1][t].proc_to_task) {
+        ADD_FAILURE() << "seed " << seed << " (m=" << m << "): first difference at slot " << t;
+        ++differing;
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(differing, 0u);
 }
 
 }  // namespace
