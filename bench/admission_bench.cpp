@@ -15,23 +15,14 @@
 //
 // Usage: admission_bench [--requests=5000] [--seed=42] [--load=150]
 //                        [--processors=4] [--advance=1]
-//                        [--residents=0] [--batch=1] [--kind=all] [--json]
+//                        [--batch=1] [--kind=all] [--json]
 //
 // --load is offered load in percent of capacity (150 = half again more
-// than fits, so the reject paths get real traffic).
-//
-// Scale axes (the ISSUE-10 high-throughput work):
-//   --residents=N  commits N ultra-light ballast tasks into the gate
-//                  before the measured stream (DaemonConfig.residents),
-//                  so decisions run against an N-task committed set.
-//                  Pair with --advance=0 at large N: the ballast lives
-//                  only in the gate, and the point is admission
-//                  throughput, not slot-kernel throughput.
-//   --batch=K      rewrites the stream into {"op":"batch"} lines of K
-//                  sub-requests (serve::batch_requests).
-// Decisions are byte-identical for every batch size and the JSON rows
-// count sub-requests, so the recorded report is invariant across
-// --batch — only the stdout throughput moves.
+// than fits, so the reject paths get real traffic).  --batch=K rewrites
+// the stream into {"op":"batch"} lines of K sub-requests
+// (serve::batch_requests).  Decisions are byte-identical for every
+// batch size and the JSON rows count sub-requests, so the recorded
+// report is invariant across --batch — only the stdout throughput moves.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -52,7 +43,6 @@ int main(int argc, char** argv) {
   const double load = static_cast<double>(h.flag("load", 150)) / 100.0;
   const int m = static_cast<int>(h.flag("processors", 4));
   const auto advance = static_cast<Time>(h.flag("advance", 1));
-  const auto residents = static_cast<std::size_t>(h.flag("residents", 0));
   const auto batch = static_cast<std::size_t>(h.flag("batch", 1));
   const std::string only_kind = h.flag_string("kind", "all");
 
@@ -63,9 +53,8 @@ int main(int argc, char** argv) {
   std::string requests = serve::generate_requests(gc);
   if (batch > 1) requests = serve::batch_requests(requests, batch);
 
-  std::printf("# admission gate throughput (%zu requests, load %.0f%%, m=%d, "
-              "residents=%zu, batch=%zu)\n",
-              n_requests, load * 100.0, m, residents, batch);
+  std::printf("# admission gate throughput (%zu requests, load %.0f%%, m=%d, batch=%zu)\n",
+              n_requests, load * 100.0, m, batch);
   std::printf("# %-11s | %8s %8s %7s | %7s %7s %7s %7s | %10s | %8s %8s\n", "kind",
               "admits", "rejects", "errors", "tier0", "tier1", "tier2", "approx",
               "committed", "p50_ns", "p99_ns");
@@ -81,7 +70,6 @@ int main(int argc, char** argv) {
     dc.kind = kind;
     dc.processors = m;
     dc.advance_per_request = advance;
-    dc.residents = residents;
     serve::Daemon daemon(dc);
 
     obs::prof::reset();

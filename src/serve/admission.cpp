@@ -6,6 +6,7 @@
 
 #include "overhead/inflation.h"
 #include "uniproc/analysis.h"
+#include "util/math.h"
 
 namespace pfair::serve {
 
@@ -24,17 +25,10 @@ using engine::SchedulerKind;
   return Decision{false, tier, false, reason, 0};
 }
 
-/// Only the kinds whose Tier-0 bounds take order statistics (GFB's
-/// u_max, Lopez's beta) pay for the per-shard weight multisets.
-[[nodiscard]] bool needs_weight_multiset(SchedulerKind kind) noexcept {
-  return kind == SchedulerKind::kPartitioned || kind == SchedulerKind::kGlobalJob;
-}
-
 }  // namespace
 
 AdmissionController::AdmissionController(AdmissionConfig config)
-    : config_(config),
-      mirror_(config.mirror_shards, needs_weight_multiset(config.kind)) {
+    : config_(config) {
   if (config_.processors < 1) config_.processors = 1;
 }
 
@@ -87,6 +81,9 @@ void AdmissionController::schedule_release(TaskId id, Time at) {
 }
 
 void AdmissionController::schedule_reweight(TaskId id, const UniTask& t, Time at) {
+  const UniTask* cur = mirror_.find(id);
+  if (cur != nullptr && ratio_less(cur->execution, cur->period, t.execution, t.period))
+    mirror_.upsert(id, t);  // a heavier weight counts from the request on
   pending_.push(PendingChange{at, id, pending_seq_++, false, t});
 }
 
@@ -166,7 +163,7 @@ std::optional<Decision> AdmissionController::tier0(const UniTask& t, TaskId excl
     case SchedulerKind::kPartitioned: {
       if (after > Rational(m)) return no(0, "utilization");
       if (config_.overhead_aware) return std::nullopt;  // packing must confirm
-      const Rational u_max = mirror_.u_max_with(w, exclude);
+      const Rational u_max = mirror_.u_max_with(t, exclude);
       const std::int64_t beta = std::max<std::int64_t>(1, u_max.den() / u_max.num());
       if (after <= lopez_edf_ff_bound(m, beta)) return yes(0, "lopez");
       return std::nullopt;  // above the bound: try the actual packing
@@ -174,7 +171,7 @@ std::optional<Decision> AdmissionController::tier0(const UniTask& t, TaskId excl
     case SchedulerKind::kGlobalJob: {
       if (after > Rational(m)) return no(0, "utilization");
       if (config_.algorithm == UniAlgorithm::kEDF && !config_.overhead_aware) {
-        const Rational u_max = mirror_.u_max_with(w, exclude);
+        const Rational u_max = mirror_.u_max_with(t, exclude);
         if (after <= Rational(m) - Rational(m - 1) * u_max) return yes(0, "gfb");
       }
       return std::nullopt;  // Dhall territory: exact test decides

@@ -19,17 +19,19 @@
 //            budget runs out, the gate answers with Tier 1's verdict
 //            marked `approx`.
 //
-// The controller mirrors the admitted task set in a sharded flat
-// structure (serve/task_mirror.h) instead of reaching into the
+// The controller mirrors the admitted task set in a flat table indexed
+// by task id (serve/task_mirror.h) instead of reaching into the
 // simulator, so decisions are pure functions of the request history —
 // a recorded request log replays to byte-identical decisions on any
-// host.  The mirror keeps ΣU, the committed count, and the per-class
-// aggregates cached, so Tier 0 is O(1) and commits are O(1) amortized
-// at millions of residents.  Departures free capacity at the time the
-// scheduler's leave rules dictate: the daemon schedules a pending
-// release (a min-heap keyed (time, id, seq) — the same apply order the
-// PR-8 sort produced, without re-sorting the queue every advance) and
-// the controller applies it when the clock reaches it.
+// host.  The mirror keeps ΣU and the committed count cached, so the
+// Eq.-(2) test is O(1); GFB and Lopez scan its d weight classes for
+// u_max.  Departures free capacity at the time the scheduler's leave
+// rules dictate: the daemon schedules a pending release (a min-heap
+// keyed (time, id, seq), so changes apply in time order without
+// re-sorting the queue every advance) and the controller applies it
+// when the clock reaches it.  A reweight counts the heavier of its old
+// and new weight from the request until its switch-over, as the
+// simulator does, so no join can use capacity the switch-over takes.
 //
 // Incremental Tier 2.  The exact tests are pure functions of the
 // judged task *multiset* (the mirror canonicalizes every workload to
@@ -72,7 +74,7 @@ struct AdmissionConfig {
   OverheadParams overhead;      ///< Eq.-(3) inputs when overhead_aware
   double cache_delay_us = 33.3; ///< D(T) charged to every task (paper mean)
   std::uint64_t exact_budget = 1u << 20;  ///< Tier-2 event budget (0 = Tier 2 off)
-  int mirror_shards = 16;       ///< task-mirror shard count (power of two)
+  int mirror_shards = 16;       ///< ignored; delete with the next change to benchmark/
   std::size_t memo_capacity = 1u << 16;  ///< Tier-2 memo entries (0 = memo off)
 };
 
@@ -108,8 +110,9 @@ class AdmissionController {
   void schedule_release(TaskId id, Time at);
 
   /// Schedules `id` to switch to rate t at time `at`.  Until then the
-  /// old weight stays counted (matching PfairSimulator's orderly
-  /// reweight, where the exchange happens at the switch-over slot).
+  /// heavier of the old and new weight stays counted — a heavier t at
+  /// once — matching PfairSimulator's orderly reweight, which reserves
+  /// the same weight until the switch-over slot.
   void schedule_reweight(TaskId id, const UniTask& t, Time at);
 
   /// Speculatively evaluates the Tier-2 exact test for each candidate
@@ -126,7 +129,6 @@ class AdmissionController {
   [[nodiscard]] Rational total_weight() const noexcept { return mirror_.total(); }
   [[nodiscard]] std::size_t committed() const noexcept { return mirror_.size(); }
   [[nodiscard]] const AdmissionConfig& config() const noexcept { return config_; }
-  [[nodiscard]] const TaskMirror& mirror() const noexcept { return mirror_; }
   [[nodiscard]] std::uint64_t memo_hits() const noexcept { return memo_hits_; }
   [[nodiscard]] std::uint64_t memo_misses() const noexcept { return memo_misses_; }
 

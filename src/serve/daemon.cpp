@@ -43,28 +43,14 @@ namespace {
 Daemon::Daemon(DaemonConfig config)
     : config_(config),
       sim_(engine::make_simulator(config.kind, simulator_config(config))),
-      gate_(AdmissionConfig{config.kind, config.processors, config.algorithm,
-                            config.overhead_aware, config.overhead, config.cache_delay_us,
-                            config.exact_budget, config.mirror_shards,
-                            config.memo_capacity}) {
-  // Synthetic resident ballast (admission_bench --residents): N
-  // ultra-light tasks committed straight into the gate under ids from
-  // the high half of the id space, which the simulator's dense
-  // allocator never reaches.  The admission arithmetic then runs
-  // against an N-task committed set while the simulator still only
-  // executes the live stream's tasks — the bench measures gate
-  // throughput at scale, not the slot kernel.  Periods cycle through
-  // four classes at 2N..8N — the exact ΣU denominator stays at
-  // lcm = 24N (dozens of distinct periods would overflow the
-  // Rational) and the ballast totals 25/96 ~ 0.26 of one processor,
-  // fitting every kind, including uniproc.
-  const TaskId ballast_base = TaskId{1} << 31;
-  for (std::size_t i = 0; i < config_.residents; ++i) {
-    const auto p =
-        static_cast<std::int64_t>(2 * config_.residents * (1 + i % 4));
-    gate_.commit(ballast_base + static_cast<TaskId>(i), UniTask{1, p});
-  }
-}
+      gate_(AdmissionConfig{.kind = config.kind,
+                            .processors = config.processors,
+                            .algorithm = config.algorithm,
+                            .overhead_aware = config.overhead_aware,
+                            .overhead = config.overhead,
+                            .cache_delay_us = config.cache_delay_us,
+                            .exact_budget = config.exact_budget,
+                            .memo_capacity = config.memo_capacity}) {}
 
 void Daemon::note_decision(const Decision& d, const UniTask& t, TaskId task) {
   if (d.admit) {

@@ -6,6 +6,10 @@
 // admission test, applied to the simulator through the dynamic-task
 // request API (join/leave/reweight on engine::Simulator), and answered
 // with one JSONL decision line.  Everything runs on the calling thread.
+// Task ids are the simulator's (assigned in order, never reused) or, for
+// the static kinds, a counter from 0, so they index the gate's flat
+// mirror directly; an id a client sends that was never assigned answers
+// unknown-task.
 //
 // Determinism contract: a decision line is a pure function of the
 // request history — it carries the simulator clock, never wall-clock —
@@ -51,9 +55,8 @@ struct DaemonConfig {
   double cache_delay_us = 33.3;    ///< D(T) charged per task (paper mean)
   std::uint64_t exact_budget = 1u << 20;  ///< Tier-2 event budget (0 = off)
   Time advance_per_request = 0;    ///< slots to run after each request
-  int mirror_shards = 16;          ///< gate task-mirror shards
+  int mirror_shards = 16;          ///< ignored; delete with the next change to benchmark/
   std::size_t memo_capacity = 1u << 16;  ///< Tier-2 memo entries (0 = off)
-  std::size_t residents = 0;       ///< synthetic resident ballast (benches)
 };
 
 /// Request-loop totals (the registry mirror; see publish_registry()).

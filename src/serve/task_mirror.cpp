@@ -1,12 +1,12 @@
 #include "serve/task_mirror.h"
 
-#include <algorithm>
+#include <cassert>
+
+#include "util/math.h"
 
 namespace pfair::serve {
 
 namespace {
-
-constexpr std::size_t kInitialSlots = 16;
 
 /// splitmix64 finalizer — full avalanche over 64 bits.
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
@@ -14,14 +14,6 @@ constexpr std::size_t kInitialSlots = 16;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
-}
-
-[[nodiscard]] constexpr int clamp_shards(int shards) noexcept {
-  if (shards < 1) return 1;
-  if (shards > 256) return 256;
-  int p = 1;
-  while (p < shards) p <<= 1;
-  return p;
 }
 
 }  // namespace
@@ -36,45 +28,9 @@ std::uint64_t mirror_mix_hi(std::int64_t execution, std::int64_t period) noexcep
                mix64(static_cast<std::uint64_t>(period) ^ 0x9FB21C651E98DF25ull));
 }
 
-TaskMirror::TaskMirror(int shards, bool track_weights)
-    : shards_(static_cast<std::size_t>(clamp_shards(shards))),
-      shard_mask_(static_cast<TaskId>(clamp_shards(shards) - 1)),
-      track_weights_(track_weights) {}
-
-std::size_t TaskMirror::probe(const Shard& s, TaskId id) noexcept {
-  const std::size_t mask = s.slots.size() - 1;
-  std::size_t i =
-      static_cast<std::size_t>(mix64(static_cast<std::uint64_t>(id))) & mask;
-  std::size_t insert = s.slots.size();  // sentinel: no tombstone seen
-  for (;;) {
-    const Slot& slot = s.slots[i];
-    if (slot.id == kEmpty) return insert != s.slots.size() ? insert : i;
-    if (slot.id == kTombstone) {
-      if (insert == s.slots.size()) insert = i;
-    } else if (slot.id == id) {
-      return i;
-    }
-    i = (i + 1) & mask;
-  }
-}
-
-void TaskMirror::grow(Shard& s) {
-  std::vector<Slot> old = std::move(s.slots);
-  const std::size_t cap = std::max(kInitialSlots, old.size() * 2);
-  s.slots.assign(cap, Slot{});
-  s.used = s.size;  // tombstones do not survive the rehash
-  for (const Slot& slot : old) {
-    if (slot.id == kEmpty || slot.id == kTombstone) continue;
-    s.slots[probe(s, slot.id)] = slot;
-  }
-}
-
 const UniTask* TaskMirror::find(TaskId id) const noexcept {
-  if (id >= kTombstone) return nullptr;
-  const Shard& s = shard_for(id);
-  if (s.slots.empty()) return nullptr;
-  const Slot& slot = s.slots[probe(s, id)];
-  return slot.id == id ? &slot.task : nullptr;
+  if (id >= tasks_.size() || tasks_[id].period == 0) return nullptr;
+  return &tasks_[id];
 }
 
 void TaskMirror::add_aggregates(const UniTask& t) {
@@ -93,75 +49,46 @@ void TaskMirror::remove_aggregates(const UniTask& t) {
 }
 
 void TaskMirror::upsert(TaskId id, const UniTask& t) {
-  if (id >= kTombstone) return;
-  Shard& s = shard_for(id);
-  // Keep the live+tombstone occupancy under 7/8 so probe chains stay
-  // short; growing rehashes live entries only.
-  if (s.slots.empty() || (s.used + 1) * 8 > s.slots.size() * 7) grow(s);
-  const std::size_t i = probe(s, id);
-  Slot& slot = s.slots[i];
-  if (slot.id == id) {
-    remove_aggregates(slot.task);
-    if (track_weights_) {
-      const Rational w(slot.task.execution, slot.task.period);
-      const auto it = s.weights.find(w);
-      if (it != s.weights.end() && --it->second == 0) s.weights.erase(it);
-    }
+  assert(id != kNoTask && t.period > 0);
+  if (id >= tasks_.size()) tasks_.resize(std::size_t{id} + 1, UniTask{0, 0});
+  UniTask& slot = tasks_[id];
+  if (slot.period != 0) {
+    remove_aggregates(slot);
   } else {
-    if (slot.id == kEmpty) ++s.used;
-    slot.id = id;
-    ++s.size;
     ++size_;
   }
-  slot.task = t;
+  slot = t;
   add_aggregates(t);
-  if (track_weights_) ++s.weights[Rational(t.execution, t.period)];
 }
 
 bool TaskMirror::erase(TaskId id) {
-  if (id >= kTombstone) return false;
-  Shard& s = shard_for(id);
-  if (s.slots.empty()) return false;
-  const std::size_t i = probe(s, id);
-  Slot& slot = s.slots[i];
-  if (slot.id != id) return false;
-  remove_aggregates(slot.task);
-  if (track_weights_) {
-    const Rational w(slot.task.execution, slot.task.period);
-    const auto it = s.weights.find(w);
-    if (it != s.weights.end() && --it->second == 0) s.weights.erase(it);
-  }
-  slot.id = kTombstone;  // `used` keeps counting it until the next grow
-  --s.size;
+  if (find(id) == nullptr) return false;
+  remove_aggregates(tasks_[id]);
+  tasks_[id] = UniTask{0, 0};
   --size_;
   return true;
 }
 
 Rational TaskMirror::total_excluding(TaskId exclude) const {
-  if (exclude == kNoTask) return total_;
   const UniTask* t = find(exclude);
-  if (t == nullptr) return total_;
-  return total_ - Rational(t->execution, t->period);
+  return t == nullptr ? total_ : total_ - Rational(t->execution, t->period);
 }
 
 std::size_t TaskMirror::count_excluding(TaskId exclude) const {
-  if (exclude != kNoTask && find(exclude) != nullptr) return size_ - 1;
-  return size_;
+  return find(exclude) == nullptr ? size_ : size_ - 1;
 }
 
-Rational TaskMirror::u_max_with(const Rational& candidate, TaskId exclude) const {
-  Rational best = candidate;
-  const UniTask* ex = exclude == kNoTask ? nullptr : find(exclude);
-  const Rational exw = ex ? Rational(ex->execution, ex->period) : Rational(-1);
-  const std::size_t exshard = ex ? (exclude & shard_mask_) : shards_.size();
-  for (std::size_t k = 0; k < shards_.size(); ++k) {
-    auto it = shards_[k].weights.rbegin();
-    const auto rend = shards_[k].weights.rend();
-    // The excluded task hides one instance of its weight in its shard.
-    if (k == exshard && it != rend && it->first == exw && it->second == 1) ++it;
-    if (it != rend && best < it->first) best = it->first;
+Rational TaskMirror::u_max_with(const UniTask& candidate, TaskId exclude) const {
+  const UniTask* ex = find(exclude);
+  UniTask best = candidate;
+  for (const auto& [key, count] : classes_) {
+    // The excluded task hides its class only when it is the sole member.
+    if (ex != nullptr && count == 1 && key.first == ex->period && key.second == ex->execution)
+      continue;
+    if (ratio_less(best.execution, best.period, key.second, key.first))
+      best = UniTask{key.second, key.first};
   }
-  return best;
+  return Rational(best.execution, best.period);
 }
 
 MirrorFingerprint TaskMirror::fingerprint_with(const UniTask& extra,
@@ -171,7 +98,7 @@ MirrorFingerprint TaskMirror::fingerprint_with(const UniTask& extra,
     fp.lo += mirror_mix_lo(extra.execution, extra.period);
     fp.hi += mirror_mix_hi(extra.execution, extra.period);
   }
-  if (const UniTask* ex = exclude == kNoTask ? nullptr : find(exclude)) {
+  if (const UniTask* ex = find(exclude)) {
     fp.lo -= mirror_mix_lo(ex->execution, ex->period);
     fp.hi -= mirror_mix_hi(ex->execution, ex->period);
   }
@@ -182,7 +109,7 @@ std::vector<UniTask> TaskMirror::workload_with(const UniTask& extra,
                                                TaskId exclude) const {
   std::vector<UniTask> out;
   out.reserve(size_ + 1);
-  const UniTask* ex = exclude == kNoTask ? nullptr : find(exclude);
+  const UniTask* ex = find(exclude);
   const bool has_extra = extra.valid();
   const std::pair<std::int64_t, std::int64_t> xkey{extra.period, extra.execution};
   bool extra_emitted = false;

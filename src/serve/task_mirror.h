@@ -1,38 +1,26 @@
-// Sharded flat mirror of the committed task set — the data structure
-// behind the admission gate's Tier-0 arithmetic at millions of
-// resident tasks.
+// Flat mirror of the committed task set — the data structure behind
+// the admission gate's Tier-0 arithmetic.
 //
-// PR 8's AdmissionController mirrored the task set in a
-// std::map<TaskId, UniTask> plus a global std::map<Rational, int>
-// weight multiset: every decide/commit paid pointer-chasing O(log n)
-// node walks, and the mirror was the serving-path analogue of the AoS
-// task state PR 6 removed from the kernel.  This mirror replaces both
-// with S independent shards (shard = id & (S-1); daemon ids are dense,
-// so the spread is uniform by construction), each holding
+// Task ids are dense: the simulator assigns them in order and never
+// reuses one, and the daemon counts them up from 0 for the static
+// kinds.  So the mirror is one std::vector<UniTask> indexed by id, with
+// period 0 marking an absent id.  find() is a bounds check plus a
+// period test, and an id that was never assigned reads as absent.
 //
-//   - an open-addressing id -> (execution, period) table (power-of-two
-//     capacity, linear probing, tombstoned erase, amortised-O(1)
-//     upsert/find/erase),
-//   - a per-shard weight multiset for the order statistics Tier 0
-//     needs (u_max for GFB, Lopez's beta) — engaged only for the
-//     scheduler kinds that ask (partitioned, global EDF), so the
-//     common Pfair path never touches it,
+// The canonical (period, execution) -> count class map is the only
+// index of the committed multiset.  Next to it, every mutation keeps
+// O(1) aggregates: exact Rational ΣU, the committed count, and a
+// 128-bit *multiset fingerprint* — two independent commutative hash
+// sums over the committed (execution, period) pairs.  The fingerprint
+// is the warm-start rule of the incremental Tier-2 layer: a single-task
+// join/leave/reweight moves it by one O(1) add/subtract, never a rehash
+// of the set, so adjacent request states key into the exact verdict
+// memo (admission.h) without touching the n committed tasks.
 //
-// plus O(1) cached global aggregates maintained on every mutation:
-// exact Rational ΣU, the committed count, a canonical
-// (period, execution) -> count class map (the tier-1/2 workloads and
-// the per-class Tier-0 aggregates), and a 128-bit *multiset
-// fingerprint* — two independent commutative hash sums over the
-// committed (execution, period) pairs.  The fingerprint is the
-// warm-start rule of the incremental Tier-2 layer: a single-task
-// join/leave/reweight moves it by one O(1) add/subtract, never a
-// rehash of the set, so adjacent request states key into the exact
-// verdict memo (admission.h) without touching the n resident tasks.
-//
-// u_max is answered as the max over the S per-shard multiset maxima —
-// O(S) with S a small constant — and the canonical workload expansion
-// is O(n + d) over the d distinct classes, paid only on the Tier-2
-// slow path (memo miss).
+// u_max (GFB's and Lopez's order statistic) scans the d classes, O(d),
+// comparing weights through 128-bit cross products so periods near
+// 9e15 cannot wrap the comparison.  The canonical workload expansion is
+// O(n + d), paid only on the Tier-1/2 paths.
 #pragma once
 
 #include <cstdint>
@@ -61,17 +49,12 @@ struct MirrorFingerprint {
 
 class TaskMirror {
  public:
-  /// `shards` is clamped to a power of two in [1, 256].  `track_weights`
-  /// engages the per-shard weight multisets (only the kinds whose
-  /// Tier-0 bounds take order statistics pay for them).
-  explicit TaskMirror(int shards = 16, bool track_weights = true);
-
-  /// O(1) expected lookup; nullptr when absent.
+  /// O(1) lookup; nullptr when absent or never assigned.
   [[nodiscard]] const UniTask* find(TaskId id) const noexcept;
 
-  /// Inserts or replaces `id`; all cached aggregates follow.  O(1)
-  /// amortised (table growth) + O(log d) class/weight bookkeeping over
-  /// the d distinct weights in the shard.
+  /// Inserts or replaces `id` (an assigned id, so the table grows to at
+  /// most one past the largest id); all cached aggregates follow.  O(1)
+  /// amortised + O(log d) class bookkeeping over the d distinct classes.
   void upsert(TaskId id, const UniTask& t);
 
   /// Removes `id`; false when absent.
@@ -79,7 +62,6 @@ class TaskMirror {
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] const Rational& total() const noexcept { return total_; }
-  [[nodiscard]] int shards() const noexcept { return static_cast<int>(shards_.size()); }
 
   /// ΣU with `exclude` dropped (kNoTask or unknown ids excluded
   /// nothing).  O(1).
@@ -89,8 +71,8 @@ class TaskMirror {
   [[nodiscard]] std::size_t count_excluding(TaskId exclude) const;
 
   /// Largest per-task utilization once `exclude` is dropped and
-  /// `candidate` joins.  O(shards).  Requires track_weights.
-  [[nodiscard]] Rational u_max_with(const Rational& candidate, TaskId exclude) const;
+  /// `candidate` joins.  O(d).
+  [[nodiscard]] Rational u_max_with(const UniTask& candidate, TaskId exclude) const;
 
   /// Fingerprint of committed ∪ {extra} − {exclude}: the O(1)
   /// single-task delta rule.  `extra` may be invalid-by-sentinel
@@ -104,44 +86,11 @@ class TaskMirror {
   [[nodiscard]] std::vector<UniTask> workload_with(const UniTask& extra,
                                                    TaskId exclude) const;
 
-  /// Canonical (period, execution) -> count classes of the committed
-  /// set (the per-class Tier-0 aggregates).
-  [[nodiscard]] const std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t>&
-  classes() const noexcept {
-    return classes_;
-  }
-
  private:
-  struct Slot {
-    TaskId id = kEmpty;
-    UniTask task;
-  };
-  struct Shard {
-    std::vector<Slot> slots;     ///< power-of-two open-addressing table
-    std::size_t size = 0;        ///< live entries
-    std::size_t used = 0;        ///< live + tombstones (resize trigger)
-    std::map<Rational, std::int64_t> weights;  ///< multiset, iff track_weights
-  };
-
-  static constexpr TaskId kEmpty = kNoTask;            // 0xffffffff
-  static constexpr TaskId kTombstone = kNoTask - 1;    // 0xfffffffe
-
-  [[nodiscard]] Shard& shard_for(TaskId id) noexcept {
-    return shards_[id & shard_mask_];
-  }
-  [[nodiscard]] const Shard& shard_for(TaskId id) const noexcept {
-    return shards_[id & shard_mask_];
-  }
-  /// Index of `id` in `s.slots`, or the insertion point (first
-  /// tombstone on the probe path, else first empty).
-  [[nodiscard]] static std::size_t probe(const Shard& s, TaskId id) noexcept;
-  static void grow(Shard& s);
   void add_aggregates(const UniTask& t);
   void remove_aggregates(const UniTask& t);
 
-  std::vector<Shard> shards_;
-  TaskId shard_mask_ = 0;
-  bool track_weights_ = true;
+  std::vector<UniTask> tasks_;  ///< indexed by id; period 0 = absent
   std::size_t size_ = 0;
   Rational total_ = Rational(0);
   std::uint64_t fp_lo_ = 0;

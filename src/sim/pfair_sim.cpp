@@ -6,6 +6,7 @@
 #include "core/lag.h"
 #include "obs/prof.h"
 #include "obs/registry.h"
+#include "util/math.h"
 
 namespace pfair {
 
@@ -130,7 +131,7 @@ void PfairSimulator::force_leave(TaskId id) {
   if (!rt.active) return;
   remove_from_queues(id);
   rt.active = false;
-  active_weight_ -= rt.spec.weight();
+  active_weight_ -= counted_weight(rt);
   obs::emit(bus_, obs::EventKind::kTaskLeave, now_, id);
   // Cancel any in-flight departure/reweight so the task cannot be
   // resurrected when its switch-over time arrives.
@@ -143,7 +144,13 @@ std::optional<Time> PfairSimulator::request_leave(TaskId id) {
   if (id >= tasks_.size()) return std::nullopt;
   TaskRuntime& rt = tasks_[id];
   if (!rt.active) return std::nullopt;
-  if (rt.leave_at >= 0) return rt.leave_at;  // already departing
+  if (rt.leave_at >= 0) {
+    // Already departing, or switching weight at leave_at.  A leave turns
+    // that switch-over into a departure at the same time; the weight
+    // counted until then stays as it is.
+    if (rt.pending_e > 0) rt.pending_e = -rt.pending_e;
+    return rt.leave_at;
+  }
   const Time freed = std::max(now_, earliest_leave(id));
   remove_from_queues(id);  // stops executing immediately, freezing the rule
   rt.leave_at = freed;
@@ -171,9 +178,9 @@ std::optional<Time> PfairSimulator::request_reweight(TaskId id, std::int64_t new
   TaskRuntime& rt = tasks_[id];
   if (!rt.active || rt.leave_at >= 0) return std::nullopt;
   const Rational new_w(new_e, new_p);
-  // The old weight stays accounted until the switch-over, at which
-  // instant it is exchanged for the new one; admission only needs the
-  // exchanged total to fit.
+  // Until the switch-over the heavier of the old and new weight stays
+  // accounted, so no join can take capacity the switch-over needs;
+  // admission only needs the exchanged total to fit.
   if (!may_join(active_weight() - rt.spec.weight(), new_w, live_processors_))
     return std::nullopt;
   const Time freed = std::max(now_, earliest_leave(id));
@@ -185,6 +192,8 @@ std::optional<Time> PfairSimulator::request_reweight(TaskId id, std::int64_t new
   rt.leave_at = freed;
   rt.pending_e = new_e;
   rt.pending_p = new_p;
+  active_weight_ -= rt.spec.weight();
+  active_weight_ += counted_weight(rt);
   pending_departures_.push_back(id);
   return freed;
 }
@@ -205,16 +214,13 @@ void PfairSimulator::process_pending_departures(Time t) {
     if (rt.pending_e > 0) {
       // Reweight: restart with the new weight at the switch-over time
       // (observed as a leave immediately followed by a re-join).
-      const std::int64_t e = rt.pending_e;
-      const std::int64_t p = rt.pending_p;
+      restart_with_weight(pending_departures_[k], rt.pending_e, rt.pending_p, t);
+    } else {
+      rt.active = false;
+      active_weight_ -= counted_weight(rt);
       rt.leave_at = -1;
       rt.pending_e = 0;
       rt.pending_p = 0;
-      restart_with_weight(pending_departures_[k], e, p, t);
-    } else {
-      rt.active = false;
-      active_weight_ -= rt.spec.weight();
-      rt.leave_at = -1;
       obs::emit(bus_, obs::EventKind::kTaskLeave, t, pending_departures_[k]);
     }
     pending_departures_[k] = pending_departures_.back();
@@ -227,7 +233,7 @@ bool PfairSimulator::reweight(TaskId id, std::int64_t new_e, std::int64_t new_p)
   if (!rt.active) return false;
   if (rt.allocated > 0 && earliest_leave(id) > now_) return false;
   const Rational new_w(new_e, new_p);
-  if (!may_join(active_weight() - rt.spec.weight(), new_w, live_processors_)) return false;
+  if (!may_join(active_weight() - counted_weight(rt), new_w, live_processors_)) return false;
   remove_from_queues(id);
   restart_with_weight(id, new_e, new_p, now_);
   return true;
@@ -236,7 +242,10 @@ bool PfairSimulator::reweight(TaskId id, std::int64_t new_e, std::int64_t new_p)
 void PfairSimulator::restart_with_weight(TaskId id, std::int64_t e, std::int64_t p, Time t) {
   TaskRuntime& rt = tasks_[id];
   obs::emit(bus_, obs::EventKind::kTaskLeave, t, id);
-  active_weight_ -= rt.spec.weight();
+  active_weight_ -= counted_weight(rt);
+  rt.leave_at = -1;
+  rt.pending_e = 0;
+  rt.pending_p = 0;
   rt.spec.execution = e;
   rt.spec.period = p;
   active_weight_ += rt.spec.weight();
@@ -250,10 +259,17 @@ void PfairSimulator::restart_with_weight(TaskId id, std::int64_t e, std::int64_t
   obs::emit(bus_, obs::EventKind::kTaskJoin, t, id, kNoProc, rt.spec.weight().to_double());
 }
 
+Rational PfairSimulator::counted_weight(const TaskRuntime& rt) {
+  const std::int64_t e = rt.pending_e < 0 ? -rt.pending_e : rt.pending_e;
+  if (e > 0 && ratio_less(rt.spec.execution, rt.spec.period, e, rt.pending_p))
+    return Rational(e, rt.pending_p);
+  return rt.spec.weight();
+}
+
 Rational PfairSimulator::recompute_active_weight() const {
   Rational sum(0);
   for (const TaskRuntime& rt : tasks_)
-    if (rt.active) sum += rt.spec.weight();
+    if (rt.active) sum += counted_weight(rt);
   return sum;
 }
 

@@ -128,14 +128,17 @@ class PfairSimulator : public engine::Simulator {
   /// returned time is when the capacity frees.  (A continuously running
   /// heavy task can never satisfy leave() directly — each new quantum
   /// pushes its group deadline forward — so real departures go through
-  /// this protocol.)  nullopt for an unknown or inactive id.
+  /// this protocol.)  A leave while a reweight is pending departs at its
+  /// switch-over time instead.  nullopt for an unknown or inactive id.
   std::optional<Time> request_leave(TaskId id) override;
 
   /// Orderly reweighting (leave + rejoin with the new weight, Sec. 5.2):
   /// the task stops executing now and resumes with weight new_e/new_p at
-  /// the time the leave rules free its old weight.  Fails (returning
-  /// nullopt) only if the new total would exceed capacity; otherwise
-  /// returns the switch-over time.
+  /// the time the leave rules free its old weight.  Until then the
+  /// heavier of the two weights stays accounted.  Fails (returning
+  /// nullopt) if the new total would exceed capacity or the task is
+  /// already departing or switching; otherwise returns the switch-over
+  /// time.
   std::optional<Time> request_reweight(TaskId id, std::int64_t new_e, std::int64_t new_p);
 
   /// engine::Simulator spelling of request_reweight().
@@ -242,7 +245,11 @@ class PfairSimulator : public engine::Simulator {
     Time join_time = 0;
     std::vector<Time> arrivals;        ///< IS arrival times (absolute)
     Time leave_at = -1;          ///< pending departure (weight frees then)
-    std::int64_t pending_e = 0;  ///< pending reweight (0 = plain leave)
+    /// Pending weight pending_e/pending_p: > 0 switches to it at
+    /// leave_at, 0 is a plain leave, < 0 is a leave that cut such a
+    /// switch-over short (weight -pending_e/pending_p).  The heavier of
+    /// it and spec's weight is counted until leave_at.
+    std::int64_t pending_e = 0;
     std::int64_t pending_p = 0;
     std::int64_t cur_job_preemptions = 0;
     std::int64_t max_job_preemptions = 0;
@@ -262,8 +269,12 @@ class PfairSimulator : public engine::Simulator {
   void remove_from_queues(TaskId id);
   void check_lags(Time t_next);
   /// Restarts `id`'s subtask chain with weight e/p at time t (the common
-  /// tail of reweight() and a reweight switch-over).
+  /// tail of reweight() and a reweight switch-over), dropping whatever
+  /// weight a pending change held.
   void restart_with_weight(TaskId id, std::int64_t e, std::int64_t p, Time t);
+  /// The weight active_weight_ counts for an active task: its own, or
+  /// the heavier pending weight of a reweight not yet switched over.
+  [[nodiscard]] static Rational counted_weight(const TaskRuntime& rt);
   void process_pending_departures(Time t);
   /// Latest time in (now_, until] the simulation can jump to with every
   /// skipped slot provably idle and unobserved, or now_ when fast-forward

@@ -56,6 +56,14 @@ __extension__ typedef __int128 Int128;
   return static_cast<std::int64_t>(static_cast<Int128>(a) * b % c);
 }
 
+/// a/b < c/d for b, d > 0, decided on exact Int128 cross products (a
+/// Rational comparison forms them in int64 and wraps past ~9.2e18).
+[[nodiscard]] constexpr bool ratio_less(std::int64_t a, std::int64_t b, std::int64_t c,
+                                        std::int64_t d) noexcept {
+  assert(b > 0 && d > 0);
+  return static_cast<Int128>(a) * d < static_cast<Int128>(c) * b;
+}
+
 /// a*b with a debug-mode overflow check.  The library works with task
 /// parameters small enough (periods <= ~1e9, horizons <= ~1e12) that
 /// 64-bit products never overflow in correct usage; this assert catches

@@ -1,7 +1,7 @@
 // Profiling determinism + Perfetto phase tracks:
-//   * the JSONL event stream of a seeded run is byte-identical with
-//     profiling attached vs detached, and pfaird's with one vs eight
-//     task-mirror shards;
+//   * the JSONL event stream of a seeded run, and pfaird's with its
+//     decision log, is byte-identical with profiling attached vs
+//     detached;
 //   * PerfettoSink output with profiling + span recording on passes
 //     validate_perfetto_json and actually contains the phase track,
 //     pfaird's serve.decision slices included.
@@ -10,6 +10,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "obs/bus.h"
@@ -78,21 +79,20 @@ TEST(PhaseTrace, JsonlStreamByteIdenticalProfOnVsOff) {
   EXPECT_EQ(off.jsonl, on.jsonl);
 }
 
-// pfaird's task mirror is sharded; the shard count is a layout choice, so
-// with profiling on the admission event stream and the decision log must
-// not depend on it.
+// pfaird's admission event stream and decision log carry the simulator
+// clock, never wall-clock, so turning profiling on must not change a
+// byte of either.
 TEST(PhaseTrace, JsonlStreamByteIdenticalShardedVsUnsharded) {
   serve::GenConfig gen;
   gen.count = 400;
   gen.seed = 11;
   const std::string requests = serve::generate_requests(gen);
-  const auto run = [&requests](int mirror_shards) {
-    obs::prof::set_enabled(true);
+  const auto run = [&requests](bool prof) {
+    obs::prof::set_enabled(prof);
     obs::prof::reset();
     serve::DaemonConfig cfg;
     cfg.processors = 4;
     cfg.advance_per_request = 1;
-    cfg.mirror_shards = mirror_shards;
     serve::Daemon daemon(cfg);
     std::ostringstream jsonl_os;
     obs::JsonlSink jsonl(jsonl_os);
@@ -103,15 +103,19 @@ TEST(PhaseTrace, JsonlStreamByteIdenticalShardedVsUnsharded) {
     std::ostringstream decisions;
     (void)daemon.serve(in, decisions);
     bus.flush();
+    const std::uint64_t timed =
+        obs::prof::collect_totals(obs::prof::Phase::kServeDecision).count;
     obs::prof::set_enabled(false);
     obs::prof::reset();
-    return std::make_pair(jsonl_os.str(), decisions.str());
+    return std::make_tuple(jsonl_os.str(), decisions.str(), timed);
   };
-  const auto [one_events, one_log] = run(1);
-  const auto [eight_events, eight_log] = run(8);
-  ASSERT_FALSE(one_events.empty());
-  EXPECT_EQ(one_events, eight_events);
-  EXPECT_EQ(one_log, eight_log);
+  const auto [off_events, off_log, off_timed] = run(false);
+  const auto [on_events, on_log, on_timed] = run(true);
+  ASSERT_FALSE(off_events.empty());
+  EXPECT_EQ(off_timed, 0u);
+  EXPECT_EQ(on_timed, gen.count);  // profiling really was on
+  EXPECT_EQ(off_events, on_events);
+  EXPECT_EQ(off_log, on_log);
 }
 
 TEST(PhaseTrace, PerfettoWithPhaseTracksValidates) {

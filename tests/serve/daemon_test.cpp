@@ -7,8 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <charconv>
+#include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,6 +20,7 @@
 #include "obs/registry.h"
 #include "qa/gen.h"
 #include "serve/request.h"
+#include "util/math.h"
 
 namespace pfair::serve {
 namespace {
@@ -129,6 +133,102 @@ TEST(Daemon, ImmediateReweightKeepsSimulatorAndGateInStep) {
   EXPECT_NE(last.find("\"admit\":true"), std::string::npos) << last;
   EXPECT_EQ(last.find("sim-reject"), std::string::npos) << last;
   EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
+}
+
+TEST(Daemon, UpwardReweightReservesTheHeavierWeight) {
+  // Task 0 has run, so its reweight to 3/4 switches over at t = 3.  The
+  // heavier weight counts from the request on: a second (1,2) join
+  // would over-commit one processor once the switch-over applies.
+  Daemon d(pfair_config(1));
+  (void)d.process_line("{\"op\":\"join\",\"execution\":1,\"period\":2}");
+  (void)d.process_line("{\"op\":\"advance\",\"to\":1}");
+  const std::string reweight =
+      d.process_line("{\"op\":\"reweight\",\"task\":0,\"execution\":3,\"period\":4}");
+  EXPECT_NE(reweight.find("\"effective_at\":3"), std::string::npos) << reweight;
+  EXPECT_NE(reweight.find("\"total\":\"3/4\""), std::string::npos) << reweight;
+  const std::string join = d.process_line("{\"op\":\"join\",\"execution\":1,\"period\":2}");
+  EXPECT_NE(join.find("\"admit\":false"), std::string::npos) << join;
+  EXPECT_NE(join.find("\"reason\":\"eq2\""), std::string::npos) << join;
+  (void)d.process_line("{\"op\":\"advance\",\"to\":200}");
+  const std::string query = d.process_line("{\"op\":\"query\"}");
+  EXPECT_NE(query.find("\"total\":\"3/4\""), std::string::npos) << query;
+  EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
+}
+
+TEST(Daemon, LeaveDuringAPendingReweightDeparts) {
+  // The leave arrives while task 0 waits for its switch-over at t = 3.
+  // It must depart then in the simulator too, not restart at 1/4 while
+  // the gate drops it.
+  Daemon d(pfair_config(1));
+  (void)d.process_line("{\"op\":\"join\",\"execution\":1,\"period\":2}");
+  (void)d.process_line("{\"op\":\"advance\",\"to\":1}");
+  const std::string reweight =
+      d.process_line("{\"op\":\"reweight\",\"task\":0,\"execution\":1,\"period\":4}");
+  ASSERT_NE(reweight.find("\"effective_at\":3"), std::string::npos) << reweight;
+  const std::string leave = d.process_line("{\"op\":\"leave\",\"task\":0}");
+  EXPECT_NE(leave.find("\"free_at\":3"), std::string::npos) << leave;
+  (void)d.process_line("{\"op\":\"advance\",\"to\":20}");
+  const std::string query = d.process_line("{\"op\":\"query\"}");
+  EXPECT_NE(query.find("\"tasks\":0"), std::string::npos) << query;
+  const std::string join = d.process_line("{\"op\":\"join\",\"execution\":1,\"period\":1}");
+  EXPECT_NE(join.find("\"admit\":true"), std::string::npos) << join;
+  EXPECT_NE(join.find("\"task\":1"), std::string::npos) << join;
+  (void)d.process_line("{\"op\":\"advance\",\"to\":40}");
+  const std::string again = d.process_line("{\"op\":\"leave\",\"task\":0}");
+  EXPECT_NE(again.find("\"error\":\"unknown-task\""), std::string::npos) << again;
+  EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
+}
+
+/// The "total" field of a decision line is above `m` (false without one).
+bool total_above(const std::string& line, int m) {
+  const std::string_view key = "\"total\":\"";
+  const std::size_t at = line.find(key);
+  if (at == std::string::npos) return false;
+  const char* p = line.data() + at + key.size();
+  const char* end = line.data() + line.size();
+  std::int64_t num = 0;
+  std::int64_t den = 1;
+  p = std::from_chars(p, end, num).ptr;
+  if (*p == '/') (void)std::from_chars(p + 1, end, den);
+  return static_cast<Int128>(num) > static_cast<Int128>(m) * den;
+}
+
+TEST(Daemon, GateAndSimulatorAgreeOnGeneratedPd2Streams) {
+  // Whatever the gate admits, the PD2 simulator it serves must accept:
+  // no join may come back "sim-reject", and no total may pass M.  (A
+  // reweight may: the simulator refuses a second one while one is
+  // pending, which the gate does not track.)
+  int failed_streams = 0;
+  for (const int m : {1, 2, 4}) {
+    for (const std::int64_t max_period : {16, 40}) {
+      for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        GenConfig gen;
+        gen.count = 3000;
+        gen.seed = seed;
+        gen.max_period = max_period;
+        Daemon d(pfair_config(m));
+        std::istringstream in(generate_requests(gen));
+        std::string line;
+        int sim_rejected_joins = 0;
+        int totals_above_m = 0;
+        while (std::getline(in, line)) {
+          const std::string reply = d.process_line(line);
+          if (reply.find("\"op\":\"join\"") != std::string::npos &&
+              reply.find("\"sim-reject\"") != std::string::npos)
+            ++sim_rejected_joins;
+          if (total_above(reply, m)) ++totals_above_m;
+        }
+        EXPECT_EQ(sim_rejected_joins, 0)
+            << "m=" << m << " max_period=" << max_period << " seed=" << seed;
+        EXPECT_EQ(totals_above_m, 0)
+            << "m=" << m << " max_period=" << max_period << " seed=" << seed;
+        EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u)
+            << "m=" << m << " max_period=" << max_period << " seed=" << seed;
+        if (sim_rejected_joins + totals_above_m > 0) ++failed_streams;
+      }
+    }
+  }
+  EXPECT_EQ(failed_streams, 0) << "of 96 streams";
 }
 
 TEST(Daemon, ExactGlobalEdfAdmitsHoldInArrivalOrder) {

@@ -1,4 +1,4 @@
-// The high-throughput admission machinery: the sharded TaskMirror and
+// The high-throughput admission machinery: the flat TaskMirror and
 // its multiset fingerprint, the incremental Tier-2 memo (byte-equal
 // decisions with the cache on or off), batch lines answering like their
 // sub-requests sent alone, and ObjectWriter against the dumped-Object
@@ -24,54 +24,66 @@ namespace {
 // --- TaskMirror -----------------------------------------------------
 
 TEST(TaskMirror, MatchesAReferenceMapUnderChurn) {
-  for (const int shards : {1, 4, 16}) {
-    TaskMirror mirror(shards);
-    std::map<TaskId, UniTask> ref;
-    Rng rng(7);
-    for (int step = 0; step < 4000; ++step) {
-      const auto id = static_cast<TaskId>(rng.uniform_int(0, 300));
-      if (rng.uniform_int(0, 2) != 0) {
-        const UniTask t{rng.uniform_int(1, 9), rng.uniform_int(10, 40)};
-        mirror.upsert(id, t);
-        ref[id] = t;
-      } else {
-        EXPECT_EQ(mirror.erase(id), ref.erase(id) > 0) << "shards=" << shards;
-      }
+  TaskMirror mirror;
+  std::map<TaskId, UniTask> ref;
+  Rng rng(7);
+  for (int step = 0; step < 4000; ++step) {
+    const auto id = static_cast<TaskId>(rng.uniform_int(0, 300));
+    if (rng.uniform_int(0, 2) != 0) {
+      const UniTask t{rng.uniform_int(1, 9), rng.uniform_int(10, 40)};
+      mirror.upsert(id, t);
+      ref[id] = t;
+    } else {
+      EXPECT_EQ(mirror.erase(id), ref.erase(id) > 0) << "step " << step;
     }
-    EXPECT_EQ(mirror.size(), ref.size()) << "shards=" << shards;
-    Rational total(0);
-    for (const auto& [id, t] : ref) {
-      total = total + Rational(t.execution, t.period);
-      const UniTask* found = mirror.find(id);
-      ASSERT_NE(found, nullptr);
-      EXPECT_EQ(found->execution, t.execution);
-      EXPECT_EQ(found->period, t.period);
-    }
-    EXPECT_EQ(mirror.total(), total) << "shards=" << shards;
-    EXPECT_EQ(mirror.find(static_cast<TaskId>(999)), nullptr);
+  }
+  EXPECT_EQ(mirror.size(), ref.size());
+  Rational total(0);
+  for (const auto& [id, t] : ref) {
+    total = total + Rational(t.execution, t.period);
+    const UniTask* found = mirror.find(id);
+    ASSERT_NE(found, nullptr);
+    EXPECT_EQ(found->execution, t.execution);
+    EXPECT_EQ(found->period, t.period);
+  }
+  EXPECT_EQ(mirror.total(), total);
+  // Ids past the table, including ones no simulator ever assigns, read
+  // as absent and change nothing.
+  for (const TaskId never : {TaskId{999}, TaskId{4294967294u}, kNoTask}) {
+    EXPECT_EQ(mirror.find(never), nullptr) << never;
+    EXPECT_FALSE(mirror.erase(never)) << never;
+    EXPECT_EQ(mirror.total_excluding(never), total) << never;
+    EXPECT_EQ(mirror.count_excluding(never), ref.size()) << never;
   }
 }
 
-TEST(TaskMirror, TombstonedSlotsAreReusedAcrossInsertEraseCycles) {
-  TaskMirror mirror(1);
-  // Hammer one shard with insert/erase cycles over a small id range:
-  // every erase leaves a tombstone on the probe path that the next
-  // upsert of the same id must reclaim instead of growing forever.
+TEST(TaskMirror, EraseAndReinsertCyclesKeepSizeAndTotalExact) {
+  TaskMirror mirror;
+  // Erase/re-insert cycles over a small id range: an erased id reads
+  // as absent, a re-inserted one counts once, and no cycle leaves a
+  // trace in the aggregates.
   for (int cycle = 0; cycle < 200; ++cycle) {
     for (TaskId id = 0; id < 8; ++id) mirror.upsert(id, UniTask{1, 4 + id});
+    ASSERT_EQ(mirror.size(), 8u);
+    ASSERT_EQ(mirror.total(), Rational(1, 4) + Rational(1, 5) + Rational(1, 6) +
+                                  Rational(1, 7) + Rational(1, 8) + Rational(1, 9) +
+                                  Rational(1, 10) + Rational(1, 11));
     for (TaskId id = 0; id < 8; ++id) EXPECT_TRUE(mirror.erase(id));
+    for (TaskId id = 0; id < 8; ++id) EXPECT_EQ(mirror.find(id), nullptr);
+    EXPECT_FALSE(mirror.erase(3));
   }
   EXPECT_EQ(mirror.size(), 0u);
   EXPECT_EQ(mirror.total(), Rational(0));
   mirror.upsert(3, UniTask{1, 2});
   ASSERT_NE(mirror.find(3), nullptr);
+  EXPECT_EQ(mirror.size(), 1u);
   EXPECT_EQ(mirror.total(), Rational(1, 2));
 }
 
 TEST(TaskMirror, FingerprintDependsOnTheMultisetNotArrivalOrder) {
   const UniTask kNull{0, 0};  // sentinel: fingerprint the set itself
-  TaskMirror forward(16);
-  TaskMirror backward(4);
+  TaskMirror forward;
+  TaskMirror backward;
   std::vector<UniTask> tasks;
   for (int i = 0; i < 40; ++i) tasks.push_back(UniTask{1 + i % 5, 10 + i % 7});
   for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -79,20 +91,20 @@ TEST(TaskMirror, FingerprintDependsOnTheMultisetNotArrivalOrder) {
     const std::size_t j = tasks.size() - 1 - i;
     backward.upsert(static_cast<TaskId>(j), tasks[j]);
   }
-  // Same multiset, different insertion order AND different shard
-  // geometry: the fingerprint is a commutative sum over tasks.
+  // Same multiset, different insertion order: the fingerprint is a
+  // commutative sum over tasks.
   EXPECT_EQ(forward.fingerprint_with(kNull, kNoTask),
             backward.fingerprint_with(kNull, kNoTask));
 
   // Ids do not feed the fingerprint — two ids swapping tasks is a no-op.
-  TaskMirror swapped(16);
+  TaskMirror swapped;
   for (std::size_t i = 0; i < tasks.size(); ++i)
     swapped.upsert(static_cast<TaskId>((i + 1) % tasks.size()), tasks[i]);
   EXPECT_EQ(forward.fingerprint_with(kNull, kNoTask),
             swapped.fingerprint_with(kNull, kNoTask));
 
   // Distinct multisets must not collide (40 vs 39 tasks).
-  TaskMirror shorter(16);
+  TaskMirror shorter;
   for (std::size_t i = 0; i + 1 < tasks.size(); ++i)
     shorter.upsert(static_cast<TaskId>(i), tasks[i]);
   EXPECT_FALSE(forward.fingerprint_with(kNull, kNoTask) ==
@@ -101,7 +113,7 @@ TEST(TaskMirror, FingerprintDependsOnTheMultisetNotArrivalOrder) {
 
 TEST(TaskMirror, FingerprintWithMatchesTheActualMutation) {
   const UniTask kNull{0, 0};
-  TaskMirror mirror(16);
+  TaskMirror mirror;
   for (TaskId id = 0; id < 10; ++id) mirror.upsert(id, UniTask{1 + id % 3, 8 + id});
   const UniTask extra{2, 11};
 
@@ -126,8 +138,8 @@ TEST(TaskMirror, FingerprintWithMatchesTheActualMutation) {
 }
 
 TEST(TaskMirror, WorkloadIsCanonicalInPeriodThenExecution) {
-  TaskMirror a(16);
-  TaskMirror b(16);
+  TaskMirror a;
+  TaskMirror b;
   const std::vector<UniTask> tasks = {{3, 20}, {1, 5}, {2, 20}, {1, 5}, {4, 9}};
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     a.upsert(static_cast<TaskId>(i), tasks[i]);
@@ -147,7 +159,7 @@ TEST(TaskMirror, WorkloadIsCanonicalInPeriodThenExecution) {
 }
 
 TEST(TaskMirror, ExclusionAggregatesDropExactlyOneTask) {
-  TaskMirror mirror(16, /*track_weights=*/true);
+  TaskMirror mirror;
   mirror.upsert(0, UniTask{1, 2});   // weight 1/2
   mirror.upsert(1, UniTask{3, 4});   // weight 3/4
   mirror.upsert(2, UniTask{1, 10});  // weight 1/10
@@ -157,8 +169,44 @@ TEST(TaskMirror, ExclusionAggregatesDropExactlyOneTask) {
   EXPECT_EQ(mirror.total_excluding(static_cast<TaskId>(77)), mirror.total());
   // Dropping the current max exposes the runner-up against a light
   // candidate; a heavy candidate wins outright.
-  EXPECT_EQ(mirror.u_max_with(Rational(1, 100), 1), Rational(1, 2));
-  EXPECT_EQ(mirror.u_max_with(Rational(9, 10), kNoTask), Rational(9, 10));
+  EXPECT_EQ(mirror.u_max_with(UniTask{1, 100}, 1), Rational(1, 2));
+  EXPECT_EQ(mirror.u_max_with(UniTask{9, 10}, kNoTask), Rational(9, 10));
+  // A second task in the excluded task's class keeps that class.
+  mirror.upsert(3, UniTask{3, 4});
+  EXPECT_EQ(mirror.u_max_with(UniTask{1, 100}, 1), Rational(3, 4));
+}
+
+TEST(TaskMirror, UMaxIsExactPastInt64CrossProducts) {
+  // Each (lighter, heavier) pair's cross products e·p' pass 9.2e18,
+  // where a comparison in int64 wraps and picks the lighter task.  The
+  // weights are ≈ 0.3449 < 0.3656, 0.3613 < 0.3898 and 0.3620 < 0.4654.
+  struct Pair {
+    UniTask light, heavy;
+  };
+  const Pair pairs[] = {
+      {{2113365958730176, 6126933103096309}, {3007582712376625, 8226161561168607}},
+      {{2970933677285452, 8222209650546942}, {2465608406281118, 6324635148134705}},
+      {{2843182148981984, 7854008534861993}, {3302656532930410, 7096509499740639}},
+  };
+  const UniTask kTiny{1, 1000};
+  for (const Pair& p : pairs) {
+    ASSERT_LT(p.light.utilization(), p.heavy.utilization());
+    const Rational heavy(p.heavy.execution, p.heavy.period);
+    const Rational light(p.light.execution, p.light.period);
+    for (const bool heavy_first : {false, true}) {
+      TaskMirror mirror;
+      mirror.upsert(heavy_first ? 0 : 1, p.heavy);
+      mirror.upsert(heavy_first ? 1 : 0, p.light);
+      const TaskId heavy_id = heavy_first ? 0 : 1;
+      EXPECT_EQ(mirror.u_max_with(kTiny, kNoTask), heavy) << heavy_first;
+      // Candidate against the committed task, in both roles.
+      TaskMirror one;
+      one.upsert(0, heavy_first ? p.heavy : p.light);
+      EXPECT_EQ(one.u_max_with(heavy_first ? p.light : p.heavy, kNoTask), heavy);
+      // Excluding the heavier task leaves the lighter one.
+      EXPECT_EQ(mirror.u_max_with(kTiny, heavy_id), light) << heavy_first;
+    }
+  }
 }
 
 // --- Tier-2 memoization ---------------------------------------------

@@ -2,6 +2,9 @@
 // "Dynamic task systems" and Sec. 5.2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+
 #include "sim/pfair_sim.h"
 #include "workload/generator.h"
 
@@ -136,6 +139,56 @@ TEST(Dynamics, ForceLeaveCancelsPendingReweight) {
   EXPECT_TRUE(sim.join(make_task(1, 1)).has_value());
   sim.run_until(sim.now() + 50);
   EXPECT_EQ(sim.metrics().deadline_misses, 0u);
+}
+
+TEST(Dynamics, HeavierPendingReweightReservesItsWeight) {
+  // From the request until the switch-over the heavier weight counts, so
+  // a join that fits only beside the old weight is refused.
+  PfairConfig sc;
+  sc.processors = 1;
+  PfairSimulator sim(sc);
+  const TaskId a = sim.add_task(make_task(1, 2));
+  sim.run_until(1);
+  const auto switch_at = sim.request_reweight(a, 3, 4);
+  ASSERT_TRUE(switch_at.has_value());
+  ASSERT_GT(*switch_at, sim.now());
+  EXPECT_EQ(sim.active_weight(), Rational(3, 4));
+  EXPECT_EQ(sim.recompute_active_weight(), Rational(3, 4));
+  EXPECT_FALSE(sim.join(make_task(1, 2)).has_value());  // 3/4 + 1/2 > 1
+  EXPECT_TRUE(sim.join(make_task(1, 4)).has_value());   // 3/4 + 1/4 = 1
+  sim.run_until(*switch_at + 200);
+  EXPECT_EQ(sim.active_weight(), Rational(1));
+  EXPECT_EQ(sim.recompute_active_weight(), Rational(1));
+  EXPECT_EQ(sim.metrics().deadline_misses, 0u);
+}
+
+TEST(Dynamics, LeaveDuringPendingReweightDepartsAtTheSwitchOver) {
+  // A leave while a reweight waits for its switch-over departs then: the
+  // task never runs again, and until then the heavier of its two
+  // weights stays counted.
+  for (const auto& [e, p] : {std::pair<std::int64_t, std::int64_t>{1, 4}, {3, 4}}) {
+    PfairConfig sc;
+    sc.processors = 1;
+    PfairSimulator sim(sc);
+    const TaskId a = sim.add_task(make_task(1, 2));
+    sim.run_until(1);
+    const auto switch_at = sim.request_reweight(a, e, p);
+    ASSERT_TRUE(switch_at.has_value());
+    ASSERT_GT(*switch_at, sim.now());
+    EXPECT_EQ(sim.request_leave(a), switch_at);
+    const Rational held = std::max(Rational(1, 2), Rational(e, p));
+    EXPECT_EQ(sim.active_weight(), held) << e << "/" << p;
+    EXPECT_EQ(sim.recompute_active_weight(), held) << e << "/" << p;
+    const std::int64_t frozen = sim.allocated(a);
+    sim.run_until(*switch_at + 50);
+    EXPECT_EQ(sim.allocated(a), frozen) << e << "/" << p;  // never ran again
+    EXPECT_EQ(sim.active_weight(), Rational(0)) << e << "/" << p;
+    EXPECT_EQ(sim.recompute_active_weight(), Rational(0)) << e << "/" << p;
+    EXPECT_FALSE(sim.request_leave(a).has_value()) << e << "/" << p;
+    EXPECT_TRUE(sim.join(make_task(1, 1)).has_value()) << e << "/" << p;
+    sim.run_until(sim.now() + 50);
+    EXPECT_EQ(sim.metrics().deadline_misses, 0u) << e << "/" << p;
+  }
 }
 
 TEST(Dynamics, ImmediateReweightSwitchOverAppliesAtOnce) {

@@ -23,7 +23,6 @@
 //   --cache-delay=US     D(T) per task when --overhead (default 33.3)
 //   --memo-capacity=N    Tier-2 verdict memo entries (0 disables;
 //                        default 65536)
-//   --shards=N           admission task-mirror shards (default 16)
 //   --registry=FILE      write the MetricsRegistry snapshot (serve.*
 //                        counters, serve.tier2_memo_hits, and the
 //                        obs::prof timers: serve.decision p50/p95/p99
@@ -44,10 +43,12 @@
 // runs).  Wall-clock only feeds the stderr summary and the registry
 // snapshot — observability side channels.
 //
-// Exit status: 0 on success, 1 on bad usage (a configuration the
-// generator or the daemon refuses included, such as --processors=0) or
-// unreadable/unwritable files.
+// Exit status: 0 on success, 1 on bad usage (an argument that is not
+// one of the flags above, a numeric flag whose value does not parse in
+// full, or a configuration the generator or the daemon refuses, such
+// as --processors=0) or unreadable/unwritable files.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -56,6 +57,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "obs/prof.h"
 #include "obs/registry.h"
@@ -71,7 +73,7 @@ int usage() {
       "              KIND: pfair|partitioned|global-job|uniproc|wrr|cbs|bf|run\n"
       "              [--input=FILE|-] [--output=FILE|-] [--advance=N]\n"
       "              [--exact-budget=N] [--overhead] [--cache-delay=US]\n"
-      "              [--memo-capacity=N] [--shards=N] [--registry=FILE]\n"
+      "              [--memo-capacity=N] [--registry=FILE]\n"
       "       pfaird --gen-requests=N [--seed=N] [--load=PCT] [--max-period=N]\n"
       "              [--batch-requests=N] [--output=FILE|-]\n");
   return 1;
@@ -81,6 +83,53 @@ int usage() {
 int bad_config(const std::invalid_argument& e) {
   std::fprintf(stderr, "pfaird: %s\n", e.what());
   return 1;
+}
+
+enum class FlagValue { kText, kInt, kReal };
+
+struct FlagSpec {
+  std::string_view key;
+  FlagValue value;
+};
+
+constexpr FlagSpec kFlags[] = {
+    {"scheduler", FlagValue::kText},    {"processors", FlagValue::kInt},
+    {"algorithm", FlagValue::kText},    {"input", FlagValue::kText},
+    {"output", FlagValue::kText},       {"advance", FlagValue::kInt},
+    {"exact-budget", FlagValue::kInt},  {"cache-delay", FlagValue::kReal},
+    {"memo-capacity", FlagValue::kInt}, {"registry", FlagValue::kText},
+    {"gen-requests", FlagValue::kInt},  {"batch-requests", FlagValue::kInt},
+    {"seed", FlagValue::kInt},          {"load", FlagValue::kInt},
+    {"max-period", FlagValue::kInt},
+};
+
+/// `v` as a number, or no value unless all of it parses.
+template <typename T>
+std::optional<T> parse_number(std::string_view v) {
+  T n{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
+  if (ec != std::errc{} || end != v.data() + v.size()) return std::nullopt;
+  return n;
+}
+
+/// The first argument that is neither --overhead nor a known
+/// --key=value whose numeric value parses in full; nullptr when every
+/// argument is one of them.
+const char* bad_argument(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--overhead") continue;
+    const std::size_t eq = arg.find('=');
+    if (!arg.starts_with("--") || eq == std::string_view::npos) return argv[i];
+    const std::string_view key = arg.substr(2, eq - 2);
+    const std::string_view value = arg.substr(eq + 1);
+    const auto spec = std::find_if(std::begin(kFlags), std::end(kFlags),
+                                   [key](const FlagSpec& f) { return f.key == key; });
+    if (spec == std::end(kFlags)) return argv[i];
+    if (spec->value == FlagValue::kInt && !parse_number<long long>(value)) return argv[i];
+    if (spec->value == FlagValue::kReal && !parse_number<double>(value)) return argv[i];
+  }
+  return nullptr;
 }
 
 const char* string_flag(int argc, char** argv, const char* key) {
@@ -94,18 +143,12 @@ const char* string_flag(int argc, char** argv, const char* key) {
 
 long long flag(int argc, char** argv, const char* key, long long fallback) {
   const char* v = string_flag(argc, argv, key);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const long long n = std::strtoll(v, &end, 10);
-  return end == v || *end != '\0' ? fallback : n;
+  return v == nullptr ? fallback : parse_number<long long>(v).value_or(fallback);
 }
 
 double double_flag(int argc, char** argv, const char* key, double fallback) {
   const char* v = string_flag(argc, argv, key);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const double n = std::strtod(v, &end);
-  return end == v || *end != '\0' ? fallback : n;
+  return v == nullptr ? fallback : parse_number<double>(v).value_or(fallback);
 }
 
 bool bool_flag(int argc, char** argv, const char* key) {
@@ -118,6 +161,10 @@ bool bool_flag(int argc, char** argv, const char* key) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (const char* bad = bad_argument(argc, argv)) {
+    std::fprintf(stderr, "pfaird: bad argument '%s'\n", bad);
+    return usage();
+  }
   const char* output_path = string_flag(argc, argv, "output");
   std::ofstream out_file;
   std::ostream* out = &std::cout;
@@ -179,7 +226,6 @@ int main(int argc, char** argv) {
   dc.advance_per_request = static_cast<pfair::Time>(flag(argc, argv, "advance", 0));
   dc.memo_capacity =
       static_cast<std::size_t>(std::max(0LL, flag(argc, argv, "memo-capacity", 1 << 16)));
-  dc.mirror_shards = static_cast<int>(std::max(1LL, flag(argc, argv, "shards", 16)));
 
   const char* input_path = string_flag(argc, argv, "input");
   std::ifstream in_file;
