@@ -181,10 +181,10 @@ bool pd_higher_priority(const SubtaskRef& a, const SubtaskRef& b) noexcept {
   if (a.b == 1 && a.group_dl != b.group_dl) return a.group_dl > b.group_dl;
   // PD's historical extra tie-breaks resolved weight comparisons in
   // constant time; we keep the same effect: heavier task first (compare
-  // e_a/p_a vs e_b/p_b by cross multiplication), then stable id.
-  const std::int64_t lhs = a.e * b.p;
-  const std::int64_t rhs = b.e * a.p;
-  if (lhs != rhs) return lhs > rhs;
+  // e_a/p_a vs e_b/p_b by exact cross multiplication, which passes
+  // int64 for periods near 9e15), then stable id.
+  if (ratio_less(b.e, b.p, a.e, a.p)) return true;
+  if (ratio_less(a.e, a.p, b.e, b.p)) return false;
   return a.task < b.task;
 }
 

@@ -119,6 +119,12 @@ std::optional<SchedulerKind> scheduler_kind_from_string(std::string_view name) n
   return std::nullopt;
 }
 
+std::optional<UniAlgorithm> uni_algorithm_from_string(std::string_view name) noexcept {
+  if (name == "edf") return UniAlgorithm::kEDF;
+  if (name == "rm") return UniAlgorithm::kRM;
+  return std::nullopt;
+}
+
 const std::vector<SchedulerKind>& all_scheduler_kinds() {
   static const std::vector<SchedulerKind> kinds = [] {
     std::vector<SchedulerKind> out;

@@ -57,6 +57,11 @@ enum class SchedulerKind : std::uint8_t {
 [[nodiscard]] std::optional<SchedulerKind> scheduler_kind_from_string(
     std::string_view name) noexcept;
 
+/// The uniproc / global-job flavour named "edf" or "rm"; nullopt for
+/// any other name.
+[[nodiscard]] std::optional<UniAlgorithm> uni_algorithm_from_string(
+    std::string_view name) noexcept;
+
 /// Every registered kind, in registry order (stable across runs; handy
 /// for CLI listings and exhaustive tests).
 [[nodiscard]] const std::vector<SchedulerKind>& all_scheduler_kinds();

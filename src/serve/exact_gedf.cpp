@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
-#include <utility>
 
 #include "util/math.h"
 
@@ -12,9 +11,17 @@ namespace pfair::serve {
 
 namespace {
 
-/// (release time or priority key, task index).  Pairs compare
-/// lexicographically, so equal times and keys go to the lower index.
-using Entry = std::pair<Time, std::uint32_t>;
+/// (release time or priority key) << 32 | task index, packed in one
+/// integer.  Keys are non-negative Times, so one integer compare orders
+/// entries as the (key, index) pair would: equal times and keys go to
+/// the lower index.
+using Entry = Int128;
+
+constexpr Entry pack(Time key, std::uint32_t task) noexcept {
+  return (static_cast<Entry>(key) << 32) | task;
+}
+constexpr Time key_of(Entry e) noexcept { return static_cast<Time>(e >> 32); }
+constexpr std::uint32_t task_of(Entry e) noexcept { return static_cast<std::uint32_t>(e); }
 
 /// Restores the min-heap order of `heap` below position `k`.
 void sift_down(std::vector<Entry>& heap, std::size_t k) {
@@ -81,21 +88,27 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
   //
   // Three flat arrays, sized here once, so no event allocates:
   //
-  //   - `releases`, a min-heap of (next release, task): due releases
-  //     come off it in (time, index) order, so the *first* miss found
-  //     is the one an index sweep would find; a release rewrites the
-  //     top and sifts it down once;
+  //   - `releases`, a min-heap of packed (next release, task): due
+  //     releases come off it in (time, index) order, so the *first*
+  //     miss found is the one an index sweep would find; a release
+  //     rewrites the top and sifts it down once;
   //   - `running`, the live jobs that hold a processor, sorted by
-  //     (priority key, index) — deadline for EDF, period for RM, ties
-  //     by canonical index, matching GlobalJobSimulator::higher_priority;
+  //     packed (priority key, index) — deadline for EDF, period for RM,
+  //     ties by canonical index, matching
+  //     GlobalJobSimulator::higher_priority;
   //   - `waiting`, a min-heap of the other live jobs in the same order.
+  //
+  // Every entry is one packed integer, so a sift, insert or pop step is
+  // one compare.  Periods that divide a small H make most of those
+  // compares meet equal times; a (time, index) pair then branches again
+  // on the index, which an integer compare does not.
   //
   // Every running job precedes every waiting job, and `running` holds
   // min(m, live) jobs, so it is exactly the m highest-priority live
   // jobs.  An event costs O(m + log n) per release or completion.
   const std::size_t cap = std::min(static_cast<std::size_t>(m), n);
   std::vector<Entry> releases(n);
-  for (std::size_t i = 0; i < n; ++i) releases[i] = {Time{0}, static_cast<std::uint32_t>(i)};
+  for (std::size_t i = 0; i < n; ++i) releases[i] = pack(0, static_cast<std::uint32_t>(i));
   std::vector<Entry> running;
   running.reserve(cap);
   std::vector<Entry> waiting;
@@ -105,7 +118,7 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
 
   // Places a released job, keeping every running job ahead of every
   // waiting one.
-  const auto make_live = [&](const Entry& job) {
+  const auto make_live = [&](Entry job) {
     if (running.size() == cap) {
       if (running.back() < job) {
         waiting.push_back(job);
@@ -135,8 +148,8 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
     }
     // Releases due now; a live predecessor has missed its deadline
     // (deadline == this release under implicit deadlines).
-    while (releases.front().first == t) {
-      const std::uint32_t i = releases.front().second;
+    while (key_of(releases.front()) == t) {
+      const std::uint32_t i = task_of(releases.front());
       if (remaining[i] > 0) {
         out.verdict = GedfVerdict::kUnschedulable;
         out.first_miss = t;
@@ -152,9 +165,9 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
         return out;
       }
       remaining[i] = tasks[i].execution;
-      releases.front().first = t + period;
+      releases.front() = pack(t + period, i);
       sift_down(releases, 0);
-      make_live({edf ? t + period : period, i});
+      make_live(pack(edf ? t + period : period, i));
     }
     if (out.events >= max_events) {
       out.verdict = GedfVerdict::kBudgetExceeded;
@@ -165,12 +178,12 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
 
     // The running set is constant until the next release or the first
     // completion among the m highest-priority live jobs.
-    Time delta = releases.front().first - t;
-    for (const Entry& job : running) delta = std::min<Time>(delta, remaining[job.second]);
+    Time delta = key_of(releases.front()) - t;
+    for (const Entry job : running) delta = std::min<Time>(delta, remaining[task_of(job)]);
     std::size_t kept = 0;
-    for (const Entry& job : running) {
-      remaining[job.second] -= delta;
-      if (remaining[job.second] > 0) running[kept++] = job;
+    for (const Entry job : running) {
+      remaining[task_of(job)] -= delta;
+      if (remaining[task_of(job)] > 0) running[kept++] = job;
     }
     running.resize(kept);
     // Waiting jobs come off their heap in priority order, each behind

@@ -213,5 +213,23 @@ TEST(PdPriority, RefinesPd2) {
   }
 }
 
+TEST(PdPriority, HeavierTaskWinsWhenCrossProductsPassInt64) {
+  // Equal deadlines (9e15) and b = 0: the last subtask of a job each.
+  // The weights 3/8 and 5/9 decide; e_a * p_b = 2.7e31 and e_b * p_a =
+  // 4e31 both pass int64, and periods this large carry no packed key.
+  const std::int64_t q = 1'000'000'000'000'000;
+  const SubtaskRef light = ref(0, 3 * q, 8 * q, 3 * q, /*offset=*/q);
+  const SubtaskRef heavy = ref(1, 5 * q, 9 * q, 5 * q);
+  ASSERT_EQ(light.deadline, heavy.deadline);
+  ASSERT_EQ(light.b, 0);
+  ASSERT_EQ(heavy.b, 0);
+  EXPECT_TRUE(pd_higher_priority(heavy, light));
+  EXPECT_FALSE(pd_higher_priority(light, heavy));
+  // Equal weights fall through to the task id.
+  const SubtaskRef twin = ref(2, 5 * q, 9 * q, 5 * q);
+  EXPECT_TRUE(pd_higher_priority(heavy, twin));
+  EXPECT_FALSE(pd_higher_priority(twin, heavy));
+}
+
 }  // namespace
 }  // namespace pfair

@@ -22,6 +22,14 @@ TEST(Factory, UnknownKindStringsAreRejected) {
   EXPECT_FALSE(scheduler_kind_from_string("pfair ").has_value());
 }
 
+TEST(Factory, AlgorithmNamesAreEdfAndRmOnly) {
+  EXPECT_EQ(uni_algorithm_from_string("edf"), UniAlgorithm::kEDF);
+  EXPECT_EQ(uni_algorithm_from_string("rm"), UniAlgorithm::kRM);
+  EXPECT_FALSE(uni_algorithm_from_string("").has_value());
+  EXPECT_FALSE(uni_algorithm_from_string("RM").has_value());  // case-sensitive
+  EXPECT_FALSE(uni_algorithm_from_string("dm").has_value());
+}
+
 TEST(Factory, DefaultConfigBuildsEveryKind) {
   for (const SchedulerKind kind : all_scheduler_kinds()) {
     EXPECT_NE(make_simulator(kind), nullptr) << to_string(kind);

@@ -195,8 +195,11 @@ TEST(ExactGedf, AgreesWithGlobalJobSimulatorUnderRm) {
 /// executions rounded from a common per-task load, and repeated tasks,
 /// so equal deadlines and periods across task indices are the rule.
 /// Each set runs under every budget, so stops at every stage of the
-/// loop are compared, not only final verdicts.
-void reference_sweep(UniAlgorithm algorithm) {
+/// loop are compared, not only final verdicts.  With `scale` > 1 every
+/// period and execution is multiplied by it, so keys pass 32 bits; the
+/// schedule only stretches, so the unscaled run's fields, scaled, must
+/// come back as well.
+void reference_sweep(UniAlgorithm algorithm, std::int64_t scale = 1) {
   const std::vector<std::vector<std::int64_t>> pools = {
       {2, 3, 4, 6, 8, 12}, {4, 8, 16},      {10, 20},           {5, 10, 15, 30},
       {6, 12, 24, 48},     {16, 32, 64},    {30, 60, 120, 240}, {7},
@@ -222,16 +225,26 @@ void reference_sweep(UniAlgorithm algorithm) {
       const std::int64_t e = std::llround(load * static_cast<double>(p)) + rng.uniform_int(-1, 1);
       tasks.push_back(UniTask{std::clamp<std::int64_t>(e, 1, p), p});
     }
+    std::vector<UniTask> scaled = tasks;
+    for (UniTask& t : scaled) t = UniTask{t.execution * scale, t.period * scale};
     for (const std::uint64_t budget : budgets) {
       SCOPED_TRACE(testing::Message() << "trial " << trial << ": m=" << m << " n=" << n
-                                      << " max_events=" << budget);
-      const GedfResult got = exact_global_schedulable(tasks, m, algorithm, budget);
-      const GedfResult want = reference_exact_global_schedulable(tasks, m, algorithm, budget);
+                                      << " max_events=" << budget << " scale=" << scale);
+      const GedfResult got = exact_global_schedulable(scaled, m, algorithm, budget);
+      const GedfResult want = reference_exact_global_schedulable(scaled, m, algorithm, budget);
       ASSERT_EQ(got.verdict, want.verdict);
       ASSERT_EQ(got.hyperperiod, want.hyperperiod);
       ASSERT_EQ(got.simulated, want.simulated);
       ASSERT_EQ(got.events, want.events);
       ASSERT_EQ(got.first_miss, want.first_miss);
+      if (scale > 1) {
+        const GedfResult base = exact_global_schedulable(tasks, m, algorithm, budget);
+        ASSERT_EQ(got.verdict, base.verdict);
+        ASSERT_EQ(got.hyperperiod, base.hyperperiod * scale);
+        ASSERT_EQ(got.simulated, base.simulated * scale);
+        ASSERT_EQ(got.events, base.events);
+        ASSERT_EQ(got.first_miss, base.first_miss < 0 ? -1 : base.first_miss * scale);
+      }
       ++verdicts[static_cast<int>(got.verdict)];
     }
   }
@@ -247,6 +260,14 @@ TEST(ExactGedf, MatchesReferenceEventLoopUnderEdf) {
 
 TEST(ExactGedf, MatchesReferenceEventLoopUnderRm) {
   reference_sweep(UniAlgorithm::kRM);
+}
+
+/// Each heap entry packs its key above a 32-bit task index, so keys of
+/// 2^40 and more must keep their order in full: a packing that dropped
+/// high key bits would reorder releases and jobs here.
+TEST(ExactGedf, MatchesReferenceEventLoopWithKeysPast32Bits) {
+  reference_sweep(UniAlgorithm::kEDF, std::int64_t{1} << 40);
+  reference_sweep(UniAlgorithm::kRM, std::int64_t{1} << 40);
 }
 
 /// The test is exact only for a deterministic scheduler, and its tie

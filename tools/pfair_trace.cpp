@@ -30,8 +30,9 @@
 // With --requests=FILE, simulate instead *replays* a pfaird JSONL
 // request stream (join/leave/reweight/query/advance) through the named
 // stack and writes the decision log to stdout — byte-identical to what
-// pfaird answers for the same stream and configuration, which makes any
-// recorded daemon session a reproducible offline artifact.
+// pfaird answers for the same stream and configuration (--advance,
+// --exact-budget and --algorithm=edf|rm as pfaird reads them), which
+// makes any recorded daemon session a reproducible offline artifact.
 //
 // "-" reads the trace from stdin.  Exit status: 0 on success; 1 on bad
 // usage / unreadable input; 2 when `validate` finds a schema violation.
@@ -66,7 +67,8 @@ int usage() {
                "report> <trace-file|-> [--top=N] [--window=N] [--registry=FILE]\n"
                "       pfair_trace simulate <scheduler> [--processors=N] [--tasks=N]"
                " [--load=PCT] [--horizon=N] [--seed=N] [--prof=FILE]"
-               " [--trace=FILE] [--requests=FILE [--advance=N] [--exact-budget=N]]\n");
+               " [--trace=FILE] [--requests=FILE [--advance=N] [--exact-budget=N]"
+               " [--algorithm=edf|rm]]\n");
   return 1;
 }
 
@@ -143,6 +145,14 @@ int run_simulate(int argc, char** argv) {
     pfair::serve::DaemonConfig dc;
     dc.kind = *kind;
     dc.processors = processors;
+    if (const char* name = string_flag(argc, argv, "algorithm")) {
+      const auto algorithm = pfair::engine::uni_algorithm_from_string(name);
+      if (!algorithm.has_value()) {
+        std::fprintf(stderr, "pfair_trace: unknown algorithm '%s' (edf|rm)\n", name);
+        return 1;
+      }
+      dc.algorithm = *algorithm;
+    }
     dc.advance_per_request = static_cast<pfair::Time>(flag(argc, argv, "advance", 0));
     dc.exact_budget =
         static_cast<std::uint64_t>(flag(argc, argv, "exact-budget", 1 << 20));

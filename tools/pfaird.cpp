@@ -211,14 +211,13 @@ int main(int argc, char** argv) {
   pfair::serve::DaemonConfig dc;
   dc.kind = *kind;
   dc.processors = static_cast<int>(flag(argc, argv, "processors", 1));
-  const char* algorithm = string_flag(argc, argv, "algorithm");
-  if (algorithm != nullptr) {
-    if (std::strcmp(algorithm, "rm") == 0) {
-      dc.algorithm = pfair::UniAlgorithm::kRM;
-    } else if (std::strcmp(algorithm, "edf") != 0) {
-      std::fprintf(stderr, "pfaird: unknown algorithm '%s' (edf|rm)\n", algorithm);
+  if (const char* name = string_flag(argc, argv, "algorithm")) {
+    const auto algorithm = pfair::engine::uni_algorithm_from_string(name);
+    if (!algorithm.has_value()) {
+      std::fprintf(stderr, "pfaird: unknown algorithm '%s' (edf|rm)\n", name);
       return 1;
     }
+    dc.algorithm = *algorithm;
   }
   dc.overhead_aware = bool_flag(argc, argv, "overhead");
   dc.cache_delay_us = double_flag(argc, argv, "cache-delay", 33.3);
