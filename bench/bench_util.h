@@ -1,15 +1,9 @@
-// Shared workload helpers for the figure-regeneration harnesses.
+// Shared helpers for the figure-regeneration harnesses.
 // Flag parsing / JSON reporting live in engine/harness.h; scheduler
 // comparison loops in engine/compare.h.
 #pragma once
 
 #include <chrono>
-#include <vector>
-
-#include "core/task.h"
-#include "uniproc/uni_task.h"
-#include "util/rng.h"
-#include "workload/generator.h"
 
 namespace pfair::bench {
 
@@ -28,24 +22,5 @@ class WallTimer {
  private:
   std::chrono::steady_clock::time_point start_;
 };
-
-/// Integer-quanta task set with total weight <= u_cap (shared by the
-/// Fig.-2 measurements so EDF and PD2 see the *same* workload, as in the
-/// paper).  Periods in [p_max/100, p_max] quanta.
-inline std::vector<Task> fig2_taskset(Rng& rng, std::size_t n, double u_cap,
-                                      std::int64_t p_max) {
-  const std::vector<UniTask> uni = generate_uni_tasks(rng, n, u_cap, p_max);
-  std::vector<Task> out;
-  out.reserve(uni.size());
-  for (const UniTask& t : uni) out.push_back(make_task(t.execution, t.period));
-  return out;
-}
-
-inline std::vector<UniTask> as_uni(const std::vector<Task>& ts) {
-  std::vector<UniTask> out;
-  out.reserve(ts.size());
-  for (const Task& t : ts) out.push_back({t.execution, t.period});
-  return out;
-}
 
 }  // namespace pfair::bench

@@ -5,7 +5,9 @@
 // 75, 100, 250, 500, 750, 1000}, generate random task sets with total
 // utilization at most one, schedule each with both algorithms (binary-
 // heap ready queues), and report the mean cost of one scheduler
-// invocation with a 99% confidence interval.
+// invocation with a 99% confidence interval.  The cost of one
+// invocation is release processing plus selection, read from the
+// obs::prof phase timers (overhead/calibrate.h).
 //
 // Usage: fig2a_sched_overhead [--horizon=50000] [--trials=12] [--seed=1] [--json]
 //
@@ -38,29 +40,10 @@ int main(int argc, char** argv) {
     for (long long s = 0; s < sets; ++s) {
       Rng rng = master.fork(static_cast<std::uint64_t>(n) * 1000 +
                             static_cast<std::uint64_t>(s));
-      const std::vector<Task> tasks =
-          fig2_taskset(rng, static_cast<std::size_t>(n), 0.98, 20000);
-
-      // --- EDF (event-driven, jobs) ---
-      {
-        UniSimConfig uc;
-        uc.algorithm = UniAlgorithm::kEDF;
-        uc.measure_overhead = true;
-        UniprocSimulator usim(as_uni(tasks), uc);
-        usim.run_until(horizon * 20);  // EDF events are sparser; longer horizon
-        edf_us.add(usim.metrics().avg_sched_ns() / 1000.0);
-      }
-      // --- PD2 (quantum-driven) ---
-      {
-        PfairConfig pc;
-        pc.processors = 1;
-        pc.algorithm = Algorithm::kPD2;
-        pc.measure_overhead = true;
-        PfairSimulator psim(pc);
-        for (const Task& t : tasks) psim.add_task(t);
-        psim.run_until(horizon);
-        pd2_us.add(psim.metrics().avg_sched_ns() / 1000.0);
-      }
+      const std::vector<Task> tasks = fig2_taskset(rng, static_cast<std::size_t>(n), 0.98);
+      // EDF events are sparser than PD2's slots; longer horizon.
+      edf_us.add(edf_invocation_us(tasks, horizon * 20));
+      pd2_us.add(pd2_invocation_us(tasks, 1, horizon));
     }
     const double ratio = edf_us.mean() > 0.0 ? pd2_us.mean() / edf_us.mean() : 0.0;
     std::printf("  %6d %14.3f %12.3f %14.3f %12.3f %10.2f\n", n, edf_us.mean(),

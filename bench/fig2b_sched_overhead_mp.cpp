@@ -5,7 +5,9 @@
 // per invocation grows with the processor count (it must select up to M
 // subtasks); partitioned schedulers escape this because each processor
 // schedules independently.  Total task-set utilization scales with M
-// (util <= 0.95 * M) as in the paper's setup.
+// (util <= 0.95 * M) as in the paper's setup.  The cost of one slot is
+// release processing plus selection, read from the obs::prof phase
+// timers (overhead/calibrate.h).
 //
 // Usage: fig2b_sched_overhead_mp [--horizon=30000] [--trials=8] [--seed=1] [--json]
 #include <cstdio>
@@ -37,16 +39,9 @@ int main(int argc, char** argv) {
         Rng rng = master.fork(static_cast<std::uint64_t>(n) * 4096 +
                               static_cast<std::uint64_t>(m) * 64 +
                               static_cast<std::uint64_t>(s));
-        const std::vector<Task> tasks = fig2_taskset(
-            rng, static_cast<std::size_t>(n), 0.95 * static_cast<double>(m), 20000);
-        PfairConfig pc;
-        pc.processors = m;
-        pc.algorithm = Algorithm::kPD2;
-        pc.measure_overhead = true;
-        PfairSimulator psim(pc);
-        for (const Task& t : tasks) psim.add_task(t);
-        psim.run_until(horizon);
-        pd2_us.add(psim.metrics().avg_sched_ns() / 1000.0);
+        const std::vector<Task> tasks =
+            fig2_taskset(rng, static_cast<std::size_t>(n), 0.95 * static_cast<double>(m));
+        pd2_us.add(pd2_invocation_us(tasks, m, horizon));
       }
       std::printf(" %12.3f %11.3f", pd2_us.mean(), pd2_us.ci99_halfwidth());
       row.set("m" + std::to_string(m) + "_us", pd2_us);

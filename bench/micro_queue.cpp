@@ -54,21 +54,4 @@ void BM_HeapPushPop_SubtaskPD2(benchmark::State& state) {
 }
 BENCHMARK(BM_HeapPushPop_SubtaskPD2)->Arg(16)->Arg(100)->Arg(1000);
 
-void BM_HeapErase_Middle(benchmark::State& state) {
-  // Arbitrary-position erase via handles (needed by task leaves).
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  BinaryHeap<std::int64_t, std::less<std::int64_t>> heap;
-  Rng rng(3);
-  std::vector<HeapHandle> handles;
-  for (std::size_t i = 0; i < n; ++i) handles.push_back(heap.push(rng.uniform_int(0, 1 << 30)));
-  std::size_t k = 0;
-  for (auto _ : state) {
-    const HeapHandle h = handles[k % handles.size()];
-    heap.erase(h);
-    handles[k % handles.size()] = heap.push(rng.uniform_int(0, 1 << 30));
-    ++k;
-  }
-}
-BENCHMARK(BM_HeapErase_Middle)->Arg(100)->Arg(1000);
-
 }  // namespace

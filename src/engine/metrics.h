@@ -67,9 +67,8 @@ struct Metrics {
   std::int64_t served_work = 0;              ///< server execution time granted
   std::uint64_t deadline_postponements = 0;  ///< budget-exhaustion events
 
-  Time first_miss_time = -1;    ///< -1 if no miss observed
-  double sched_ns_total = 0.0;  ///< only when overhead timing enabled
-  RunningStats response_time;   ///< per-job response times (slots)
+  Time first_miss_time = -1;   ///< -1 if no miss observed
+  RunningStats response_time;  ///< per-job response times (slots)
 
   /// Records a deadline miss at time `t`, folding the first-miss
   /// sentinel handling that used to be re-implemented per simulator.
@@ -87,12 +86,6 @@ struct Metrics {
   /// Updates first_miss_time only (for callers with bespoke counters).
   void note_miss_time(Time t) noexcept {
     if (first_miss_time < 0) first_miss_time = t;
-  }
-
-  [[nodiscard]] double avg_sched_ns() const noexcept {
-    return scheduler_invocations > 0
-               ? sched_ns_total / static_cast<double>(scheduler_invocations)
-               : 0.0;
   }
 
   [[nodiscard]] double utilization() const noexcept {
@@ -130,7 +123,6 @@ struct Metrics {
         (first_miss_time < 0 || o.first_miss_time < first_miss_time)) {
       first_miss_time = o.first_miss_time;
     }
-    sched_ns_total += o.sched_ns_total;
     response_time.merge(o.response_time);
   }
 };

@@ -79,11 +79,9 @@ class CounterSink : public Sink {
       case EventKind::kSchedInvoke:
         ++m.scheduler_invocations;
         ++m.scheduling_points;
-        m.sched_ns_total += e.value;
         break;
       case EventKind::kOverheadNs:
-        m.sched_ns_total += e.value;
-        break;
+        break;  // release-processing marker; timings live in obs::prof
       case EventKind::kAdmitRequest:
         break;  // paired with the grant/reject below
       case EventKind::kAdmitGrant:

@@ -4,7 +4,7 @@
 // events — slot boundaries, dispatches, preemptions, migrations,
 // context switches, releases, completions, deadline misses, dynamic
 // joins/leaves, CBS budget postponements, lag samples, and
-// scheduler-invocation timings.  The terminal aggregates in
+// scheduler invocations.  The terminal aggregates in
 // engine::Metrics say *how many*; the event stream says *when* and
 // *where*, which is what timelines, histograms, and trace viewers
 // need (the multi-criteria argument of Lupu et al.: distributions and
@@ -47,10 +47,11 @@ enum class EventKind : std::uint8_t {
   kTaskLeave,        ///< task's capacity freed
   kBudgetPostpone,   ///< CBS: server budget exhausted, deadline postponed;
                      ///< value = the new absolute server deadline
-  kSchedInvoke,      ///< one scheduler invocation; value = wall-clock ns
-                     ///< (0 when overhead timing is off)
-  kOverheadNs,       ///< extra timed scheduling work (release processing)
-                     ///< not counted as a separate invocation; value = ns
+  kSchedInvoke,      ///< one scheduler invocation; value = 0 (timings live
+                     ///< in obs::prof: this is its kSelect phase)
+  kOverheadNs,       ///< release processing, not counted as a separate
+                     ///< invocation; value = 0 (timings live in obs::prof:
+                     ///< this is its kRelease phase)
   kAdmitRequest,     ///< serve: an admission request arrived;
                      ///< value = requested weight e/p as a double
   kAdmitGrant,       ///< serve: request admitted; value = deciding tier (0-2)

@@ -1,9 +1,7 @@
 // HistogramSink: distribution metrics folded from the event stream.
 //
-// Three distributions the paper's totals flatten away:
+// Two distributions the paper's totals flatten away:
 //   - response times (slots), from kJobComplete events that carry one;
-//   - scheduler-invocation cost (ns), from kSchedInvoke / kOverheadNs
-//     when overhead timing is enabled;
 //   - per-slot dispatch latency (slots between a subtask's
 //     pseudo-release and the quantum it actually received), from
 //     kDispatch events.
@@ -22,22 +20,16 @@ class HistogramSink : public Sink {
  public:
   HistogramSink()
       : response_time_(Histogram::exponential(1.0, 2.0, 20)),
-        sched_ns_(Histogram::exponential(16.0, 2.0, 24)),
         dispatch_latency_(Histogram::linear(0.0, 64.0, 64)) {}
 
-  HistogramSink(Histogram response_time, Histogram sched_ns, Histogram dispatch_latency)
+  HistogramSink(Histogram response_time, Histogram dispatch_latency)
       : response_time_(std::move(response_time)),
-        sched_ns_(std::move(sched_ns)),
         dispatch_latency_(std::move(dispatch_latency)) {}
 
   void on_event(const Event& e) override {
     switch (e.kind) {
       case EventKind::kJobComplete:
         if (e.value >= 0.0) response_time_.add(e.value);
-        break;
-      case EventKind::kSchedInvoke:
-      case EventKind::kOverheadNs:
-        if (e.value > 0.0) sched_ns_.add(e.value);
         break;
       case EventKind::kDispatch:
         if (e.value >= 0.0) dispatch_latency_.add(e.value);
@@ -48,14 +40,12 @@ class HistogramSink : public Sink {
   }
 
   [[nodiscard]] const Histogram& response_time() const noexcept { return response_time_; }
-  [[nodiscard]] const Histogram& sched_ns() const noexcept { return sched_ns_; }
   [[nodiscard]] const Histogram& dispatch_latency() const noexcept {
     return dispatch_latency_;
   }
 
  private:
   Histogram response_time_;
-  Histogram sched_ns_;
   Histogram dispatch_latency_;
 };
 

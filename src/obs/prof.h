@@ -47,7 +47,8 @@ namespace pfair::obs::prof {
 /// path at array indexing; phase_name() maps to the registry timer key.
 enum class Phase : std::uint8_t {
   kMissSweep,      ///< ready-queue deadline-miss pops
-  kSelect,         ///< top-M pop + subtask advancement
+  kSelect,         ///< top-M pop + subtask advancement; in the EDF/RM
+                   ///< simulator, one scheduler invocation
   kRelease,        ///< release calendar drain
   kAssign,         ///< processor assignment + per-slot accounting
   kAdmit,          ///< admission (admit()/join()) decision path
@@ -60,9 +61,10 @@ inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kPool
 [[nodiscard]] const char* phase_name(Phase p) noexcept;
 
 /// Monotonic nanoseconds since an arbitrary origin, for measuring
-/// deltas.  On x86 a TSC read scaled by a factor calibrated once against
-/// steady_clock (~0.1% accurate); steady_clock elsewhere.  The first
-/// call pays a ~200 µs calibration spin unless set_enabled(true) already
+/// deltas: the library's one timing clock.  On x86 a TSC read scaled by
+/// a factor calibrated once against the standard library's monotonic
+/// clock (~0.1% accurate); that clock itself elsewhere.  The first call
+/// pays a ~200 µs calibration spin unless set_enabled(true) already
 /// did.  Thread-safe; usable with profiling detached.
 [[nodiscard]] std::uint64_t now_ns() noexcept;
 

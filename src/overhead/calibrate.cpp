@@ -1,24 +1,60 @@
 #include "overhead/calibrate.h"
 
+#include "obs/prof.h"
 #include "sim/pfair_sim.h"
 #include "uniproc/uni_sim.h"
-#include "util/rng.h"
 #include "workload/generator.h"
 
 namespace pfair {
 
 namespace {
 
-/// Integer task set shared by both measurement backends.
-std::vector<Task> calibration_taskset(Rng& rng, std::size_t n, double u_cap) {
-  const std::vector<UniTask> uni = generate_uni_tasks(rng, n, u_cap, 20000);
+/// Runs `sim` to `horizon` with profiling on and returns (release +
+/// select) µs per select scope of that run alone: the delta of the
+/// obs::prof totals around it.  Restores the profiling switch.
+double invocation_us(engine::Simulator& sim, Time horizon) {
+  const bool was_enabled = obs::prof::enabled();
+  obs::prof::set_enabled(true);
+  const std::vector<obs::prof::PhaseTotals> before = obs::prof::collect_totals();
+  sim.run_until(horizon);
+  const std::vector<obs::prof::PhaseTotals> after = obs::prof::collect_totals();
+  obs::prof::set_enabled(was_enabled);
+  const auto rel = static_cast<std::size_t>(obs::prof::Phase::kRelease);
+  const auto sel = static_cast<std::size_t>(obs::prof::Phase::kSelect);
+  const std::uint64_t invocations = after[sel].count - before[sel].count;
+  if (invocations == 0) return 0.0;
+  const std::uint64_t ns = (after[rel].total_ns - before[rel].total_ns) +
+                           (after[sel].total_ns - before[sel].total_ns);
+  return static_cast<double>(ns) / static_cast<double>(invocations) / 1000.0;
+}
+
+}  // namespace
+
+std::vector<Task> fig2_taskset(Rng& rng, std::size_t n, double u_cap, std::int64_t p_max) {
+  const std::vector<UniTask> uni = generate_uni_tasks(rng, n, u_cap, p_max);
   std::vector<Task> out;
   out.reserve(uni.size());
   for (const UniTask& t : uni) out.push_back(make_task(t.execution, t.period));
   return out;
 }
 
-}  // namespace
+double edf_invocation_us(const std::vector<Task>& tasks, Time horizon) {
+  std::vector<UniTask> uni;
+  uni.reserve(tasks.size());
+  for (const Task& t : tasks) uni.push_back({t.execution, t.period});
+  UniprocSimulator sim(std::move(uni), UniSimConfig{UniAlgorithm::kEDF});
+  return invocation_us(sim, horizon);
+}
+
+double pd2_invocation_us(const std::vector<Task>& tasks, int processors, Time horizon) {
+  PfairConfig pc;
+  pc.processors = processors;
+  pc.algorithm = Algorithm::kPD2;
+  pc.idle_fast_forward = false;
+  PfairSimulator sim(pc);
+  for (const Task& t : tasks) sim.add_task(t);
+  return invocation_us(sim, horizon);
+}
 
 SchedCostModel calibrate_sched_costs(const CalibrationConfig& config) {
   SchedCostModel model;  // overwritten entirely below
@@ -35,30 +71,12 @@ SchedCostModel calibrate_sched_costs(const CalibrationConfig& config) {
       Rng rng = master.fork(static_cast<std::uint64_t>(ni) * 64 +
                             static_cast<std::uint64_t>(s));
       // EDF on one processor, util <= 1.
-      {
-        const std::vector<Task> tasks = calibration_taskset(rng, n, 0.98);
-        std::vector<UniTask> uni;
-        uni.reserve(tasks.size());
-        for (const Task& t : tasks) uni.push_back({t.execution, t.period});
-        UniSimConfig uc;
-        uc.algorithm = UniAlgorithm::kEDF;
-        uc.measure_overhead = true;
-        UniprocSimulator sim(std::move(uni), uc);
-        sim.run_until(config.horizon * 20);
-        edf_sum += sim.metrics().avg_sched_ns() / 1000.0;
-      }
+      edf_sum += edf_invocation_us(fig2_taskset(rng, n, 0.98), config.horizon * 20);
       // PD2 at each tabulated processor count, util <= 0.95 m.
       for (std::size_t mi = 0; mi < SchedCostModel::kProcCounts.size(); ++mi) {
         const int m = static_cast<int>(SchedCostModel::kProcCounts[mi]);
-        const std::vector<Task> tasks =
-            calibration_taskset(rng, n, 0.95 * static_cast<double>(m));
-        PfairConfig sc;
-        sc.processors = m;
-        sc.measure_overhead = true;
-        PfairSimulator sim(sc);
-        for (const Task& t : tasks) sim.add_task(t);
-        sim.run_until(config.horizon);
-        pd2_sum[mi] += sim.metrics().avg_sched_ns() / 1000.0;
+        pd2_sum[mi] += pd2_invocation_us(
+            fig2_taskset(rng, n, 0.95 * static_cast<double>(m)), m, config.horizon);
       }
     }
     edf_row[ni] = edf_sum / static_cast<double>(config.sets);

@@ -69,7 +69,6 @@ UniPartitionResult partition_uni(const std::vector<UniTask>& tasks, int max_proc
                              : h;
 
   std::vector<std::vector<UniTask>> procs;
-  std::vector<std::vector<std::size_t>> proc_members;
 
   for (const std::size_t i : order) {
     assert(tasks[i].valid());
@@ -92,7 +91,6 @@ UniPartitionResult partition_uni(const std::vector<UniTask>& tasks, int max_proc
       if (static_cast<int>(procs.size()) < max_processors &&
           accepts({}, tasks[i], acc)) {
         procs.emplace_back();
-        proc_members.emplace_back();
         chosen = static_cast<int>(procs.size()) - 1;
       } else {
         res.feasible = false;
@@ -100,7 +98,6 @@ UniPartitionResult partition_uni(const std::vector<UniTask>& tasks, int max_proc
       }
     }
     procs[static_cast<std::size_t>(chosen)].push_back(tasks[i]);
-    proc_members[static_cast<std::size_t>(chosen)].push_back(i);
     res.assignment[i] = chosen;
   }
   res.processors_used = static_cast<int>(procs.size());

@@ -34,7 +34,6 @@
 #include "engine/compare.h"
 #include "engine/harness.h"
 #include "engine/metrics.h"
-#include "engine/overhead_timer.h"
 #include "engine/simulator.h"
 #include "partition/heuristics.h"
 #include "partition/uni_partition.h"

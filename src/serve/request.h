@@ -21,9 +21,9 @@
 // within +-9e15, and any other value fails parsing rather than truncate.
 //
 // Requests parse into a flat Request struct, and dump back to the same
-// canonical line (obs::json sorted-key form) — the generator, the
-// daemon, and `pfair_trace simulate --requests` all speak through this
-// one type, so a recorded log replays byte-identically.
+// canonical line (obs::json sorted-key form) — the generator and the
+// daemon both speak through this one type, so a recorded log served
+// again with `pfaird --input=FILE` answers byte-identically.
 #pragma once
 
 #include <cstdint>

@@ -11,9 +11,7 @@
 namespace pfair {
 
 PfairSimulator::PfairSimulator(PfairConfig config)
-    : config_(config),
-      ready_(config.algorithm),
-      timer_(config.measure_overhead) {
+    : config_(config), ready_(config.algorithm) {
   assert(config_.processors >= 1);
   live_processors_ = config_.processors;
   prev_slot_tasks_.assign(static_cast<std::size_t>(live_processors_), kNoTask);
@@ -501,12 +499,11 @@ void PfairSimulator::simulate_slot() {
   // Release processing is part of scheduling overhead in the paper's
   // accounting ("moving a newly-arrived or preempted task to the ready
   // queue"), so it is included in the measured time.
-  double release_ns = 0.0;
   {
     const obs::prof::ProfScope prof(obs::prof::Phase::kRelease, t);
-    release_ns = timer_.measure(metrics_, [&] { release_eligible(t); });
+    release_eligible(t);
   }
-  obs::emit(bus_, obs::EventKind::kOverheadNs, t, kNoTask, kNoProc, release_ns);
+  obs::emit(bus_, obs::EventKind::kOverheadNs, t);
   for (SupertaskRuntime& srt : supertasks_) {
     for (ComponentRuntime& c : srt.components) {
       while (c.next_release <= t) {
@@ -546,8 +543,6 @@ void PfairSimulator::simulate_slot() {
   //    release calendar).
   {
     const obs::prof::ProfScope prof_select(obs::prof::Phase::kSelect, t);
-    timer_.start();
-
     ready_.take_top(static_cast<std::size_t>(std::max(live_processors_, 0)), selected_);
     picked_.clear();
     for (const TaskId id : selected_) {
@@ -562,10 +557,9 @@ void PfairSimulator::simulate_slot() {
       enqueue_next_subtask(id, t + 1);
     }
 
-    const double sched_ns = timer_.stop(metrics_);
     ++metrics_.scheduler_invocations;
     ++metrics_.scheduling_points;
-    obs::emit(bus_, obs::EventKind::kSchedInvoke, t, kNoTask, kNoProc, sched_ns);
+    obs::emit(bus_, obs::EventKind::kSchedInvoke, t);
   }
 
   // 5. Processor assignment with affinity.  assign_ maps processor ->
@@ -726,7 +720,7 @@ Time PfairSimulator::fast_forward_target(Time until) const {
   // per-slot effect beyond bulk-accountable idle metrics.  Anything
   // that needs per-slot work disables the jump:
   //   - an attached observer (kSlotBegin/kSlotEnd/etc. per slot),
-  //   - per-slot lag checking or overhead timing,
+  //   - per-slot lag checking,
   //   - supertasks (component jobs release and miss on their own clock),
   //   - pending orderly departures (their switch-over must fire on time),
   //   - a non-empty ready queue (something would be scheduled),
@@ -735,7 +729,7 @@ Time PfairSimulator::fast_forward_target(Time until) const {
   // The jump then stops at the next release-calendar entry or processor
   // event, whichever comes first.
   if (last_slot_allocated_) return now_;
-  if (bus_ != nullptr || config_.check_lags || config_.measure_overhead) return now_;
+  if (bus_ != nullptr || config_.check_lags) return now_;
   if (!supertasks_.empty() || !pending_departures_.empty()) return now_;
   Time target = until;
   if (next_proc_event_ < proc_events_.size())

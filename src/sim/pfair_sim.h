@@ -7,8 +7,8 @@
 //   3. detects subtasks whose pseudo-deadline has passed,
 //   4. invokes the scheduler: takes the M highest-priority subtasks in
 //      one pass over the ready queue and advances each picked task to
-//      its next subtask (optionally timing the invocation for the
-//      Fig.-2 experiments),
+//      its next subtask (the obs::prof phase timers time steps 2 and 4
+//      for the Fig.-2 experiments),
 //   5. assigns processors with affinity (a task scheduled in consecutive
 //      quanta keeps its processor — the optimisation the paper uses to
 //      derive the 1 + min(E-1, P-E) context-switch bound),
@@ -32,7 +32,6 @@
 #include "core/supertask.h"
 #include "core/task.h"
 #include "engine/metrics.h"
-#include "engine/overhead_timer.h"
 #include "engine/simulator.h"
 #include "core/windows.h"
 #include "obs/bus.h"
@@ -58,7 +57,6 @@ struct PfairConfig {
   bool affinity = true;         ///< keep tasks on their processor when possible
                                 ///< (false = naive assignment; ablation)
   bool check_lags = false;      ///< verify Pfair lag bounds every slot (slow; synchronous periodic systems only)
-  bool measure_overhead = false;  ///< steady_clock-time each scheduler invocation
   Time lag_sample_every = 0;    ///< emit an obs kLagSample per task every N
                                 ///< slots (0 = off; needs an attached observer)
   bool idle_fast_forward = true;  ///< jump over provably idle slot runs in
@@ -298,7 +296,6 @@ class PfairSimulator : public engine::Simulator {
   std::vector<TaskId> pending_departures_;   ///< tasks with leave_at set
   Rational active_weight_ = Rational(0);     ///< cached sum over active tasks
   engine::Metrics metrics_;
-  engine::OverheadTimer timer_;
   obs::EventBus* bus_ = nullptr;  ///< borrowed; nullptr = observation off
   ScheduleTrace trace_;
   bool last_slot_allocated_ = false;  ///< the preceding simulated slot scheduled

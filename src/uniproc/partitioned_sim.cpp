@@ -23,7 +23,6 @@ void PartitionedSimulator::rebuild() {
   }
   UniSimConfig uc;
   uc.algorithm = config_.algorithm;
-  uc.measure_overhead = config_.measure_overhead;
   sims_.clear();
   sims_.reserve(groups.size());
   for (auto& g : groups) sims_.emplace_back(std::move(g), uc);

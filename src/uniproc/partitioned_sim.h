@@ -25,7 +25,6 @@ struct PartitionConfig {
   Heuristic heuristic = Heuristic::kFirstFit;
   Acceptance acceptance = Acceptance::kEdfUtilization;
   UniAlgorithm algorithm = UniAlgorithm::kEDF;
-  bool measure_overhead = false;
 };
 
 class PartitionedSimulator : public engine::Simulator {

@@ -4,14 +4,15 @@
 #include <cassert>
 #include <limits>
 
+#include "obs/prof.h"
+
 namespace pfair {
 
 UniprocSimulator::UniprocSimulator(std::vector<UniTask> tasks, UniSimConfig config)
     : tasks_(std::move(tasks)),
       config_(config),
       live_jobs_(tasks_.size(), 0),
-      ready_(JobLess{config.algorithm}),
-      timer_(config.measure_overhead) {
+      ready_(JobLess{config.algorithm}) {
   for (std::uint32_t i = 0; i < tasks_.size(); ++i) {
     assert(tasks_[i].valid());
     calendar_.push(Release{0, i});
@@ -41,7 +42,7 @@ void UniprocSimulator::release_jobs(Time t) {
   // newly arrived job into the ready queue), matching the paper.  The
   // calendar heap plays the role of per-task event timers: only tasks
   // that actually release are touched.
-  timer_.start();
+  const obs::prof::ProfScope prof(obs::prof::Phase::kRelease, t);
   while (!calendar_.empty() && calendar_.top().when <= t) {
     const Release rel = calendar_.pop();
     const std::uint32_t i = rel.task;
@@ -65,13 +66,11 @@ void UniprocSimulator::release_jobs(Time t) {
     obs::emit(bus_, obs::EventKind::kJobRelease, rel.when, i, proc_,
               static_cast<double>(j.deadline));
   }
-  const double release_ns = timer_.stop(metrics_);
-  obs::emit(bus_, obs::EventKind::kOverheadNs, t, kNoTask, proc_, release_ns);
+  obs::emit(bus_, obs::EventKind::kOverheadNs, t, kNoTask, proc_);
 }
 
 void UniprocSimulator::invoke_scheduler(Time t) {
-  (void)t;
-  timer_.start();
+  const obs::prof::ProfScope prof(obs::prof::Phase::kSelect, t);
 
   // Preemption requires strictly higher priority (a deadline/period tie
   // never preempts under EDF/RM).
@@ -106,10 +105,9 @@ void UniprocSimulator::invoke_scheduler(Time t) {
     last_on_cpu_ = running_.task;
   }
 
-  const double sched_ns = timer_.stop(metrics_);
   ++metrics_.scheduler_invocations;
   ++metrics_.scheduling_points;
-  obs::emit(bus_, obs::EventKind::kSchedInvoke, t, kNoTask, proc_, sched_ns);
+  obs::emit(bus_, obs::EventKind::kSchedInvoke, t, kNoTask, proc_);
 }
 
 void UniprocSimulator::complete_running(Time t) {

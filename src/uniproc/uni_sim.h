@@ -3,9 +3,10 @@
 // Drives periodic job sets through a priority-driven preemptive
 // uniprocessor scheduler, advancing directly between release and
 // completion events (no quantisation).  Used for
-//   - the Fig. 2(a) scheduling-overhead measurements (each scheduler
-//     invocation — the binary-heap operations choosing the next job —
-//     can be wall-clock timed), and
+//   - the Fig. 2(a) scheduling-overhead measurements (release
+//     processing and each scheduler invocation — the binary-heap
+//     operations choosing the next job — are the obs::prof kRelease and
+//     kSelect phases, as in PfairSimulator), and
 //   - validating the EDF preemption accounting the overhead model relies
 //     on (number of preemptions <= number of jobs).
 #pragma once
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "engine/metrics.h"
-#include "engine/overhead_timer.h"
 #include "engine/simulator.h"
 #include "obs/bus.h"
 #include "uniproc/uni_task.h"
@@ -27,7 +27,6 @@ enum class UniAlgorithm : std::uint8_t { kEDF, kRM };
 
 struct UniSimConfig {
   UniAlgorithm algorithm = UniAlgorithm::kEDF;
-  bool measure_overhead = false;
 };
 
 class UniprocSimulator : public engine::Simulator {
@@ -111,7 +110,6 @@ class UniprocSimulator : public engine::Simulator {
   std::uint32_t last_on_cpu_ = 0xffffffffu;
   Time now_ = 0;
   engine::Metrics metrics_;
-  engine::OverheadTimer timer_{false};
   obs::EventBus* bus_ = nullptr;  ///< borrowed; nullptr = observation off
   ProcId proc_ = 0;               ///< this processor's id in observer events
 };

@@ -1,29 +1,22 @@
-// Addressable binary min-heap.
+// Binary min-heap.
 //
 // Both schedulers in the paper use binary heaps for their ready queues
 // ("We used binary heaps to implement the priority queues of both
-// schedulers"), so the library provides its own instead of std::
-// priority_queue: the schedulers need decrease-key-style updates and
-// arbitrary removal (task leaves, IS re-releases), which the standard
-// adapter cannot do.
+// schedulers"); the EDF/RM simulator keeps its ready queue and release
+// calendar in this one.  Unlike std::priority_queue, its sift order is
+// fixed here, so jobs with equal keys (two jobs of one task under RM
+// after a miss) pop in the same order with every standard library.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
-#include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace pfair {
 
-/// Stable handle to an element stored in a BinaryHeap.
-using HeapHandle = std::uint32_t;
-inline constexpr HeapHandle kInvalidHandle = 0xffffffffu;
-
 /// Binary min-heap over values of type T ordered by `Less` (strict weak
-/// ordering; `Less(a,b)` true means `a` has higher priority).  push()
-/// returns a handle that stays valid until the element is popped/erased;
-/// update(handle) restores heap order after the element's key changed.
+/// ordering; `Less(a,b)` true means `a` has higher priority).
 template <typename T, typename Less>
 class BinaryHeap {
  public:
@@ -32,143 +25,68 @@ class BinaryHeap {
   [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return heap_.size(); }
 
-  void clear() noexcept {
-    heap_.clear();
-    slots_.clear();
-    free_slots_.clear();
-  }
+  void clear() noexcept { heap_.clear(); }
 
   /// Inserts `value`; O(log n).
-  HeapHandle push(T value) {
-    HeapHandle h;
-    if (!free_slots_.empty()) {
-      h = free_slots_.back();
-      free_slots_.pop_back();
-    } else {
-      h = static_cast<HeapHandle>(slots_.size());
-      slots_.emplace_back();
-    }
-    const std::size_t pos = heap_.size();
-    heap_.push_back(Node{std::move(value), h});
-    slots_[h] = pos;
-    sift_up(pos);
-    return h;
+  void push(T value) {
+    heap_.push_back(std::move(value));
+    sift_up(heap_.size() - 1);
   }
 
   /// Highest-priority element; heap must be non-empty.
   [[nodiscard]] const T& top() const noexcept {
     assert(!heap_.empty());
-    return heap_.front().value;
-  }
-
-  /// Handle of the highest-priority element.
-  [[nodiscard]] HeapHandle top_handle() const noexcept {
-    assert(!heap_.empty());
-    return heap_.front().handle;
+    return heap_.front();
   }
 
   /// Removes and returns the highest-priority element; O(log n).
   T pop() {
     assert(!heap_.empty());
-    T out = std::move(heap_.front().value);
-    erase_at(0);
+    T out = std::move(heap_.front());
+    T last = std::move(heap_.back());
+    heap_.pop_back();
+    if (!heap_.empty()) {
+      heap_.front() = std::move(last);
+      sift_down(0);
+    }
     return out;
-  }
-
-  /// Removes the element behind `h`; O(log n).
-  void erase(HeapHandle h) {
-    assert(contains(h));
-    erase_at(slots_[h]);
-  }
-
-  /// Read access to the element behind `h`.
-  [[nodiscard]] const T& get(HeapHandle h) const noexcept {
-    assert(contains(h));
-    return heap_[slots_[h]].value;
-  }
-
-  /// Mutable access; caller must call update(h) if the ordering key changed.
-  [[nodiscard]] T& get_mutable(HeapHandle h) noexcept {
-    assert(contains(h));
-    return heap_[slots_[h]].value;
-  }
-
-  /// Restores heap order after the key of `h` changed; O(log n).
-  void update(HeapHandle h) {
-    assert(contains(h));
-    const std::size_t pos = slots_[h];
-    if (!sift_up(pos)) sift_down(pos);
-  }
-
-  /// True iff `h` currently refers to a live element.
-  [[nodiscard]] bool contains(HeapHandle h) const noexcept {
-    return h < slots_.size() && slots_[h] < heap_.size() && heap_[slots_[h]].handle == h;
   }
 
   /// Verifies the heap invariant; test hook, O(n).
   [[nodiscard]] bool validate() const {
-    for (std::size_t i = 1; i < heap_.size(); ++i) {
-      if (less_(heap_[i].value, heap_[(i - 1) / 2].value)) return false;
-      if (slots_[heap_[i].handle] != i) return false;
-    }
+    for (std::size_t i = 1; i < heap_.size(); ++i)
+      if (less_(heap_[i], heap_[(i - 1) / 2])) return false;
     return true;
   }
 
  private:
-  struct Node {
-    T value;
-    HeapHandle handle;
-  };
-
-  void place(std::size_t pos, Node node) {
-    slots_[node.handle] = pos;
-    heap_[pos] = std::move(node);
-  }
-
-  bool sift_up(std::size_t pos) {
-    Node node = std::move(heap_[pos]);
-    bool moved = false;
+  void sift_up(std::size_t pos) {
+    T value = std::move(heap_[pos]);
     while (pos > 0) {
       const std::size_t parent = (pos - 1) / 2;
-      if (!less_(node.value, heap_[parent].value)) break;
-      place(pos, std::move(heap_[parent]));
+      if (!less_(value, heap_[parent])) break;
+      heap_[pos] = std::move(heap_[parent]);
       pos = parent;
-      moved = true;
     }
-    place(pos, std::move(node));
-    return moved;
+    heap_[pos] = std::move(value);
   }
 
   void sift_down(std::size_t pos) {
-    Node node = std::move(heap_[pos]);
+    T value = std::move(heap_[pos]);
     const std::size_t n = heap_.size();
     for (;;) {
       std::size_t child = 2 * pos + 1;
       if (child >= n) break;
-      if (child + 1 < n && less_(heap_[child + 1].value, heap_[child].value)) ++child;
-      if (!less_(heap_[child].value, node.value)) break;
-      place(pos, std::move(heap_[child]));
+      if (child + 1 < n && less_(heap_[child + 1], heap_[child])) ++child;
+      if (!less_(heap_[child], value)) break;
+      heap_[pos] = std::move(heap_[child]);
       pos = child;
     }
-    place(pos, std::move(node));
-  }
-
-  void erase_at(std::size_t pos) {
-    const HeapHandle h = heap_[pos].handle;
-    Node last = std::move(heap_.back());
-    heap_.pop_back();
-    slots_[h] = static_cast<std::size_t>(-1);
-    free_slots_.push_back(h);
-    if (pos < heap_.size()) {
-      place(pos, std::move(last));
-      update(heap_[pos].handle);
-    }
+    heap_[pos] = std::move(value);
   }
 
   Less less_;
-  std::vector<Node> heap_;
-  std::vector<std::size_t> slots_;       // handle -> position in heap_
-  std::vector<HeapHandle> free_slots_;  // recycled handles
+  std::vector<T> heap_;
 };
 
 }  // namespace pfair

@@ -1,18 +1,20 @@
 // Profiling determinism + Perfetto phase tracks:
-//   * the JSONL event stream of a seeded run, and pfaird's with its
-//     decision log, is byte-identical with profiling attached vs
-//     detached;
+//   * the JSONL event stream of a seeded run (PD2, uniproc EDF,
+//     partitioned EDF-FF), and pfaird's with its decision log, is
+//     byte-identical with profiling attached vs detached;
 //   * PerfettoSink output with profiling + span recording on passes
 //     validate_perfetto_json and actually contains the phase track,
 //     pfaird's serve.decision slices included.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "engine/factory.h"
 #include "obs/bus.h"
 #include "obs/jsonl_sink.h"
 #include "obs/perfetto_sink.h"
@@ -77,6 +79,49 @@ TEST(PhaseTrace, JsonlStreamByteIdenticalProfOnVsOff) {
   const ProfRun on = run_seeded(/*prof=*/true, /*spans=*/true, false);
   ASSERT_FALSE(off.jsonl.empty());
   EXPECT_EQ(off.jsonl, on.jsonl);
+}
+
+// The event-driven EDF kinds time release processing and each scheduler
+// invocation with the same kRelease/kSelect scopes as the Pfair kernel:
+// one of each per invocation, and not a byte of the stream moved.
+TEST(PhaseTrace, UniprocAndPartitionedTimeEveryInvocationProfOnVsOff) {
+  for (const engine::SchedulerKind kind :
+       {engine::SchedulerKind::kUniproc, engine::SchedulerKind::kPartitioned}) {
+    const auto run = [kind](bool prof) {
+      obs::prof::set_enabled(prof);
+      obs::prof::reset();
+      engine::SimulatorConfig cfg;
+      cfg.set_processors(4);
+      const std::unique_ptr<engine::Simulator> sim = engine::make_simulator(kind, cfg);
+      std::ostringstream jsonl_os;
+      obs::JsonlSink jsonl(jsonl_os);
+      obs::EventBus bus;
+      bus.add_sink(&jsonl);
+      sim->attach_observer(&bus);
+      Rng rng(42);
+      const double u_cap = kind == engine::SchedulerKind::kUniproc ? 0.9 : 0.7 * 4.0;
+      for (const UniTask& t : generate_uni_tasks(rng, 12, u_cap, 64))
+        (void)sim->admit(engine::task_spec(t.execution, t.period));
+      sim->run_until(3000);
+      bus.flush();
+      const std::uint64_t releases =
+          obs::prof::collect_totals(obs::prof::Phase::kRelease).count;
+      const std::uint64_t selects = obs::prof::collect_totals(obs::prof::Phase::kSelect).count;
+      obs::prof::set_enabled(false);
+      obs::prof::reset();
+      return std::make_tuple(jsonl_os.str(), sim->metrics().scheduler_invocations, releases,
+                             selects);
+    };
+    const char* name = engine::to_string(kind);
+    const auto [off_events, off_invocations, off_releases, off_selects] = run(false);
+    const auto [on_events, on_invocations, on_releases, on_selects] = run(true);
+    ASSERT_FALSE(off_events.empty()) << name;
+    EXPECT_EQ(off_events, on_events) << name;
+    EXPECT_EQ(off_releases + off_selects, 0u) << name;
+    EXPECT_GT(on_invocations, 0u) << name;
+    EXPECT_EQ(on_releases, on_invocations) << name;
+    EXPECT_EQ(on_selects, on_invocations) << name;
+  }
 }
 
 // pfaird's admission event stream and decision log carry the simulator

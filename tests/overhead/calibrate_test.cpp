@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/prof.h"
 #include "overhead/inflation.h"
+#include "sim/pfair_sim.h"
 
 namespace pfair {
 namespace {
@@ -57,6 +59,33 @@ TEST(Calibrate, DeterministicForSameSeed) {
     EXPECT_LT(a.edf_us(n) / b.edf_us(n), 10.0);
     EXPECT_GT(a.edf_us(n) / b.edf_us(n), 0.1);
   }
+}
+
+TEST(Calibrate, InvocationCostsArePositive) {
+  Rng rng(7);
+  const std::vector<Task> one = fig2_taskset(rng, 30, 0.98);
+  const std::vector<Task> four = fig2_taskset(rng, 30, 0.95 * 4.0);
+  EXPECT_GT(edf_invocation_us(one, 20000), 0.0);
+  EXPECT_GT(pd2_invocation_us(one, 1, 2000), 0.0);
+  EXPECT_GT(pd2_invocation_us(four, 4, 2000), 0.0);
+}
+
+TEST(Calibrate, Pd2TimesEverySlotOfIdleRuns) {
+  // Two light tasks on two processors leave long idle runs, which idle
+  // fast-forward would skip untimed.
+  const std::vector<Task> tasks = {make_task(1, 50), make_task(2, 97)};
+  PfairConfig pc;
+  pc.processors = 2;
+  PfairSimulator ff(pc);
+  for (const Task& t : tasks) ff.add_task(t);
+  ff.run_until(1000);
+  ASSERT_GT(ff.metrics().fast_forwarded_slots, 0u);
+
+  obs::prof::reset();
+  EXPECT_GT(pd2_invocation_us(tasks, 2, 1000), 0.0);
+  EXPECT_EQ(obs::prof::collect_totals(obs::prof::Phase::kSelect).count, 1000u);
+  EXPECT_EQ(obs::prof::collect_totals(obs::prof::Phase::kRelease).count, 1000u);
+  obs::prof::reset();
 }
 
 }  // namespace

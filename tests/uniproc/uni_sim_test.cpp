@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/prof.h"
 #include "uniproc/analysis.h"
 #include "workload/generator.h"
 
@@ -94,12 +95,19 @@ TEST(UniSim, SchedulerInvocationsCounted) {
 }
 
 TEST(UniSim, OverheadTimingAccumulates) {
-  UniSimConfig c = cfg(UniAlgorithm::kEDF);
-  c.measure_overhead = true;
-  UniprocSimulator sim({{1, 3}, {2, 7}, {1, 11}}, c);
+  // Release processing and each invocation are timed as the obs::prof
+  // kRelease and kSelect phases: one scope of each per invocation.
+  obs::prof::set_enabled(true);
+  obs::prof::reset();
+  UniprocSimulator sim({{1, 3}, {2, 7}, {1, 11}}, cfg(UniAlgorithm::kEDF));
   sim.run_until(10000);
-  EXPECT_GT(sim.metrics().sched_ns_total, 0.0);
-  EXPECT_GT(sim.metrics().avg_sched_ns(), 0.0);
+  const obs::prof::PhaseTotals release = obs::prof::collect_totals(obs::prof::Phase::kRelease);
+  const obs::prof::PhaseTotals select = obs::prof::collect_totals(obs::prof::Phase::kSelect);
+  obs::prof::set_enabled(false);
+  obs::prof::reset();
+  EXPECT_EQ(release.count, sim.metrics().scheduler_invocations);
+  EXPECT_EQ(select.count, sim.metrics().scheduler_invocations);
+  EXPECT_GT(release.total_ns + select.total_ns, 0u);
 }
 
 TEST(UniSim, DeadlineTiesDoNotPreempt) {

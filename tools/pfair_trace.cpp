@@ -27,13 +27,6 @@
 // Perfetto/Chrome JSON there (with a kernel-phase track when --prof is
 // attached).  Neither side channel changes the JSONL stream on stdout.
 //
-// With --requests=FILE, simulate instead *replays* a pfaird JSONL
-// request stream (join/leave/reweight/query/advance) through the named
-// stack and writes the decision log to stdout — byte-identical to what
-// pfaird answers for the same stream and configuration (--advance,
-// --exact-budget and --algorithm=edf|rm as pfaird reads them), which
-// makes any recorded daemon session a reproducible offline artifact.
-//
 // "-" reads the trace from stdin.  Exit status: 0 on success; 1 on bad
 // usage / unreadable input; 2 when `validate` finds a schema violation.
 #include <cstdio>
@@ -53,7 +46,6 @@
 #include "obs/prof.h"
 #include "obs/registry.h"
 #include "obs/trace_analysis.h"
-#include "serve/daemon.h"
 #include "util/rng.h"
 #include "workload/generator.h"
 
@@ -67,8 +59,7 @@ int usage() {
                "report> <trace-file|-> [--top=N] [--window=N] [--registry=FILE]\n"
                "       pfair_trace simulate <scheduler> [--processors=N] [--tasks=N]"
                " [--load=PCT] [--horizon=N] [--seed=N] [--prof=FILE]"
-               " [--trace=FILE] [--requests=FILE [--advance=N] [--exact-budget=N]"
-               " [--algorithm=edf|rm]]\n");
+               " [--trace=FILE]\n");
   return 1;
 }
 
@@ -136,49 +127,6 @@ int run_simulate(int argc, char** argv) {
     return 1;
   }
   const int processors = static_cast<int>(flag(argc, argv, "processors", 2));
-
-  // --requests=FILE: replay a pfaird JSONL request stream through the
-  // named stack instead of a seeded workload.  stdout then carries the
-  // decision log (byte-identical to pfaird on the same stream), which
-  // is what the replay exists for.
-  if (const char* requests_file = string_flag(argc, argv, "requests")) {
-    pfair::serve::DaemonConfig dc;
-    dc.kind = *kind;
-    dc.processors = processors;
-    if (const char* name = string_flag(argc, argv, "algorithm")) {
-      const auto algorithm = pfair::engine::uni_algorithm_from_string(name);
-      if (!algorithm.has_value()) {
-        std::fprintf(stderr, "pfair_trace: unknown algorithm '%s' (edf|rm)\n", name);
-        return 1;
-      }
-      dc.algorithm = *algorithm;
-    }
-    dc.advance_per_request = static_cast<pfair::Time>(flag(argc, argv, "advance", 0));
-    dc.exact_budget =
-        static_cast<std::uint64_t>(flag(argc, argv, "exact-budget", 1 << 20));
-    pfair::serve::Daemon daemon(dc);
-    std::ifstream file;
-    std::istream* in = &std::cin;
-    if (std::strcmp(requests_file, "-") != 0) {
-      file.open(requests_file);
-      if (!file) {
-        std::fprintf(stderr, "pfair_trace: cannot read %s\n", requests_file);
-        return 1;
-      }
-      in = &file;
-    }
-    const std::uint64_t handled = daemon.serve(*in, std::cout);
-    const pfair::serve::DaemonStats& s = daemon.stats();
-    std::fprintf(stderr,
-                 "# %s: %llu requests replayed: %llu admits, %llu rejects, "
-                 "%llu errors\n",
-                 pfair::engine::to_string(*kind),
-                 static_cast<unsigned long long>(handled),
-                 static_cast<unsigned long long>(s.admits),
-                 static_cast<unsigned long long>(s.rejects),
-                 static_cast<unsigned long long>(s.errors));
-    return 0;
-  }
 
   const auto n_tasks = static_cast<std::size_t>(flag(argc, argv, "tasks", 8));
   const long long load_pct = flag(argc, argv, "load", 60);

@@ -45,8 +45,9 @@
 //
 // Exit status: 0 on success, 1 on bad usage (an argument that is not
 // one of the flags above, a numeric flag whose value does not parse in
-// full, or a configuration the generator or the daemon refuses, such
-// as --processors=0) or unreadable/unwritable files.
+// full, a negative --advance, --exact-budget, --cache-delay or
+// --memo-capacity, or a configuration the generator or the daemon
+// refuses, such as --processors=0) or unreadable/unwritable files.
 #include <algorithm>
 #include <charconv>
 #include <chrono>
@@ -85,7 +86,11 @@ int bad_config(const std::invalid_argument& e) {
   return 1;
 }
 
-enum class FlagValue { kText, kInt, kReal };
+/// What a flag's value must parse as.  kCount and kDelay refuse a
+/// negative value (kDelay also NaN): a negative --exact-budget would
+/// wrap to no budget at all, and a negative --cache-delay would charge
+/// a negative D(T) in Eq. (3).
+enum class FlagValue { kText, kInt, kCount, kDelay };
 
 struct FlagSpec {
   std::string_view key;
@@ -93,13 +98,13 @@ struct FlagSpec {
 };
 
 constexpr FlagSpec kFlags[] = {
-    {"scheduler", FlagValue::kText},    {"processors", FlagValue::kInt},
-    {"algorithm", FlagValue::kText},    {"input", FlagValue::kText},
-    {"output", FlagValue::kText},       {"advance", FlagValue::kInt},
-    {"exact-budget", FlagValue::kInt},  {"cache-delay", FlagValue::kReal},
-    {"memo-capacity", FlagValue::kInt}, {"registry", FlagValue::kText},
-    {"gen-requests", FlagValue::kInt},  {"batch-requests", FlagValue::kInt},
-    {"seed", FlagValue::kInt},          {"load", FlagValue::kInt},
+    {"scheduler", FlagValue::kText},      {"processors", FlagValue::kInt},
+    {"algorithm", FlagValue::kText},      {"input", FlagValue::kText},
+    {"output", FlagValue::kText},         {"advance", FlagValue::kCount},
+    {"exact-budget", FlagValue::kCount},  {"cache-delay", FlagValue::kDelay},
+    {"memo-capacity", FlagValue::kCount}, {"registry", FlagValue::kText},
+    {"gen-requests", FlagValue::kInt},    {"batch-requests", FlagValue::kInt},
+    {"seed", FlagValue::kInt},            {"load", FlagValue::kInt},
     {"max-period", FlagValue::kInt},
 };
 
@@ -113,8 +118,9 @@ std::optional<T> parse_number(std::string_view v) {
 }
 
 /// The first argument that is neither --overhead nor a known
-/// --key=value whose numeric value parses in full; nullptr when every
-/// argument is one of them.
+/// --key=value whose numeric value parses in full (and is not negative
+/// where the flag forbids it); nullptr when every argument is one of
+/// them.
 const char* bad_argument(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
@@ -126,8 +132,12 @@ const char* bad_argument(int argc, char** argv) {
     const auto spec = std::find_if(std::begin(kFlags), std::end(kFlags),
                                    [key](const FlagSpec& f) { return f.key == key; });
     if (spec == std::end(kFlags)) return argv[i];
+    // value_or(-1) turns a value that does not parse into a negative one.
     if (spec->value == FlagValue::kInt && !parse_number<long long>(value)) return argv[i];
-    if (spec->value == FlagValue::kReal && !parse_number<double>(value)) return argv[i];
+    if (spec->value == FlagValue::kCount && parse_number<long long>(value).value_or(-1) < 0)
+      return argv[i];
+    if (spec->value == FlagValue::kDelay && !(parse_number<double>(value).value_or(-1.0) >= 0.0))
+      return argv[i];
   }
   return nullptr;
 }
@@ -223,8 +233,7 @@ int main(int argc, char** argv) {
   dc.cache_delay_us = double_flag(argc, argv, "cache-delay", 33.3);
   dc.exact_budget = static_cast<std::uint64_t>(flag(argc, argv, "exact-budget", 1 << 20));
   dc.advance_per_request = static_cast<pfair::Time>(flag(argc, argv, "advance", 0));
-  dc.memo_capacity =
-      static_cast<std::size_t>(std::max(0LL, flag(argc, argv, "memo-capacity", 1 << 16)));
+  dc.memo_capacity = static_cast<std::size_t>(flag(argc, argv, "memo-capacity", 1 << 16));
 
   const char* input_path = string_flag(argc, argv, "input");
   std::ifstream in_file;
