@@ -88,6 +88,7 @@ constexpr const char* kPhaseNames[kPhaseCount] = {
     "sim.assign",       // kAssign
     "sim.admit",        // kAdmit
     "serve.decision",   // kServeDecision
+    "serve.tier2",      // kServeTier2
     "pool.job",         // kPoolJob
 };
 

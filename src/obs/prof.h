@@ -53,6 +53,8 @@ enum class Phase : std::uint8_t {
   kAssign,         ///< processor assignment + per-slot accounting
   kAdmit,          ///< admission (admit()/join()) decision path
   kServeDecision,  ///< one pfaird request line, parse to decision line(s)
+  kServeTier2,     ///< one Tier-2 exact answer, memo hit or miss, inside
+                   ///< kServeDecision
   kPoolJob,        ///< one ThreadPool job execution (worker busy time)
 };
 inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kPoolJob) + 1;

@@ -1,6 +1,8 @@
 #include "qa/fuzz_case.h"
 
 #include <sstream>
+#include <utility>
+#include <vector>
 
 namespace pfair::qa {
 
@@ -175,6 +177,10 @@ bool case_from_json(const obs::json::Value& v, FuzzCase& out) {
       !kind_from_name(kind->as_string(), c.kind)) {
     return false;
   }
+  // A case file is external input: an invalid task must reach
+  // validate(), which names it, so the set is built whole rather than
+  // through TaskSet::add, which asserts validity.
+  std::vector<Task> set;
   for (const obs::json::Value& t : tasks->as_array()) {
     if (!t.is_array() || t.as_array().size() != 2 || !t.as_array()[0].is_number() ||
         !t.as_array()[1].is_number()) {
@@ -184,8 +190,9 @@ bool case_from_json(const obs::json::Value& v, FuzzCase& out) {
     task.execution = static_cast<std::int64_t>(t.as_array()[0].as_number());
     task.period = static_cast<std::int64_t>(t.as_array()[1].as_number());
     task.kind = c.kind;
-    c.tasks.add(task);
+    set.push_back(task);
   }
+  c.tasks = TaskSet(std::move(set));
   if (const obs::json::Value* joins = v.find("joins");
       joins != nullptr && joins->is_array()) {
     for (const obs::json::Value& j : joins->as_array()) {

@@ -4,6 +4,7 @@
 #include <optional>
 #include <utility>
 
+#include "obs/prof.h"
 #include "overhead/inflation.h"
 #include "uniproc/analysis.h"
 #include "util/math.h"
@@ -315,6 +316,8 @@ Decision AdmissionController::tier2_decision(const CachedExact& e, const UniTask
 
 std::optional<Decision> AdmissionController::tier2(const UniTask& t, TaskId exclude) const {
   if (!t.valid() || config_.exact_budget == 0 || !tier2_applies()) return std::nullopt;
+  // The gate keeps no clock, so the span belongs to no slot.
+  const obs::prof::ProfScope timing(obs::prof::Phase::kServeTier2);
   return tier2_decision(tier2_cached(t, exclude), t, exclude);
 }
 

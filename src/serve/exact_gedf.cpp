@@ -1,8 +1,8 @@
 #include "serve/exact_gedf.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
-#include <functional>
 #include <limits>
 
 #include "util/math.h"
@@ -23,18 +23,42 @@ constexpr Entry pack(Time key, std::uint32_t task) noexcept {
 constexpr Time key_of(Entry e) noexcept { return static_cast<Time>(e >> 32); }
 constexpr std::uint32_t task_of(Entry e) noexcept { return static_cast<std::uint32_t>(e); }
 
-/// Restores the min-heap order of `heap` below position `k`.
-void sift_down(std::vector<Entry>& heap, std::size_t k) {
-  const std::size_t size = heap.size();
-  const Entry e = heap[k];
-  for (std::size_t c = 2 * k + 1; c < size; c = 2 * k + 1) {
-    if (c + 1 < size && heap[c + 1] < heap[c]) ++c;
-    if (!(heap[c] < e)) break;
-    heap[k] = heap[c];
-    k = c;
+/// An empty leaf.  Keys are below 2^63, so every packed entry is below
+/// 2^95 and sorts ahead of it.
+constexpr Entry kEmpty = Entry{1} << 96;
+
+/// A tournament (winner) tree over the task indices: leaf i holds task
+/// i's entry or kEmpty, the leaves are padded to a power of two with
+/// kEmpty, and each internal node holds the smaller of its two
+/// children, so the root is the least entry.  Changing a leaf rewrites
+/// each of its log2(leaves) ancestors with a select and no early exit,
+/// so no compare decides a branch: tied and interleaved keys follow no
+/// pattern a branch predictor could learn across sets.
+class WinnerTree {
+ public:
+  /// Leaf i holds first(i) for each of the n tasks.
+  template <typename First>
+  WinnerTree(std::size_t n, First first) : leaves_(std::bit_ceil(n)), node_(2 * leaves_, kEmpty) {
+    for (std::size_t i = 0; i < n; ++i) node_[leaves_ + i] = first(static_cast<std::uint32_t>(i));
+    for (std::size_t k = leaves_ - 1; k > 0; --k) node_[k] = std::min(node_[2 * k], node_[2 * k + 1]);
   }
-  heap[k] = e;
-}
+
+  [[nodiscard]] Entry top() const noexcept { return node_[1]; }
+
+  void set(std::uint32_t task, Entry e) noexcept {
+    std::size_t k = leaves_ + task;
+    node_[k] = e;
+    for (; k > 1; k >>= 1) {
+      const Entry sibling = node_[k ^ 1];
+      e = sibling < e ? sibling : e;
+      node_[k >> 1] = e;
+    }
+  }
+
+ private:
+  std::size_t leaves_;
+  std::vector<Entry> node_;  ///< root at 1, leaf i at leaves_ + i
+};
 
 }  // namespace
 
@@ -86,33 +110,29 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
   // per task — a live predecessor at its release IS the miss that ends
   // the test, so no job queue is needed.
   //
-  // Three flat arrays, sized here once, so no event allocates:
+  // Two winner trees and one array, sized here once, so no event
+  // allocates:
   //
-  //   - `releases`, a min-heap of packed (next release, task): due
-  //     releases come off it in (time, index) order, so the *first*
-  //     miss found is the one an index sweep would find; a release
-  //     rewrites the top and sifts it down once;
+  //   - `releases`, keyed (next release, task) for every task: due
+  //     releases come off its root in (time, index) order, so the
+  //     *first* miss found is the one an index sweep would find;
   //   - `running`, the live jobs that hold a processor, sorted by
   //     packed (priority key, index) — deadline for EDF, period for RM,
   //     ties by canonical index, matching
   //     GlobalJobSimulator::higher_priority;
-  //   - `waiting`, a min-heap of the other live jobs in the same order.
-  //
-  // Every entry is one packed integer, so a sift, insert or pop step is
-  // one compare.  Periods that divide a small H make most of those
-  // compares meet equal times; a (time, index) pair then branches again
-  // on the index, which an integer compare does not.
+  //   - `waiting`, the other live jobs in the same order, at their
+  //     task's leaf; every other leaf is empty.
   //
   // Every running job precedes every waiting job, and `running` holds
   // min(m, live) jobs, so it is exactly the m highest-priority live
-  // jobs.  An event costs O(m + log n) per release or completion.
+  // jobs.  A release rewrites its task's path in `releases` and at most
+  // one path in `waiting`; a job taken off `waiting` rewrites its own.
+  // An event costs O(m + log n) per release or completion.
   const std::size_t cap = std::min(static_cast<std::size_t>(m), n);
-  std::vector<Entry> releases(n);
-  for (std::size_t i = 0; i < n; ++i) releases[i] = pack(0, static_cast<std::uint32_t>(i));
+  WinnerTree releases(n, [](std::uint32_t i) { return pack(0, i); });
+  WinnerTree waiting(n, [](std::uint32_t) { return kEmpty; });
   std::vector<Entry> running;
   running.reserve(cap);
-  std::vector<Entry> waiting;
-  waiting.reserve(n);
   std::vector<std::int64_t> remaining(n, 0);
   const bool edf = algorithm == UniAlgorithm::kEDF;
 
@@ -121,12 +141,10 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
   const auto make_live = [&](Entry job) {
     if (running.size() == cap) {
       if (running.back() < job) {
-        waiting.push_back(job);
-        std::push_heap(waiting.begin(), waiting.end(), std::greater<>());
+        waiting.set(task_of(job), job);
         return;
       }
-      waiting.push_back(running.back());
-      std::push_heap(waiting.begin(), waiting.end(), std::greater<>());
+      waiting.set(task_of(running.back()), running.back());
       running.pop_back();
     }
     running.insert(std::upper_bound(running.begin(), running.end(), job), job);
@@ -148,8 +166,8 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
     }
     // Releases due now; a live predecessor has missed its deadline
     // (deadline == this release under implicit deadlines).
-    while (key_of(releases.front()) == t) {
-      const std::uint32_t i = task_of(releases.front());
+    while (key_of(releases.top()) == t) {
+      const std::uint32_t i = task_of(releases.top());
       if (remaining[i] > 0) {
         out.verdict = GedfVerdict::kUnschedulable;
         out.first_miss = t;
@@ -165,8 +183,7 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
         return out;
       }
       remaining[i] = tasks[i].execution;
-      releases.front() = pack(t + period, i);
-      sift_down(releases, 0);
+      releases.set(i, pack(t + period, i));
       make_live(pack(edf ? t + period : period, i));
     }
     if (out.events >= max_events) {
@@ -178,7 +195,7 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
 
     // The running set is constant until the next release or the first
     // completion among the m highest-priority live jobs.
-    Time delta = key_of(releases.front()) - t;
+    Time delta = key_of(releases.top()) - t;
     for (const Entry job : running) delta = std::min<Time>(delta, remaining[task_of(job)]);
     std::size_t kept = 0;
     for (const Entry job : running) {
@@ -186,12 +203,12 @@ GedfResult exact_global_schedulable(const std::vector<UniTask>& input, int m,
       if (remaining[task_of(job)] > 0) running[kept++] = job;
     }
     running.resize(kept);
-    // Waiting jobs come off their heap in priority order, each behind
+    // Waiting jobs come off their tree in priority order, each behind
     // every job still running.
-    while (running.size() < cap && !waiting.empty()) {
-      std::pop_heap(waiting.begin(), waiting.end(), std::greater<>());
-      running.push_back(waiting.back());
-      waiting.pop_back();
+    while (running.size() < cap && waiting.top() != kEmpty) {
+      const Entry job = waiting.top();
+      waiting.set(task_of(job), kEmpty);
+      running.push_back(job);
     }
     t += delta;
   }

@@ -53,8 +53,10 @@ struct GedfResult {
 /// Runs the exact test for `tasks` on `m` processors under global
 /// `algorithm` (preemptive, deterministic tie-break).  `max_events`
 /// bounds the work: each event is one release or completion boundary
-/// and costs O(m + log n) per job released or completed there.  Invalid
-/// tasks are rejected immediately (no budget spent).  Total utilization
+/// and costs O(m + log n) per job released or completed there: one or
+/// two winner-tree paths of a fixed log2(n) steps each, and a place
+/// among at most m running jobs.  Invalid tasks are rejected
+/// immediately (no budget spent).  Total utilization
 /// is not checked here: above m the simulation finds a miss unless the
 /// budget runs out first, and the admission gate's Tier 0 rejects such
 /// sets before Tier 2 runs.  When H saturates and a release would pass

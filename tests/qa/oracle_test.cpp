@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string_view>
+
 #include "core/priority.h"
+#include "obs/json.h"
 #include "qa/gen.h"
 
 namespace pfair::qa {
@@ -97,6 +101,26 @@ TEST(Oracles, InvalidCaseYieldsSyntheticValidationViolation) {
   EXPECT_EQ(v.oracle, "case-validation");
 }
 
+/// Loads a case the way a case file arrives: JSON text through
+/// case_from_json.
+FuzzCase load_case(std::string_view text) {
+  const std::optional<obs::json::Value> v = obs::json::parse(text);
+  FuzzCase c;
+  EXPECT_TRUE(v.has_value() && case_from_json(*v, c)) << text;
+  return c;
+}
+
+TEST(Validate, CaseFilesWithInvalidTasksGetTheirMessageInEveryBuild) {
+  // Loading must not stop at TaskSet::add's assert: each invalid task
+  // reaches validate(), which names the first one.
+  EXPECT_EQ(validate(load_case(R"({"profile":"uniform","tasks":[[0,4]]})")),
+            "task 0 is invalid (execution 0, period 4)");
+  EXPECT_EQ(validate(load_case(R"({"profile":"uniform","tasks":[[1,2],[5,4],[0,0]]})")),
+            "task 1 is invalid (execution 5, period 4)");
+  EXPECT_EQ(validate(load_case(R"({"profile":"heavy","tasks":[[1,3],[2,3],[1,-6]]})")),
+            "task 2 is invalid (execution 1, period -6)");
+}
+
 TEST(Validate, ExactMessages) {
   FuzzCase c;
   EXPECT_EQ(validate(c), "case has no tasks");
@@ -108,11 +132,10 @@ TEST(Validate, ExactMessages) {
   EXPECT_EQ(validate(c), "horizon must be >= 1 (got 0)");
   c.horizon = 16;
 
-  FuzzCase bad_task = c;
-  Task t;
-  t.execution = 0;
-  t.period = 4;
-  bad_task.tasks.add(t);
+  // An invalid task arrives the way external cases do, through the
+  // JSON loader: TaskSet::add asserts validity, validate() names it.
+  const FuzzCase bad_task = load_case(
+      R"({"profile":"uniform","processors":1,"horizon":16,"tasks":[[1,2],[0,4]]})");
   EXPECT_EQ(validate(bad_task), "task 1 is invalid (execution 0, period 4)");
 
   FuzzCase overload = c;

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -255,6 +256,86 @@ TEST(Daemon, ExactGlobalEdfAdmitsHoldInArrivalOrder) {
   EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
 }
 
+DaemonConfig global_job_config(UniAlgorithm algorithm) {
+  DaemonConfig c;
+  c.kind = engine::SchedulerKind::kGlobalJob;
+  c.processors = 4;
+  c.algorithm = algorithm;
+  c.advance_per_request = 1;
+  return c;
+}
+
+/// The stream CI serves to reach Tier 2: periods of at most 12 keep
+/// every hyperperiod within the exact test's budget.
+std::string global_job_stream() {
+  GenConfig gen;
+  gen.count = 20000;
+  gen.seed = 11;
+  gen.load = 1.5;
+  gen.max_period = 12;
+  return generate_requests(gen);
+}
+
+/// FNV-1a over each decision line's seq, admit, task, tier, reason,
+/// approx and exact_events, as the line spells them ("-" for a field the
+/// line lacks).  `total` is left out: it is the gate's utilization sum,
+/// whose form may change without changing a decision.
+std::uint64_t decision_digest(const std::string& log) {
+  std::uint64_t h = 14695981039346656037u;
+  const auto mix = [&h](std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 1099511628211u;
+    }
+  };
+  std::istringstream in(log);
+  std::string line;
+  while (std::getline(in, line)) {
+    const std::optional<obs::json::Value> v = obs::json::parse(line);
+    if (!v.has_value()) {
+      ADD_FAILURE() << "unparsable decision line: " << line;
+      return 0;
+    }
+    for (const char* key : {"seq", "admit", "task", "tier", "reason", "approx", "exact_events"}) {
+      const obs::json::Value* field = v->find(key);
+      mix(field == nullptr ? "-" : field->dump());
+      mix(",");
+    }
+    mix("\n");
+  }
+  return h;
+}
+
+TEST(Daemon, GlobalJobTier2AnswersMatchTheRecordedDigest) {
+  // Recorded from the heap-based exact test the winner trees replaced.
+  // Every Tier-2 line echoes the test's verdict and event count, so a
+  // change in either changes the digest.  With the memo off, every
+  // Tier-2 line is computed cold and must read the same.
+  struct Recorded {
+    UniAlgorithm algorithm;
+    std::uint64_t tier2_lines;
+    std::uint64_t digest;
+  };
+  const Recorded recorded[] = {
+      {UniAlgorithm::kEDF, 1008, 14838366646434357355u},
+      {UniAlgorithm::kRM, 10311, 578369630687757381u},
+  };
+  const std::string requests = global_job_stream();
+  for (const Recorded& r : recorded) {
+    for (const std::size_t memo_capacity : {std::size_t{1} << 16, std::size_t{0}}) {
+      SCOPED_TRACE(testing::Message() << "algorithm " << static_cast<int>(r.algorithm)
+                                      << ", memo capacity " << memo_capacity);
+      DaemonConfig c = global_job_config(r.algorithm);
+      c.memo_capacity = memo_capacity;
+      Daemon d(c);
+      const std::string log = serve_string(d, requests);
+      EXPECT_EQ(d.stats().tier2, r.tier2_lines);
+      EXPECT_EQ(d.stats().approx, 0u);
+      EXPECT_EQ(decision_digest(log), r.digest);
+    }
+  }
+}
+
 TEST(Daemon, RosterKindsRunOnTheConfiguredProcessors) {
   // On one processor RUN refuses the third (1,2) join at ΣU = 3/2 and BF
   // misses: the daemon's processor count must reach both.
@@ -346,6 +427,34 @@ TEST(Daemon, PublishRegistryMirrorsTheStats) {
   const obs::json::Value* decision = timers->find("serve.decision");
   ASSERT_NE(decision, nullptr);
   EXPECT_EQ(decision->number_or("count", -1.0), static_cast<double>(gen.count));
+  obs::MetricsRegistry::global().reset_values();
+  obs::prof::reset();
+}
+
+TEST(Daemon, PublishRegistryTimesEveryTier2Answer) {
+  // serve.tier2 times each Tier-2 answer, memo hit or miss, inside its
+  // line's serve.decision scope, so the registry shows the exact test's
+  // share of the decision time.
+  obs::MetricsRegistry::global().reset_values();
+  obs::prof::reset();
+  obs::prof::set_enabled(true);
+  Daemon d(global_job_config(UniAlgorithm::kEDF));
+  (void)serve_string(d, global_job_stream());
+  obs::prof::set_enabled(false);
+  d.publish_registry();
+  const obs::json::Value snap = obs::MetricsRegistry::global().snapshot();
+  const obs::json::Value* timers = snap.find("timers");
+  ASSERT_NE(timers, nullptr);
+  const obs::json::Value* decision = timers->find("serve.decision");
+  const obs::json::Value* tier2 = timers->find("serve.tier2");
+  ASSERT_NE(decision, nullptr);
+  ASSERT_NE(tier2, nullptr);
+  const std::uint64_t answers = d.controller().memo_hits() + d.controller().memo_misses();
+  EXPECT_GT(d.controller().memo_misses(), 0u);
+  EXPECT_EQ(tier2->number_or("count", -1.0), static_cast<double>(answers));
+  EXPECT_EQ(answers, d.stats().tier2);  // no budget fallbacks on this stream
+  EXPECT_GT(tier2->number_or("total_ns", -1.0), 0.0);
+  EXPECT_LE(tier2->number_or("total_ns", -1.0), decision->number_or("total_ns", -1.0));
   obs::MetricsRegistry::global().reset_values();
   obs::prof::reset();
 }

@@ -26,7 +26,7 @@ namespace {
 /// a std::set of live jobs and a std::priority_queue of releases, kept
 /// verbatim but for its tie key, which now goes by the task — (period,
 /// execution, index) after the EDF deadline or RM period — as
-/// GlobalJobSimulator's does.  The flat-array loop must return the same
+/// GlobalJobSimulator's does.  The winner-tree loop must return the same
 /// GedfResult field for field — `events` is echoed on every Tier-2
 /// decision line.
 GedfResult reference_exact_global_schedulable(const std::vector<UniTask>& tasks, int m,
@@ -190,11 +190,13 @@ TEST(ExactGedf, AgreesWithGlobalJobSimulatorUnderRm) {
   differential_sweep(UniAlgorithm::kRM);
 }
 
-/// Holds the flat-array loop to the reference oracle over a seeded
+/// Holds the winner-tree loop to the reference oracle over a seeded
 /// corpus built for ties: small period pools (one with a single period),
 /// executions rounded from a common per-task load, and repeated tasks,
 /// so equal deadlines and periods across task indices are the rule.
-/// Each set runs under every budget, so stops at every stage of the
+/// Task counts run from 1 to 200, so the trees' leaf counts cross 64 and
+/// 128 and most are padded; m runs to 16, often at or above n.  Each set
+/// runs under every budget, 0 included, so stops at every stage of the
 /// loop are compared, not only final verdicts.  With `scale` > 1 every
 /// period and execution is multiplied by it, so keys pass 32 bits; the
 /// schedule only stretches, so the unscaled run's fields, scaled, must
@@ -204,15 +206,20 @@ void reference_sweep(UniAlgorithm algorithm, std::int64_t scale = 1) {
       {2, 3, 4, 6, 8, 12}, {4, 8, 16},      {10, 20},           {5, 10, 15, 30},
       {6, 12, 24, 48},     {16, 32, 64},    {30, 60, 120, 240}, {7},
       {3, 5, 7, 11}};
-  const int processors[] = {1, 2, 3, 4, 8};
-  const std::uint64_t budgets[] = {1, 7, 100, std::uint64_t{1} << 20};
+  const int processors[] = {1, 2, 3, 4, 8, 16};
+  const std::uint64_t budgets[] = {0, 1, 7, 100, std::uint64_t{1} << 20};
   Rng rng(algorithm == UniAlgorithm::kEDF ? 303 : 404);
   int verdicts[3] = {0, 0, 0};
+  int single_task = 0, processor_per_task = 0, past_128 = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const std::vector<std::int64_t>& pool =
         pools[static_cast<std::size_t>(rng.uniform_int(0, std::ssize(pools) - 1))];
-    const int m = processors[rng.uniform_int(0, 4)];
-    const auto n = static_cast<std::size_t>(rng.uniform_int(1, 64));
+    const int m = processors[rng.uniform_int(0, std::ssize(processors) - 1)];
+    // Half the sets are small, so m >= n and n = 1 come up often.
+    const auto n = static_cast<std::size_t>(rng.uniform_int(1, rng.uniform01() < 0.5 ? 8 : 200));
+    single_task += n == 1;
+    processor_per_task += static_cast<std::size_t>(m) >= n;
+    past_128 += n > 128;
     const double load = rng.uniform(0.3, 1.1) * m / static_cast<double>(n);
     std::vector<UniTask> tasks;
     for (std::size_t i = 0; i < n; ++i) {
@@ -248,10 +255,14 @@ void reference_sweep(UniAlgorithm algorithm, std::int64_t scale = 1) {
       ++verdicts[static_cast<int>(got.verdict)];
     }
   }
-  // The corpus must reach every verdict, or it proves less than it claims.
+  // The corpus must reach every verdict and every tree shape, or it
+  // proves less than it claims.
   EXPECT_GT(verdicts[static_cast<int>(GedfVerdict::kSchedulable)], 0);
   EXPECT_GT(verdicts[static_cast<int>(GedfVerdict::kUnschedulable)], 0);
   EXPECT_GT(verdicts[static_cast<int>(GedfVerdict::kBudgetExceeded)], 0);
+  EXPECT_GT(single_task, 0);
+  EXPECT_GT(processor_per_task, 0);
+  EXPECT_GT(past_128, 0);
 }
 
 TEST(ExactGedf, MatchesReferenceEventLoopUnderEdf) {
@@ -262,7 +273,7 @@ TEST(ExactGedf, MatchesReferenceEventLoopUnderRm) {
   reference_sweep(UniAlgorithm::kRM);
 }
 
-/// Each heap entry packs its key above a 32-bit task index, so keys of
+/// Each tree entry packs its key above a 32-bit task index, so keys of
 /// 2^40 and more must keep their order in full: a packing that dropped
 /// high key bits would reorder releases and jobs here.
 TEST(ExactGedf, MatchesReferenceEventLoopWithKeysPast32Bits) {
