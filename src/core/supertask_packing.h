@@ -6,10 +6,13 @@
 // special cases of the supertasking approach.)"
 //
 // This module realises the spectrum: it packs a task set into up to G
-// supertasks (first-fit decreasing by weight), each competing with the
-// Holman-Anderson reweighted weight (cumulative + 1/p_min, the price of
-// guaranteed component deadlines under internal EDF).  Tasks that do
-// not fit into any group remain migratory Pfair tasks.
+// supertasks (first-fit decreasing by weight, on the one bin packer of
+// partition/heuristics.h), each competing with the Holman-Anderson
+// reweighted weight (cumulative + 1/p_min, the price of guaranteed
+// component deadlines under internal EDF).  A group keeps its exact
+// cumulative weight and smallest period, so a probe is one add (two
+// when reweighting); components stay in placement order.  Tasks that
+// do not fit into any group remain migratory Pfair tasks.
 //   - G = 0             -> ordinary global Pfair scheduling;
 //   - G = M, everything
 //     packed, servers

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
+
+#include "partition/heuristics.h"
 
 namespace pfair {
 
@@ -92,12 +95,49 @@ std::optional<int> pd2_min_processors(const std::vector<OhTask>& tasks,
   return std::nullopt;
 }
 
+namespace {
+
+/// Eq.-(3) acceptance: a processor keeps its members, whose longer
+/// periods set a new task's cache-delay term, and its inflated load.
+/// Placing a task records its inflated utilization in the result.
+struct InflatedEdfPolicy {
+  struct Bin {
+    std::vector<std::size_t> members;  ///< indices into the task list
+    double load = 0.0;
+  };
+  const std::vector<OhTask>& tasks;
+  const OverheadParams& params;
+  EdfFfResult& res;
+
+  /// e'/p with max D(U) over the members of strictly longer period.
+  [[nodiscard]] double inflated_util(const Bin& b, std::size_t i) const {
+    double max_delay = 0.0;
+    for (const std::size_t j : b.members) {
+      if (tasks[j].period_us > tasks[i].period_us)
+        max_delay = std::max(max_delay, tasks[j].cache_delay_us);
+    }
+    return inflate_edf_us(tasks[i], max_delay, params, tasks.size()) / tasks[i].period_us;
+  }
+  [[nodiscard]] bool accepts(const Bin& b, std::size_t i) const {
+    const double u = inflated_util(b, i);
+    return u <= 1.0 + 1e-12 && b.load + u <= 1.0 + 1e-12;
+  }
+  void add(Bin& b, std::size_t i) {
+    const double u = inflated_util(b, i);
+    b.members.push_back(i);
+    b.load += u;
+    res.inflated_util[i] = u;
+    res.total_inflated_utilization += u;
+  }
+  [[nodiscard]] static double load(const Bin& b) noexcept { return b.load; }
+};
+
+}  // namespace
+
 EdfFfResult edf_ff_partition(const std::vector<OhTask>& tasks, const OverheadParams& params,
                              int max_processors) {
   EdfFfResult res;
-  res.assignment.assign(tasks.size(), -1);
   res.inflated_util.assign(tasks.size(), 0.0);
-  res.feasible = true;
 
   // Decreasing-period order: each task's P_T (longer-period co-located
   // tasks) is then fully known at placement time, and placing a task
@@ -107,55 +147,12 @@ EdfFfResult edf_ff_partition(const std::vector<OhTask>& tasks, const OverheadPar
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return tasks[a].period_us > tasks[b].period_us;
   });
-
-  struct Proc {
-    double load = 0.0;
-    std::vector<std::size_t> members;  // indices into `tasks`
-  };
-  std::vector<Proc> procs;
-
-  for (const std::size_t i : order) {
-    int chosen = -1;
-    double chosen_util = 0.0;
-    for (std::size_t pnum = 0; pnum < procs.size(); ++pnum) {
-      // max D(U) over already-placed tasks with strictly larger period.
-      double max_delay = 0.0;
-      for (const std::size_t j : procs[pnum].members) {
-        if (tasks[j].period_us > tasks[i].period_us)
-          max_delay = std::max(max_delay, tasks[j].cache_delay_us);
-      }
-      const double e_inf = inflate_edf_us(tasks[i], max_delay, params, tasks.size());
-      const double u_inf = e_inf / tasks[i].period_us;
-      if (u_inf > 1.0 + 1e-12) continue;  // task alone overloads this mix
-      if (procs[pnum].load + u_inf <= 1.0 + 1e-12) {
-        chosen = static_cast<int>(pnum);
-        chosen_util = u_inf;
-        break;  // first fit
-      }
-    }
-    if (chosen == -1) {
-      if (max_processors >= 0 && static_cast<int>(procs.size()) >= max_processors) {
-        res.feasible = false;
-        continue;
-      }
-      // New processor: no longer-period neighbours yet, delay term is 0.
-      const double e_inf = inflate_edf_us(tasks[i], 0.0, params, tasks.size());
-      const double u_inf = e_inf / tasks[i].period_us;
-      if (u_inf > 1.0 + 1e-12) {
-        res.feasible = false;  // task does not fit even alone
-        continue;
-      }
-      procs.emplace_back();
-      chosen = static_cast<int>(procs.size()) - 1;
-      chosen_util = u_inf;
-    }
-    procs[static_cast<std::size_t>(chosen)].load += chosen_util;
-    procs[static_cast<std::size_t>(chosen)].members.push_back(i);
-    res.assignment[i] = chosen;
-    res.inflated_util[i] = chosen_util;
-    res.total_inflated_utilization += chosen_util;
-  }
-  res.processors = static_cast<int>(procs.size());
+  InflatedEdfPolicy policy{tasks, params, res};
+  const int cap = max_processors >= 0 ? max_processors : std::numeric_limits<int>::max();
+  const auto packing = pack(order, Fit::kFirst, cap, policy);
+  res.assignment = packing.assignment;
+  res.processors = static_cast<int>(packing.bins.size());
+  res.feasible = packing.feasible;
   return res;
 }
 

@@ -65,10 +65,12 @@ struct Pd2Inflation {
 [[nodiscard]] std::optional<int> pd2_min_processors(const std::vector<OhTask>& tasks,
                                                     const OverheadParams& params, int cap = 4096);
 
-/// EDF-FF with overhead-aware acceptance: tasks are considered in order
-/// of decreasing period (so each task's max_{U in P_T} D(U) is known at
-/// placement time) and placed first-fit; a processor accepts a task iff
-/// the inflated utilizations on it stay <= 1.
+/// EDF-FF with overhead-aware acceptance, run on the one packer
+/// (partition/heuristics.h): tasks are considered in order of
+/// decreasing period (so each task's max_{U in P_T} D(U) is known at
+/// placement time) and placed first-fit; a processor keeps its members
+/// and inflated load, and accepts a task iff the inflated utilizations
+/// on it stay <= 1 (with a 1e-12 slack).
 struct EdfFfResult {
   int processors = 0;
   std::vector<int> assignment;          ///< per task (input order), -1 = unplaced

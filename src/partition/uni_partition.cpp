@@ -1,7 +1,6 @@
 #include "partition/uni_partition.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
 
@@ -24,84 +23,60 @@ const char* acceptance_name(Acceptance a) noexcept {
 
 namespace {
 
-[[nodiscard]] bool accepts(const std::vector<UniTask>& members, const UniTask& candidate,
-                           Acceptance acc) {
-  std::vector<UniTask> with = members;
-  with.push_back(candidate);
-  switch (acc) {
-    case Acceptance::kEdfUtilization:
-      return edf_schedulable(with);
-    case Acceptance::kRmLiuLayland:
-      return rm_schedulable_ll(with);
-    case Acceptance::kRmExact:
-      return rm_schedulable_exact(with);
-  }
-  return false;
-}
+/// The three acceptance tests over one per-processor state, of which
+/// each test keeps only what it reads: EDF the exact utilization sum in
+/// placement order, RM-LL the count and double sum, RM-exact the members
+/// in placement order (the analysis's tie-break among equal periods).
+/// The double sum is also the best/worst-fit load.
+struct UniPolicy {
+  struct Bin {
+    Rational sum{0};
+    std::size_t count = 0;
+    std::vector<UniTask> members;
+    double load = 0.0;
+  };
+  const std::vector<UniTask>& tasks;
+  Acceptance acc;
 
-/// Remaining utilization headroom, used for the best/worst-fit choice
-/// (acceptance may be non-utilization-based; headroom is still the
-/// conventional fit metric).
-[[nodiscard]] double load_of(const std::vector<UniTask>& members) {
-  return total_utilization(members);
-}
+  [[nodiscard]] bool accepts(const Bin& b, std::size_t i) const {
+    const UniTask& t = tasks[i];
+    switch (acc) {
+      case Acceptance::kEdfUtilization:
+        return b.sum + Rational(t.execution, t.period) <= Rational(1);
+      case Acceptance::kRmLiuLayland:
+        return b.load + t.utilization() <= rm_utilization_bound(b.count + 1) + 1e-12;
+      case Acceptance::kRmExact:
+        break;
+    }
+    return rm_schedulable_with(b.members, t);
+  }
+  void add(Bin& b, std::size_t i) const {
+    const UniTask& t = tasks[i];
+    if (acc == Acceptance::kEdfUtilization) b.sum += Rational(t.execution, t.period);
+    if (acc == Acceptance::kRmExact) b.members.push_back(t);
+    ++b.count;
+    b.load += t.utilization();
+  }
+  [[nodiscard]] static double load(const Bin& b) noexcept { return b.load; }
+};
 
 }  // namespace
 
 UniPartitionResult partition_uni(const std::vector<UniTask>& tasks, int max_processors,
                                  Heuristic h, Acceptance acc) {
-  UniPartitionResult res;
-  res.assignment.assign(tasks.size(), -1);
-  res.feasible = true;
-
   std::vector<std::size_t> order(tasks.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  const bool decreasing =
-      h == Heuristic::kFirstFitDecreasing || h == Heuristic::kBestFitDecreasing;
-  if (decreasing) {
+  if (h == Heuristic::kFirstFitDecreasing || h == Heuristic::kBestFitDecreasing) {
     std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       return tasks[a].utilization() > tasks[b].utilization();
     });
   }
-  const Heuristic rule = decreasing
-                             ? (h == Heuristic::kFirstFitDecreasing ? Heuristic::kFirstFit
-                                                                    : Heuristic::kBestFit)
-                             : h;
-
-  std::vector<std::vector<UniTask>> procs;
-
-  for (const std::size_t i : order) {
-    assert(tasks[i].valid());
-    int chosen = -1;
-    for (int pnum = 0; pnum < static_cast<int>(procs.size()); ++pnum) {
-      if (!accepts(procs[static_cast<std::size_t>(pnum)], tasks[i], acc)) continue;
-      if (rule == Heuristic::kFirstFit) {
-        chosen = pnum;
-        break;
-      }
-      if (chosen == -1) {
-        chosen = pnum;
-        continue;
-      }
-      const double cur = load_of(procs[static_cast<std::size_t>(chosen)]);
-      const double cand = load_of(procs[static_cast<std::size_t>(pnum)]);
-      if (rule == Heuristic::kBestFit ? cand > cur : cand < cur) chosen = pnum;
-    }
-    if (chosen == -1) {
-      if (static_cast<int>(procs.size()) < max_processors &&
-          accepts({}, tasks[i], acc)) {
-        procs.emplace_back();
-        chosen = static_cast<int>(procs.size()) - 1;
-      } else {
-        res.feasible = false;
-        continue;
-      }
-    }
-    procs[static_cast<std::size_t>(chosen)].push_back(tasks[i]);
-    res.assignment[i] = chosen;
-  }
-  res.processors_used = static_cast<int>(procs.size());
-  return res;
+  Fit fit = Fit::kFirst;
+  if (h == Heuristic::kBestFit || h == Heuristic::kBestFitDecreasing) fit = Fit::kBest;
+  if (h == Heuristic::kWorstFit) fit = Fit::kWorst;
+  UniPolicy policy{tasks, acc};
+  const auto packing = pack(order, fit, max_processors, policy);
+  return {packing.assignment, static_cast<int>(packing.bins.size()), packing.feasible};
 }
 
 int min_processors_uni(const std::vector<UniTask>& tasks, Heuristic h, Acceptance acc,

@@ -1,14 +1,17 @@
 // Partitioning over concrete task sets with per-processor uniprocessor
 // schedulability tests (paper Secs. 1 and 3).
 //
-// The generic heuristics in heuristics.h bin-pack pure utilizations
-// with the EDF test (load <= 1).  Real partitioned systems differ by
-// the *acceptance test*: RM-FF accepts a task on a processor only if
-// the processor's task set stays RM-schedulable — either by the
-// Liu-Layland bound (cheap, pessimistic; yields the 41%-ish
-// multiprocessor guarantees the paper cites from Oh & Baker) or by
-// exact response-time analysis (the "variable-sized bin" flavour the
-// paper notes makes the packing problem harder).
+// Real partitioned systems differ by the *acceptance test* the one
+// packer (heuristics.h) runs per processor: EDF accepts while the exact
+// utilization stays <= 1; RM-FF accepts a task only if the processor's
+// task set stays RM-schedulable — either by the Liu-Layland bound
+// (cheap, pessimistic; yields the 41%-ish multiprocessor guarantees the
+// paper cites from Oh & Baker) or by exact response-time analysis (the
+// "variable-sized bin" flavour the paper notes makes the packing problem
+// harder).  Each test keeps incremental per-processor state: the exact
+// Rational sum for EDF, the count and sum for Liu-Layland, the member
+// list for response-time analysis; best and worst fit compare the
+// processors' double utilization sums.
 #pragma once
 
 #include <vector>
@@ -32,9 +35,9 @@ struct UniPartitionResult {
   bool feasible = false;
 };
 
-/// Partitions `tasks` using heuristic `h` (first/best/worst fit and the
-/// decreasing variants) under acceptance test `acc`, opening at most
-/// `max_processors` processors.
+/// Partitions `tasks` using heuristic `h` (first/best/worst fit in input
+/// order, FFD/BFD in decreasing utilization) under acceptance test
+/// `acc`, opening at most `max_processors` processors.
 [[nodiscard]] UniPartitionResult partition_uni(const std::vector<UniTask>& tasks,
                                                int max_processors, Heuristic h, Acceptance acc);
 

@@ -205,7 +205,6 @@ OracleOutcome check_partitioned_lopez(OracleContext& ctx) {
   PartitionConfig cfg;
   cfg.max_processors = c.processors;
   cfg.heuristic = Heuristic::kFirstFit;
-  cfg.acceptance = Acceptance::kEdfUtilization;
   cfg.algorithm = UniAlgorithm::kEDF;
   PartitionedSimulator sim(uni, cfg);
   OracleOutcome out;

@@ -49,7 +49,7 @@ OverheadParams AdmissionController::tier1_params() const {
   if (config_.overhead_aware) return config_.overhead;
   // Identity inflation: zero context switch, zero scheduling-cost
   // tables.  Tier 1 then reduces to the plain (overhead-free) test —
-  // e.g. pure first-fit EDF packing for the partitioned kind.
+  // e.g. the utilization sum for uniprocessor EDF.
   OverheadParams p;
   p.context_switch_us = 0.0;
   p.quantum_us = config_.overhead.quantum_us;
@@ -163,7 +163,10 @@ std::optional<Decision> AdmissionController::tier0(const UniTask& t, TaskId excl
       return std::nullopt;
     case SchedulerKind::kPartitioned: {
       if (after > Rational(m)) return no(0, "utilization");
-      if (config_.overhead_aware) return std::nullopt;  // packing must confirm
+      // Lopez's bound holds for first-fit EDF only; RM and the
+      // overhead-aware packing leave every admit to the packing.
+      if (config_.overhead_aware || config_.algorithm == UniAlgorithm::kRM)
+        return std::nullopt;
       const Rational u_max = mirror_.u_max_with(t, exclude);
       const std::int64_t beta = std::max<std::int64_t>(1, u_max.den() / u_max.num());
       if (after <= lopez_edf_ff_bound(m, beta)) return yes(0, "lopez");
@@ -223,8 +226,17 @@ Decision AdmissionController::tier1(const UniTask& t, TaskId exclude) const {
       return u <= 1.0 ? yes(1, reason) : no(1, reason);
     }
     case SchedulerKind::kPartitioned: {
-      const EdfFfResult r = edf_ff_partition(oh_workload(t, exclude), params, m);
-      return r.feasible ? yes(1, "ff-packed") : no(1, "ff-unpacked");
+      if (config_.overhead_aware) {
+        const EdfFfResult r = edf_ff_partition(oh_workload(t, exclude), params, m);
+        return r.feasible ? yes(1, "ff-packed") : no(1, "ff-unpacked");
+      }
+      // The simulator's own packing: its heuristic (the daemon serves the
+      // default) and its algorithm's acceptance test over the committed
+      // tasks in id order, which is their admission order, candidate last.
+      const UniPartitionResult r =
+          partition_uni(mirror_.by_id_with(t, exclude), m, PartitionConfig{}.heuristic,
+                        acceptance_for(config_.algorithm));
+      return r.assignment.back() >= 0 ? yes(1, "ff-packed") : no(1, "ff-unpacked");
     }
     case SchedulerKind::kGlobalJob: {
       if (config_.algorithm == UniAlgorithm::kEDF && config_.overhead_aware) {

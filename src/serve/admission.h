@@ -11,8 +11,9 @@
 //            for RM.
 //   Tier 1 — O(n)/O(n log n) refinement: Eq.-(3) overhead-aware
 //            inflation (PD2 fixed point / EDF-FF packing with inflated
-//            costs), or the plain first-fit packing when overheads are
-//            off.
+//            costs); with overheads off, the partitioned kind runs the
+//            simulator's own packing (first fit in admission order
+//            under its algorithm's acceptance test).
 //   Tier 2 — exact: the hyperperiod-exact global EDF/RM test
 //            (serve/exact_gedf.h) under an event budget, or
 //            response-time analysis for uniprocessor RM.  When the

@@ -132,4 +132,13 @@ std::vector<UniTask> TaskMirror::workload_with(const UniTask& extra,
   return out;
 }
 
+std::vector<UniTask> TaskMirror::by_id_with(const UniTask& extra, TaskId exclude) const {
+  std::vector<UniTask> out;
+  out.reserve(size_ + 1);
+  for (std::size_t id = 0; id < tasks_.size(); ++id)
+    if (tasks_[id].period != 0 && id != exclude) out.push_back(tasks_[id]);
+  out.push_back(extra);
+  return out;
+}
+
 }  // namespace pfair::serve

@@ -86,6 +86,10 @@ class TaskMirror {
   [[nodiscard]] std::vector<UniTask> workload_with(const UniTask& extra,
                                                    TaskId exclude) const;
 
+  /// The same set in task-id order with `extra` last — the order in
+  /// which a static scheduler admitted it.  O(ids).
+  [[nodiscard]] std::vector<UniTask> by_id_with(const UniTask& extra, TaskId exclude) const;
+
  private:
   void add_aggregates(const UniTask& t);
   void remove_aggregates(const UniTask& t);

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
+#include "partition/heuristics.h"
 #include "util/math.h"
 
 namespace pfair {
@@ -88,7 +90,29 @@ void RunSimulator::build_tree() {
   for (const Time p : periods) boundary_cursors_.push_back(PeriodCursor{p, 0});
 
   // Reduce: pack (FFD) -> unit packs become roots -> dual the rest.
+  // A server holds its clients and its rate, at most ticks_ (rate 1).
+  struct ServerPolicy {
+    struct Bin {
+      std::int64_t rate = 0;
+      std::vector<std::uint32_t> clients;
+    };
+    const std::vector<Node>& nodes;
+    const std::vector<std::uint32_t>& items;
+    std::int64_t unit;
+
+    [[nodiscard]] bool accepts(const Bin& b, std::size_t k) const {
+      return b.rate + nodes[items[k]].rate_num <= unit;
+    }
+    void add(Bin& b, std::size_t k) const {
+      b.rate += nodes[items[k]].rate_num;
+      b.clients.push_back(items[k]);
+    }
+    [[nodiscard]] static double load(const Bin& b) noexcept {
+      return static_cast<double>(b.rate);
+    }
+  };
   std::vector<std::uint32_t> items = leaves_;
+  std::vector<std::size_t> order;
   while (!items.empty()) {
     assert(levels_ < 64);  // termination is guaranteed; this is a backstop
     std::sort(items.begin(), items.end(), [&](std::uint32_t a, std::uint32_t b) {
@@ -96,35 +120,23 @@ void RunSimulator::build_tree() {
         return nodes_[a].rate_num > nodes_[b].rate_num;
       return a < b;
     });
-    std::vector<std::vector<std::uint32_t>> bins;
-    std::vector<std::int64_t> bin_rate;
-    for (const std::uint32_t item : items) {
-      bool placed = false;
-      for (std::size_t b = 0; b < bins.size(); ++b) {
-        if (bin_rate[b] + nodes_[item].rate_num <= ticks_) {
-          bins[b].push_back(item);
-          bin_rate[b] += nodes_[item].rate_num;
-          placed = true;
-          break;
-        }
-      }
-      if (!placed) {
-        bins.push_back({item});
-        bin_rate.push_back(nodes_[item].rate_num);
-      }
-    }
+    order.resize(items.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    ServerPolicy policy{nodes_, items, ticks_};
+    std::vector<ServerPolicy::Bin> bins =
+        pack(order, Fit::kFirst, std::numeric_limits<int>::max(), policy).bins;
     items.clear();
     bool dualized = false;
-    for (std::size_t b = 0; b < bins.size(); ++b) {
+    for (ServerPolicy::Bin& bin : bins) {
       Node pack;
       pack.kind = Node::Kind::kPack;
-      pack.rate_num = bin_rate[b];
-      pack.clients = std::move(bins[b]);
+      pack.rate_num = bin.rate;
+      pack.clients = std::move(bin.clients);
       std::sort(pack.clients.begin(), pack.clients.end());
       const std::uint32_t pack_idx = static_cast<std::uint32_t>(nodes_.size());
       for (const std::uint32_t c : pack.clients) nodes_[c].parent = pack_idx;
       nodes_.push_back(std::move(pack));
-      if (bin_rate[b] == ticks_) {
+      if (bin.rate == ticks_) {
         roots_.push_back(pack_idx);
         continue;
       }
@@ -133,7 +145,7 @@ void RunSimulator::build_tree() {
       Node dual;
       dual.kind = Node::Kind::kDual;
       dual.primal = pack_idx;
-      dual.rate_num = ticks_ - bin_rate[b];
+      dual.rate_num = ticks_ - bin.rate;
       // The dual's deadline set is the union of leaf periods below it.
       periods.clear();
       for (const std::uint32_t c : nodes_[pack_idx].clients) {

@@ -8,8 +8,10 @@
 //      the effective processor count, the fractional remainder becomes
 //      one idle leaf (period = the largest task period, so it
 //      introduces no boundary instants of its own);
-//   2. PACK leaves first-fit-decreasing into servers of rate <= 1;
-//      rate-exactly-1 packs become roots;
+//   2. PACK leaves first-fit-decreasing — (rate descending, node
+//      index), on the one bin packer of partition/heuristics.h, each
+//      server keeping its integer tick rate — into servers of rate
+//      <= 1; rate-exactly-1 packs become roots;
 //   3. DUAL each remaining pack sigma into a server sigma* of rate
 //      1 - rate(sigma); the duals are the items of the next level.
 //

@@ -24,19 +24,28 @@ bool rm_schedulable_ll(const std::vector<UniTask>& tasks) {
   return total_utilization(tasks) <= rm_utilization_bound(tasks.size()) + 1e-12;
 }
 
-std::int64_t rm_response_time(const std::vector<UniTask>& tasks, std::size_t index) {
-  // Higher priority = shorter period (ties by position, i.e. earlier
-  // tasks win, which is the conventional deterministic tie-break).
-  const UniTask& self = tasks[index];
+namespace {
+
+/// RM response time of entry `index` of tasks + {extra} (`extra`, when
+/// given, is entry tasks.size()), or -1 once it passes the deadline.
+/// Higher priority = shorter period, ties by position (earlier entries
+/// win, the conventional deterministic tie-break).
+std::int64_t response_time(const std::vector<UniTask>& tasks, const UniTask* extra,
+                           std::size_t index) {
+  const auto at = [&](std::size_t j) -> const UniTask& {
+    return j < tasks.size() ? tasks[j] : *extra;
+  };
+  const std::size_t n = tasks.size() + (extra != nullptr ? 1 : 0);
+  const UniTask& self = at(index);
   std::int64_t r = self.execution;
   for (;;) {
     std::int64_t next = self.execution;
-    for (std::size_t j = 0; j < tasks.size(); ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       if (j == index) continue;
       const bool higher =
-          tasks[j].period < self.period || (tasks[j].period == self.period && j < index);
+          at(j).period < self.period || (at(j).period == self.period && j < index);
       if (!higher) continue;
-      next += ceil_div(r, tasks[j].period) * tasks[j].execution;
+      next += ceil_div(r, at(j).period) * at(j).execution;
     }
     if (next == r) return r;
     if (next > self.period) return -1;  // diverged past the deadline
@@ -44,10 +53,26 @@ std::int64_t rm_response_time(const std::vector<UniTask>& tasks, std::size_t ind
   }
 }
 
+}  // namespace
+
+std::int64_t rm_response_time(const std::vector<UniTask>& tasks, std::size_t index) {
+  return response_time(tasks, nullptr, index);
+}
+
 bool rm_schedulable_exact(const std::vector<UniTask>& tasks) {
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     const std::int64_t r = rm_response_time(tasks, i);
     if (r < 0 || r > tasks[i].period) return false;
+  }
+  return true;
+}
+
+bool rm_schedulable_with(const std::vector<UniTask>& tasks, const UniTask& extra) {
+  // Tasks whose period is not longer than extra's keep their response
+  // times: extra, last among equal periods, never preempts them.
+  for (std::size_t i = 0; i <= tasks.size(); ++i) {
+    if (i < tasks.size() && tasks[i].period <= extra.period) continue;
+    if (response_time(tasks, &extra, i) < 0) return false;
   }
   return true;
 }

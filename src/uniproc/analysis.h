@@ -24,6 +24,12 @@ namespace pfair {
 /// to a fixed point and compare against the deadline.
 [[nodiscard]] bool rm_schedulable_exact(const std::vector<UniTask>& tasks);
 
+/// rm_schedulable_exact(tasks + {extra}) for an RM-schedulable `tasks`:
+/// `extra` joins last, so it ranks below every task of its period, and
+/// only it and the longer-period tasks it preempts are analysed (the
+/// incremental test of a partitioned processor that accepts one task).
+[[nodiscard]] bool rm_schedulable_with(const std::vector<UniTask>& tasks, const UniTask& extra);
+
 /// Worst-case response time of `index` under RM, or -1 if it diverges
 /// past the deadline.
 [[nodiscard]] std::int64_t rm_response_time(const std::vector<UniTask>& tasks,

@@ -2,15 +2,22 @@
 
 namespace pfair {
 
+Acceptance acceptance_for(UniAlgorithm algorithm) noexcept {
+  return algorithm == UniAlgorithm::kRM ? Acceptance::kRmExact : Acceptance::kEdfUtilization;
+}
+
 PartitionedSimulator::PartitionedSimulator(const std::vector<UniTask>& tasks,
                                            PartitionConfig config)
     : tasks_(tasks), config_(config) {
-  rebuild();
+  rebuild(partition());
 }
 
-void PartitionedSimulator::rebuild() {
-  const UniPartitionResult part =
-      partition_uni(tasks_, config_.max_processors, config_.heuristic, config_.acceptance);
+UniPartitionResult PartitionedSimulator::partition() const {
+  return partition_uni(tasks_, config_.max_processors, config_.heuristic,
+                       acceptance_for(config_.algorithm));
+}
+
+void PartitionedSimulator::rebuild(const UniPartitionResult& part) {
   assignment_ = part.assignment;
   unplaced_.clear();
   std::vector<std::vector<UniTask>> groups(static_cast<std::size_t>(part.processors_used));
@@ -43,13 +50,13 @@ bool PartitionedSimulator::admit(const engine::TaskSpec& spec) {
     return false;
   }
   tasks_.push_back(t);
-  rebuild();
-  if (assignment_.back() < 0) {
+  const UniPartitionResult part = partition();
+  if (part.assignment.back() < 0) {
     tasks_.pop_back();
-    rebuild();
     ++rejected_;
     return false;
   }
+  rebuild(part);
   ++admitted_;
   return true;
 }

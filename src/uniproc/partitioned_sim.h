@@ -2,6 +2,12 @@
 // EDF/RM simulators behind a bin-packing front end — the actual runtime
 // the EDF-FF schedulability analysis of Sec. 4 models.
 //
+// Tasks are packed by partition_uni (partition/uni_partition.h) with
+// the configured heuristic and the acceptance test of the configured
+// algorithm: EDF's exact utilization test, or RM's response-time
+// analysis, so every placed set is schedulable by the scheduler that
+// runs it.
+//
 // Complements the analytic comparison (Figs. 3-4) with an executable
 // one: the same workload can be run through PfairSimulator (global PD2)
 // and PartitionedSimulator (EDF-FF) and their realised preemption /
@@ -23,9 +29,12 @@ namespace pfair {
 struct PartitionConfig {
   int max_processors = 1 << 12;  ///< open as many as the heuristic needs
   Heuristic heuristic = Heuristic::kFirstFit;
-  Acceptance acceptance = Acceptance::kEdfUtilization;
   UniAlgorithm algorithm = UniAlgorithm::kEDF;
 };
+
+/// The per-processor acceptance test that matches `algorithm`: the
+/// utilization test for EDF, response-time analysis for RM.
+[[nodiscard]] Acceptance acceptance_for(UniAlgorithm algorithm) noexcept;
 
 class PartitionedSimulator : public engine::Simulator {
  public:
@@ -33,9 +42,10 @@ class PartitionedSimulator : public engine::Simulator {
   /// builds one uniprocessor simulator per opened processor.
   PartitionedSimulator(const std::vector<UniTask>& tasks, PartitionConfig config);
 
-  /// Admission before the simulation starts re-runs the partitioning
-  /// over the enlarged set; returns false once run_until() has advanced
-  /// time, or when the new task cannot be placed.
+  /// Admission before the simulation starts packs the enlarged set once
+  /// and rebuilds the per-processor simulators only when the new task is
+  /// placed; returns false once run_until() has advanced time, or when
+  /// the new task cannot be placed.
   bool admit(const engine::TaskSpec& spec) override;
   using engine::Simulator::admit;
 
@@ -64,8 +74,10 @@ class PartitionedSimulator : public engine::Simulator {
   void attach_observer(obs::EventBus* bus) override;
 
  private:
-  /// (Re)partitions tasks_ and rebuilds the per-processor simulators.
-  void rebuild();
+  /// Packs tasks_ with the configured heuristic and acceptance test.
+  [[nodiscard]] UniPartitionResult partition() const;
+  /// Rebuilds the per-processor simulators from a packing of tasks_.
+  void rebuild(const UniPartitionResult& part);
 
   std::vector<UniTask> tasks_;
   PartitionConfig config_;

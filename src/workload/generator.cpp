@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/rational.h"
+
 namespace pfair {
 
 std::vector<OhTask> generate_oh_tasks(const OhWorkloadConfig& cfg, Rng& rng) {
@@ -137,12 +139,11 @@ std::vector<UniTask> generate_uni_tasks(Rng& rng, std::size_t n, double u_cap,
   return out;
 }
 
-std::vector<Rational> partition_adversary(int m, std::int64_t eps_den) {
+std::vector<UniTask> partition_adversary(int m, std::int64_t eps_den) {
   assert(m >= 1 && eps_den >= 2);
   // (1 + 1/eps_den) / 2 = (eps_den + 1) / (2 eps_den)
-  std::vector<Rational> u(static_cast<std::size_t>(m) + 1,
-                          Rational(eps_den + 1, 2 * eps_den));
-  return u;
+  return std::vector<UniTask>(static_cast<std::size_t>(m) + 1,
+                              UniTask{eps_den + 1, 2 * eps_den});
 }
 
 TaskSet two_processor_counterexample() {

@@ -20,7 +20,6 @@
 #include "core/task.h"
 #include "overhead/inflation.h"
 #include "uniproc/uni_task.h"
-#include "util/rational.h"
 #include "util/rng.h"
 
 namespace pfair {
@@ -63,7 +62,7 @@ struct OhWorkloadConfig {
 /// The partitioning adversary from Sec. 3: m + 1 tasks, each with
 /// utilization (1 + 1/eps_den) / 2 — unpartitionable on m processors for
 /// any heuristic, with total utilization -> (m+1)/2 as eps_den grows.
-[[nodiscard]] std::vector<Rational> partition_adversary(int m, std::int64_t eps_den);
+[[nodiscard]] std::vector<UniTask> partition_adversary(int m, std::int64_t eps_den);
 
 /// The paper's Sec.-1 example of partitioning sub-optimality: three
 /// tasks of weight 2/3 on two processors (feasible globally, not

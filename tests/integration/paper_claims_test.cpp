@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "overhead/inflation.h"
-#include "partition/heuristics.h"
 #include "partition/uni_partition.h"
 #include "sim/pfair_sim.h"
 #include "sim/verifier.h"
@@ -18,11 +17,12 @@ namespace {
 // processors yet scheduled by PD2 with an independently verified trace.
 TEST(PaperClaims, Sec1CounterexampleSeparatesApproaches) {
   const TaskSet set = two_processor_counterexample();
-  std::vector<Rational> utils;
-  for (const Task& t : set.tasks()) utils.push_back(t.weight());
+  std::vector<UniTask> uni;
+  for (const Task& t : set.tasks()) uni.push_back({t.execution, t.period});
   for (const Heuristic h : {Heuristic::kFirstFit, Heuristic::kBestFit, Heuristic::kWorstFit,
                             Heuristic::kFirstFitDecreasing, Heuristic::kBestFitDecreasing}) {
-    EXPECT_FALSE(partition(utils, 2, h).feasible) << heuristic_name(h);
+    EXPECT_FALSE(partition_uni(uni, 2, h, Acceptance::kEdfUtilization).feasible)
+        << heuristic_name(h);
   }
   PfairConfig sc;
   sc.processors = 2;
@@ -40,13 +40,15 @@ TEST(PaperClaims, Sec1CounterexampleSeparatesApproaches) {
 // partitioning heuristic is (M+1)/2, while PD2 reaches M.
 TEST(PaperClaims, Sec3WorstCaseUtilizationGap) {
   for (const int m : {2, 4, 8}) {
-    const std::vector<Rational> adversary = partition_adversary(m, 1000);
-    EXPECT_FALSE(partition(adversary, m, Heuristic::kBestFitDecreasing).feasible);
+    const std::vector<UniTask> adversary = partition_adversary(m, 1000);
+    EXPECT_FALSE(partition_uni(adversary, m, Heuristic::kBestFitDecreasing,
+                               Acceptance::kEdfUtilization)
+                     .feasible);
     // The same weights as a Pfair system: total < m + 1 but > m would be
     // infeasible for anyone; scale to exactly m tasks' worth that PD2
     // handles: here total = (m+1)(1+eps)/2 <= m for m >= 2.
     TaskSet set;
-    for (const Rational& w : adversary) set.add(make_task(w.num(), w.den()));
+    for (const UniTask& t : adversary) set.add(make_task(t.execution, t.period));
     ASSERT_TRUE(set.feasible_on(m));
     PfairConfig sc;
     sc.processors = m;

@@ -8,29 +8,6 @@
 namespace pfair {
 namespace {
 
-TEST(UniPartition, EdfAcceptanceMatchesRationalPartitioner) {
-  // Same tasks, same heuristic: the UniTask front-end with the EDF test
-  // must open exactly as many processors as the Rational partitioner.
-  Rng rng(0x42);
-  for (int trial = 0; trial < 20; ++trial) {
-    Rng trial_rng = rng.fork(static_cast<std::uint64_t>(trial));
-    std::vector<UniTask> tasks;
-    std::vector<Rational> utils;
-    const int n = static_cast<int>(trial_rng.uniform_int(3, 20));
-    for (int k = 0; k < n; ++k) {
-      const std::int64_t p = trial_rng.uniform_int(2, 30);
-      const std::int64_t e = trial_rng.uniform_int(1, p);
-      tasks.push_back({e, p});
-      utils.emplace_back(e, p);
-    }
-    const auto uni = partition_uni(tasks, 1 << 10, Heuristic::kFirstFit,
-                                   Acceptance::kEdfUtilization);
-    const auto rat = partition(utils, 1 << 10, Heuristic::kFirstFit);
-    EXPECT_EQ(uni.processors_used, rat.processors_used) << "trial " << trial;
-    EXPECT_EQ(uni.assignment, rat.assignment) << "trial " << trial;
-  }
-}
-
 TEST(UniPartition, RmNeedsAtLeastAsManyProcessorsAsEdf) {
   // RM's schedulable region is a subset of EDF's on each processor, so
   // RM-FF can never beat EDF-FF, and RM-LL can never beat RM-exact.

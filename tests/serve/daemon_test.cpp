@@ -22,6 +22,7 @@
 #include "qa/gen.h"
 #include "serve/request.h"
 #include "util/math.h"
+#include "util/rng.h"
 
 namespace pfair::serve {
 namespace {
@@ -254,6 +255,80 @@ TEST(Daemon, ExactGlobalEdfAdmitsHoldInArrivalOrder) {
   EXPECT_EQ(d.stats().tier2, 3u);
   d.simulator().run_until(480);
   EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
+}
+
+DaemonConfig partitioned_config(int processors, UniAlgorithm algorithm) {
+  DaemonConfig c;
+  c.kind = engine::SchedulerKind::kPartitioned;
+  c.processors = processors;
+  c.algorithm = algorithm;
+  return c;
+}
+
+std::string join_line(std::int64_t execution, std::int64_t period) {
+  return "{\"op\":\"join\",\"execution\":" + std::to_string(execution) +
+         ",\"period\":" + std::to_string(period) + "}";
+}
+
+TEST(Daemon, PartitionedRmRefusesWhatRmCannotSchedule) {
+  // (2, 5) and (4, 7) total 0.97, under the Lopez bound, but behind
+  // (2, 5) the RM response time of (4, 7) is 8 > 7: one processor cannot
+  // run both under RM.  The second join must be refused exactly, and
+  // what was admitted must run miss-free.
+  Daemon d(partitioned_config(1, UniAlgorithm::kRM));
+  const std::string first = d.process_line(join_line(2, 5));
+  EXPECT_NE(first.find("\"admit\":true"), std::string::npos) << first;
+  const std::string second = d.process_line(join_line(4, 7));
+  EXPECT_NE(second.find("\"admit\":false"), std::string::npos) << second;
+  EXPECT_NE(second.find("\"approx\":false"), std::string::npos) << second;
+  EXPECT_EQ(second.find("\"sim-reject\""), std::string::npos) << second;
+  d.simulator().run_until(70);
+  EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
+}
+
+TEST(Daemon, PartitionedTierOnePacksInTheSimulatorsOrder) {
+  // First fit in decreasing period fits these six joins on four
+  // processors; first fit in arrival order, as the simulator packs, has
+  // no room for the sixth.  Tier 1 must answer as the simulator does.
+  Daemon d(partitioned_config(4, UniAlgorithm::kEDF));
+  const std::pair<int, int> joins[] = {{4, 6}, {22, 26}, {35, 38}, {1, 8}, {13, 17}};
+  for (const auto& [e, p] : joins) {
+    const std::string reply = d.process_line(join_line(e, p));
+    ASSERT_NE(reply.find("\"admit\":true"), std::string::npos) << reply;
+  }
+  const std::string sixth = d.process_line(join_line(1, 4));
+  EXPECT_NE(sixth.find("\"admit\":false"), std::string::npos) << sixth;
+  EXPECT_NE(sixth.find("\"tier\":1"), std::string::npos) << sixth;
+  EXPECT_NE(sixth.find("\"ff-unpacked\""), std::string::npos) << sixth;
+}
+
+TEST(Daemon, PartitionedGateAndSimulatorAgreeOnJoinStreams) {
+  // Join-only streams at t = 0, where the static partitioned kind
+  // admits: every join the gate admits, the simulator must place, under
+  // EDF and RM alike.  Periods of at most 40 keep ΣU's Rational inside
+  // int64, so the only way to disagree is to pack differently.
+  for (const UniAlgorithm algorithm : {UniAlgorithm::kEDF, UniAlgorithm::kRM}) {
+    int tier1_admits = 0;
+    int sim_rejects = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+      Daemon d(partitioned_config(4, algorithm));
+      Rng rng(seed);
+      for (int k = 0; k < 30; ++k) {
+        const std::int64_t p = rng.uniform_int(2, 40);
+        const std::string reply = d.process_line(join_line(rng.uniform_int(1, p), p));
+        if (reply.find("\"sim-reject\"") != std::string::npos) {
+          ++sim_rejects;
+        } else if (reply.find("\"admit\":true") != std::string::npos &&
+                   reply.find("\"tier\":1") != std::string::npos) {
+          ++tier1_admits;
+        }
+      }
+      d.simulator().run_until(840);
+      EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u) << "seed " << seed;
+    }
+    EXPECT_EQ(sim_rejects, 0) << "algorithm " << static_cast<int>(algorithm);
+    EXPECT_GT(tier1_admits, 100) << "algorithm " << static_cast<int>(algorithm);
+  }
 }
 
 DaemonConfig global_job_config(UniAlgorithm algorithm) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+
+#include "util/rng.h"
 
 namespace pfair {
 namespace {
@@ -65,6 +68,34 @@ TEST(RmExact, ImpliesLl) {
   const std::vector<UniTask> ts = {{1, 4}, {1, 5}, {1, 10}};  // U = 0.55 < 0.7797
   ASSERT_TRUE(rm_schedulable_ll(ts));
   EXPECT_TRUE(rm_schedulable_exact(ts));
+}
+
+TEST(RmExact, IncrementalTestMatchesTheFullTest) {
+  // rm_schedulable_with re-analyses only the joining task and the
+  // longer-period tasks it preempts; on every RM-schedulable base set it
+  // must agree with the full test over the set with the task appended.
+  Rng rng(0x5eed);
+  int accepted = 0;
+  int refused = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::vector<UniTask> tasks;
+    const auto n = rng.uniform_int(0, 6);
+    for (std::int64_t k = 0; k < n; ++k) {
+      const std::int64_t p = rng.uniform_int(2, 24);
+      const UniTask t{rng.uniform_int(1, std::max<std::int64_t>(1, p / 3)), p};
+      tasks.push_back(t);
+      if (!rm_schedulable_exact(tasks)) tasks.pop_back();
+    }
+    const std::int64_t p = rng.uniform_int(2, 24);
+    const UniTask extra{rng.uniform_int(1, p), p};
+    std::vector<UniTask> with = tasks;
+    with.push_back(extra);
+    const bool full = rm_schedulable_exact(with);
+    ASSERT_EQ(rm_schedulable_with(tasks, extra), full) << "trial " << trial;
+    (full ? accepted : refused) += 1;
+  }
+  EXPECT_GT(accepted, 200);
+  EXPECT_GT(refused, 200);
 }
 
 TEST(LopezBound, KnownValues) {

@@ -60,16 +60,46 @@ TEST(PartitionedSim, RandomFeasibleSystemsRunCleanly) {
 }
 
 TEST(PartitionedSim, RmBackendHonoursRmAcceptance) {
-  // Tasks accepted under RM-exact must run without misses under RM.
+  // RM packs with response-time analysis, so the placed tasks run
+  // without misses under RM.
   Rng rng(0x77c);
   const std::vector<UniTask> tasks = generate_uni_tasks(rng, 10, 2.5, 40);
   PartitionConfig cfg;
-  cfg.acceptance = Acceptance::kRmExact;
   cfg.algorithm = UniAlgorithm::kRM;
   PartitionedSimulator sim(tasks, cfg);
   ASSERT_TRUE(sim.all_tasks_placed());
   sim.run_until(10000);
   EXPECT_EQ(sim.metrics().deadline_misses, 0u);
+}
+
+TEST(PartitionedSim, RmPacksByResponseTimeAnalysis) {
+  // (2, 5) and (4, 7) total 0.97, which EDF's test accepts on one
+  // processor, but the RM response time of (4, 7) is 8 > 7: under RM
+  // the pair takes two processors, and neither ensemble misses.
+  const std::vector<UniTask> tasks = {{2, 5}, {4, 7}};
+  for (const UniAlgorithm algorithm : {UniAlgorithm::kEDF, UniAlgorithm::kRM}) {
+    PartitionConfig cfg;
+    cfg.algorithm = algorithm;
+    PartitionedSimulator sim(tasks, cfg);
+    EXPECT_EQ(sim.processors(), algorithm == UniAlgorithm::kRM ? 2 : 1);
+    sim.run_until(70);
+    EXPECT_EQ(sim.metrics().deadline_misses, 0u);
+  }
+}
+
+TEST(PartitionedSim, RefusedAdmitLeavesThePackingAsItWas) {
+  // One pack per admit: a refused task changes neither the assignment
+  // nor the processors, and the counts reach the aggregate.
+  PartitionConfig cfg;
+  cfg.max_processors = 2;
+  PartitionedSimulator sim({}, cfg);
+  for (const auto& [e, p] : {std::pair{2, 3}, std::pair{2, 3}, std::pair{2, 3}, std::pair{1, 3}})
+    sim.admit(engine::task_spec(e, p));
+  EXPECT_EQ(sim.assignment(), (std::vector<int>{0, 1, 0}));
+  EXPECT_EQ(sim.processors(), 2);
+  EXPECT_TRUE(sim.all_tasks_placed());
+  EXPECT_EQ(sim.metrics().tasks_admitted, 3u);
+  EXPECT_EQ(sim.metrics().tasks_rejected, 1u);
 }
 
 TEST(PartitionedSim, AggregateSumsPerProcessorMetrics) {

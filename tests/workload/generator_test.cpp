@@ -119,9 +119,9 @@ TEST(UniGenerator, CapsTotalUtilization) {
 }
 
 TEST(Adversary, TotalApproachesWorstCase) {
-  const std::vector<Rational> u = partition_adversary(4, 1000);
+  const std::vector<UniTask> u = partition_adversary(4, 1000);
   Rational total(0);
-  for (const Rational& w : u) total += w;
+  for (const UniTask& t : u) total += Rational(t.execution, t.period);
   // (m+1) * (1+eps)/2 -> 2.5 * (1 + 1/1000)
   EXPECT_NEAR(total.to_double(), 2.5025, 1e-9);
   EXPECT_EQ(u.size(), 5u);
