@@ -1,7 +1,5 @@
 #include "obs/json.h"
 
-#include <cassert>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -198,53 +196,16 @@ std::optional<Value> parse(std::string_view text) {
   return v;
 }
 
-ObjectWriter::ObjectWriter(std::string& out) : out_(out) { out_ += '{'; }
-
-void ObjectWriter::begin(std::string_view key) {
-#ifndef NDEBUG
-  assert(!finished_);
-  // Strictly ascending keys keep the output byte-identical to a
-  // dump()ed std::map Object holding the same members.
-  assert(first_ || last_key_ < key);
-  last_key_.assign(key);
-#endif
-  if (!first_) out_ += ',';
-  first_ = false;
-  dump_string(out_, key);
-  out_ += ':';
+void ObjectWriter::flush() {
+  if (!flushed_) buf_[0] = '{';
+  flushed_ = true;
+  out_.append(buf_, pos_);
+  pos_ = 0;
 }
 
-ObjectWriter& ObjectWriter::field_bool(std::string_view key, bool v) {
-  begin(key);
-  out_ += v ? "true" : "false";
-  return *this;
-}
-
-ObjectWriter& ObjectWriter::field_int(std::string_view key, std::int64_t v) {
-  // %.17g of an integral double uses plain fixed notation up to 1e17,
-  // and every int64 with |v| <= 2^53 ~ 9.0e15 round-trips exactly, so
-  // the fast integer rendering matches dump() byte for byte.
-  assert(v <= (std::int64_t{1} << 53) && v >= -(std::int64_t{1} << 53));
-  begin(key);
-  char buf[24];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-  (void)ec;
-  out_.append(buf, end);
-  return *this;
-}
-
-ObjectWriter& ObjectWriter::field_str(std::string_view key, std::string_view v) {
-  begin(key);
+void ObjectWriter::put_escaped(std::string_view v) {
+  flush();
   dump_string(out_, v);
-  return *this;
-}
-
-void ObjectWriter::finish() {
-#ifndef NDEBUG
-  assert(!finished_);
-  finished_ = true;
-#endif
-  out_ += '}';
 }
 
 }  // namespace pfair::obs::json

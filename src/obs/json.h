@@ -16,8 +16,11 @@
 //     01 and 1. read as 1, 1e999 as inf and 1e-400 as 0).
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <charconv>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <optional>
 #include <string>
@@ -256,40 +259,222 @@ class Reader {
   std::string scratch_;  ///< the last string with an escape, unescaped
 };
 
-/// Streaming writer for one flat JSON object on the serving hot path.
+namespace detail {
+/// Not constexpr, so a Key that calls it does not compile.
+void key_needs_escaping();
+}  // namespace detail
+
+/// An ObjectWriter member name, fixed at compile time: the constructor
+/// is consteval, so a key is always a string literal, and one that
+/// would need escaping (a quote, a backslash or a control character)
+/// or that is longer than kMaxLength fails to compile.  It holds the
+/// bytes the writer stores for it, `,"key":`, packed into 64-bit words,
+/// so that each key is one to four stores of constants.
+class Key {
+ public:
+  static constexpr std::size_t kMaxLength = 28;
+
+  template <std::size_t N>
+  consteval Key(const char (&key)[N])  // NOLINT: implicit, so a literal converts
+      : name_(key, N - 1), length_(N + 3) {
+    static_assert(N - 1 <= kMaxLength, "ObjectWriter key is too long");
+    char block[32] = {',', '"'};
+    for (std::size_t i = 0; i + 1 < N; ++i) {
+      const char c = key[i];
+      if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20)
+        detail::key_needs_escaping();
+      block[i + 2] = c;
+    }
+    block[N + 1] = '"';
+    block[N + 2] = ':';
+    for (std::size_t w = 0; w < 4; ++w)
+      for (std::size_t b = 0; b < 8; ++b) {
+        const std::size_t shift = 8 * (std::endian::native == std::endian::little ? b : 7 - b);
+        words_[w] |= std::uint64_t{static_cast<unsigned char>(block[8 * w + b])} << shift;
+      }
+  }
+
+  /// The key itself, without quotes.
+  [[nodiscard]] constexpr std::string_view name() const noexcept { return name_; }
+
+ private:
+  friend class ObjectWriter;
+
+  /// Stores `,"key":` at `p`, padded to a whole word; past its end.
+  char* put(char* p) const noexcept {
+    std::memcpy(p, &words_[0], 8);
+    if (length_ > 8) std::memcpy(p + 8, &words_[1], 8);
+    if (length_ > 16) std::memcpy(p + 16, &words_[2], 8);
+    if (length_ > 24) std::memcpy(p + 24, &words_[3], 8);
+    return p + length_;
+  }
+
+  std::string_view name_;
+  std::size_t length_;  ///< bytes of `,"key":`
+  std::uint64_t words_[4] = {};
+};
+
+/// Writer for one flat JSON object on the serving hot path.
 ///
-/// Appends members straight into a caller-owned string and produces
-/// bytes identical to building an Object (std::map) with the same
-/// members and dump()ing it — PROVIDED members are appended in
+/// Produces bytes identical to building an Object (std::map) with the
+/// same members and dump()ing it — PROVIDED members are written in
 /// strictly ascending key order, which debug builds assert (std::map
 /// iteration *is* sorted order, so the equivalence is structural).
 /// pfaird answers every decision line through this instead of paying
 /// a tree of Value nodes plus their string allocations per line.
+///
+/// The object is staged in a fixed buffer inside the writer and
+/// appended to the caller's string once, by finish().  Each key is a
+/// few stores of its Key's constant words; integers are rendered by
+/// to_chars in place; string values are scanned for bytes that need
+/// escaping and copied when they hold none.  A value that needs
+/// escaping, or that does not fit in the buffer, flushes what is
+/// staged and goes through dump()'s escaper straight into the string.
 class ObjectWriter {
  public:
-  /// Opens the object: appends '{' to `out`, which must outlive the
-  /// writer.  finish() closes it.
-  explicit ObjectWriter(std::string& out);
+  /// `out` must outlive the writer; the object is appended to what it
+  /// already holds.
+  explicit ObjectWriter(std::string& out) noexcept : out_(out) {}
+  ObjectWriter(const ObjectWriter&) = delete;
+  ObjectWriter& operator=(const ObjectWriter&) = delete;
 
-  ObjectWriter& field_bool(std::string_view key, bool v);
-  /// Integer member, byte-identical to dump()'s %.17g rendering of the
-  /// same integral double; |v| must stay within the exactly-
-  /// representable 2^53 (debug-asserted).
-  ObjectWriter& field_int(std::string_view key, std::int64_t v);
-  ObjectWriter& field_str(std::string_view key, std::string_view v);
+  ObjectWriter& field_bool(Key key, bool v) {
+    static constexpr char kWords[2][8] = {"false", "true"};
+    char* p = put_key(key, 8);
+    std::memcpy(p, kWords[v], 8);
+    pos_ = static_cast<std::size_t>(p - buf_) + (v ? 4 : 5);
+    return *this;
+  }
 
-  /// Closes the object.  No fields may follow.
-  void finish();
+  /// Integer member, in exact decimal for every int64.  Within ±2^53
+  /// that is byte-identical to dump()'s %.17g rendering of the same
+  /// integral double; past it the double would round, the writer does
+  /// not.
+  ObjectWriter& field_int(Key key, std::int64_t v) {
+    char* p = put_key(key, kIntRoom);
+    pos_ = static_cast<std::size_t>(std::to_chars(p, p + kIntRoom, v).ptr - buf_);
+    return *this;
+  }
+
+  ObjectWriter& field_str(Key key, std::string_view v) {
+    char* p = put_key(key, 0);
+    if (v.size() + 2 <= static_cast<std::size_t>(buf_ + kCapacity - p) && copy_clean(p + 1, v)) {
+      *p = '"';
+      p[v.size() + 1] = '"';
+      pos_ = static_cast<std::size_t>(p - buf_) + v.size() + 2;
+    } else {
+      pos_ = static_cast<std::size_t>(p - buf_);
+      put_escaped(v);
+    }
+    return *this;
+  }
+
+  /// Closes the object and appends it to the string.  No fields may
+  /// follow.
+  void finish() {
+#ifndef NDEBUG
+    assert(!finished_);
+    finished_ = true;
+#endif
+    // The first member's key opened with a ',', where the '{' goes; an
+    // empty object has no key.
+    if (!flushed_) {
+      buf_[0] = '{';
+      if (pos_ == 0) pos_ = 1;
+    }
+    buf_[pos_] = '}';
+    out_.append(buf_, pos_ + 1);
+  }
 
  private:
-  void begin(std::string_view key);
+  /// Staged bytes, one more holding '}'.  The longest decision line, a
+  /// reweight answer with every integer 20 characters long, is about
+  /// 310 bytes, so every line pfaird writes is appended whole.
+  static constexpr std::size_t kCapacity = 480;
+  static constexpr std::size_t kKeyRoom = Key::kMaxLength + 4;  ///< the most put() stores
+  static constexpr std::size_t kIntRoom = 20;    ///< "-9223372036854775808"
+
+  static constexpr std::uint64_t kOnes = 0x0101010101010101u;
+
+  /// The high bit of each byte of `w` that is a '"', a '\\' or a
+  /// control character, and maybe of bytes after one: a byte below 0x20
+  /// borrows into its high bit when 0x20 is subtracted, and a byte equal
+  /// to the one sought XORs to zero, which borrows likewise.  So the
+  /// result is nonzero exactly when such a byte is present.
+  [[nodiscard]] static constexpr std::uint64_t escape_flags(std::uint64_t w) noexcept {
+    const std::uint64_t quote = w ^ (kOnes * '"');
+    const std::uint64_t slash = w ^ (kOnes * '\\');
+    return (((w - kOnes * 0x20) & ~w) | ((quote - kOnes) & ~quote) | ((slash - kOnes) & ~slash)) &
+           (kOnes * 0x80);
+  }
+
+  /// Copies `v` to `p` a word at a time (the last word overlapping the
+  /// one before it), with no library call for these short strings;
+  /// true when no byte of `v` needs escaping.
+  [[nodiscard]] static bool copy_clean(char* p, std::string_view v) noexcept {
+    const char* s = v.data();
+    const std::size_t n = v.size();
+    std::uint64_t flags = 0;
+    if (n >= 8) {
+      const auto copy_word = [&](std::size_t i) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, s + i, 8);
+        std::memcpy(p + i, &w, 8);
+        flags |= escape_flags(w);
+      };
+      for (std::size_t i = 0; i + 8 < n; i += 8) copy_word(i);
+      copy_word(n - 8);
+    } else if (n >= 4) {
+      std::uint32_t head = 0;
+      std::uint32_t tail = 0;
+      std::memcpy(&head, s, 4);
+      std::memcpy(&tail, s + n - 4, 4);
+      std::memcpy(p, &head, 4);
+      std::memcpy(p + n - 4, &tail, 4);
+      flags = escape_flags(head | std::uint64_t{tail} << 32);
+    } else {
+      std::uint64_t w = kOnes * 'a';  // bytes that need no escape
+      for (std::size_t i = 0; i < n; ++i) {
+        p[i] = s[i];
+        w = w << 8 | static_cast<unsigned char>(s[i]);
+      }
+      flags = escape_flags(w);
+    }
+    return flags == 0;
+  }
+
+  /// Makes room for a key and `value_room` more bytes, flushing when
+  /// they would not fit, and stores the key; the position past it.
+  char* put_key(const Key& key, std::size_t value_room) {
+#ifndef NDEBUG
+    assert(!finished_);
+    // Strictly ascending keys keep the output byte-identical to a
+    // dump()ed std::map Object holding the same members.
+    assert((pos_ == 0 && !flushed_) || last_key_ < key.name());
+    last_key_.assign(key.name());
+#endif
+    if (pos_ + kKeyRoom + value_room > kCapacity) flush();
+    return key.put(buf_ + pos_);
+  }
+
+  /// Appends the staged bytes to the string and empties the buffer.
+  /// It runs only after a key is staged, so buf_[0] is the first
+  /// member's ',' the first time.
+  void flush();
+
+  /// The string value through dump()'s escaper, after a flush.
+  void put_escaped(std::string_view v);
 
   std::string& out_;
-  bool first_ = true;
+  std::size_t pos_ = 0;
+  bool flushed_ = false;
 #ifndef NDEBUG
   std::string last_key_;
   bool finished_ = false;
 #endif
+  // Left uninitialized: finish() and flush() append only bytes a field
+  // stored, so clearing the buffer for every line would be wasted work.
+  char buf_[kCapacity + 1];
 };
 
 }  // namespace pfair::obs::json

@@ -89,6 +89,7 @@ constexpr const char* kPhaseNames[kPhaseCount] = {
     "sim.admit",        // kAdmit
     "serve.decision",   // kServeDecision
     "serve.tier2",      // kServeTier2
+    "serve.write",      // kServeWrite
     "pool.job",         // kPoolJob
 };
 

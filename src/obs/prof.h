@@ -55,6 +55,7 @@ enum class Phase : std::uint8_t {
   kServeDecision,  ///< one pfaird request line, parse to decision line(s)
   kServeTier2,     ///< one Tier-2 exact answer, memo hit or miss, inside
                    ///< kServeDecision
+  kServeWrite,     ///< rendering one decision line, inside kServeDecision
   kPoolJob,        ///< one ThreadPool job execution (worker busy time)
 };
 inline constexpr std::size_t kPhaseCount = static_cast<std::size_t>(Phase::kPoolJob) + 1;

@@ -122,7 +122,7 @@ Decision AdmissionController::decide(const UniTask& t, TaskId exclude) const {
   // only its (possibly provisional) rejects are worth escalating, and
   // only for the kinds that have an exact Tier-2 test.
   if (d1.admit) return d1;
-  if (const std::optional<Decision> d2 = tier2(t, exclude)) return *d2;
+  if (const std::optional<Decision> d2 = tier2_answer(t, exclude, &d1)) return *d2;
   return d1;
 }
 
@@ -308,12 +308,12 @@ AdmissionController::CachedExact AdmissionController::tier2_cached(
 }
 
 Decision AdmissionController::tier2_decision(const CachedExact& e, const UniTask& t,
-                                             TaskId exclude) const {
+                                             TaskId exclude, const Decision* tier1_answer) const {
   if (config_.kind == SchedulerKind::kGlobalJob) {
     if (e.gedf.verdict == GedfVerdict::kBudgetExceeded) {
       // Out of budget before reaching H: fall back to Tier 1's answer,
-      // marked approximate (ISSUE contract).
-      Decision d = tier1(t, exclude);
+      // marked approximate.
+      Decision d = tier1_answer != nullptr ? *tier1_answer : tier1(t, exclude);
       d.approx = true;
       d.exact_events = e.gedf.events;
       return d;
@@ -327,10 +327,15 @@ Decision AdmissionController::tier2_decision(const CachedExact& e, const UniTask
 }
 
 std::optional<Decision> AdmissionController::tier2(const UniTask& t, TaskId exclude) const {
+  return tier2_answer(t, exclude, nullptr);
+}
+
+std::optional<Decision> AdmissionController::tier2_answer(const UniTask& t, TaskId exclude,
+                                                          const Decision* tier1_answer) const {
   if (!t.valid() || config_.exact_budget == 0 || !tier2_applies()) return std::nullopt;
   // The gate keeps no clock, so the span belongs to no slot.
   const obs::prof::ProfScope timing(obs::prof::Phase::kServeTier2);
-  return tier2_decision(tier2_cached(t, exclude), t, exclude);
+  return tier2_decision(tier2_cached(t, exclude), t, exclude, tier1_answer);
 }
 
 void AdmissionController::prewarm_tier2(

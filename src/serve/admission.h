@@ -185,8 +185,13 @@ class AdmissionController {
   [[nodiscard]] CachedExact tier2_compute(const UniTask& t, TaskId exclude) const;
   /// Memo lookup + fill around tier2_compute.
   [[nodiscard]] CachedExact tier2_cached(const UniTask& t, TaskId exclude) const;
+  /// Tier 2 for `t`.  A verdict out of budget answers Tier 1's
+  /// decision marked approx: `tier1_answer` when the caller has it
+  /// (decide() does), else computed here.
+  [[nodiscard]] std::optional<Decision> tier2_answer(const UniTask& t, TaskId exclude,
+                                                     const Decision* tier1_answer) const;
   [[nodiscard]] Decision tier2_decision(const CachedExact& e, const UniTask& t,
-                                        TaskId exclude) const;
+                                        TaskId exclude, const Decision* tier1_answer) const;
 
   AdmissionConfig config_;
   TaskMirror mirror_;

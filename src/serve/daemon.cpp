@@ -25,6 +25,18 @@ namespace {
   return {buf, static_cast<std::size_t>(p - buf)};
 }
 
+/// Renders one decision line into `out`, timed as the serve.write
+/// phase: `fields` writes the members in ascending key order (the
+/// ObjectWriter contract), so the line is byte-identical to the dumped
+/// Object form, and finish() appends it in one piece.
+template <class Fields>
+void write_line(std::string& out, Time slot, const Fields& fields) {
+  const obs::prof::ProfScope timing(obs::prof::Phase::kServeWrite, slot);
+  obs::json::ObjectWriter w(out);
+  fields(w);
+  w.finish();
+}
+
 [[nodiscard]] engine::SimulatorConfig simulator_config(const DaemonConfig& c) {
   engine::SimulatorConfig sc;
   sc.set_processors(c.processors);
@@ -76,11 +88,8 @@ void Daemon::write_response(const Request& r, std::uint64_t seq, std::string& ou
   const auto entry = static_cast<std::int64_t>(sim_->now());
   const char* opname = to_string(r.op);
   const auto sq = static_cast<std::int64_t>(seq);
-  // Fields go out in ascending key order (the ObjectWriter contract),
-  // so each shape below is byte-identical to the dumped-Object form
-  // this loop used before it went allocation-free.
+  using Writer = obs::json::ObjectWriter;
   char tbuf[48];  // stack home for the "total" weight rendering
-  obs::json::ObjectWriter w(out);
   switch (r.op) {
     case RequestOp::kJoin: {
       const UniTask cand{r.execution, r.period};
@@ -103,68 +112,80 @@ void Daemon::write_response(const Request& r, std::uint64_t seq, std::string& ou
         }
       }
       note_decision(d, cand, assigned);
-      w.field_bool("admit", d.admit)
-          .field_bool("approx", d.approx)
-          .field_int("exact_events", static_cast<std::int64_t>(d.exact_events))
-          .field_str("op", opname)
-          .field_str("reason", d.reason)
-          .field_int("seq", sq)
-          .field_int("task",
-                     assigned == kNoTask ? -1 : static_cast<std::int64_t>(assigned))
-          .field_int("tier", d.tier)
-          .field_int("time", entry)
-          .field_str("total", format_ratio(gate_.total_weight(), tbuf));
+      write_line(out, sim_->now(), [&](Writer& w) {
+        w.field_bool("admit", d.admit)
+            .field_bool("approx", d.approx)
+            .field_int("exact_events", static_cast<std::int64_t>(d.exact_events))
+            .field_str("op", opname)
+            .field_str("reason", d.reason)
+            .field_int("seq", sq)
+            .field_int("task",
+                       assigned == kNoTask ? -1 : static_cast<std::int64_t>(assigned))
+            .field_int("tier", d.tier)
+            .field_int("time", entry)
+            .field_str("total", format_ratio(gate_.total_weight(), tbuf));
+      });
       break;
     }
     case RequestOp::kLeave: {
       if (!sim_->can_dynamic()) {
         ++stats_.errors;
-        w.field_str("error", "not-dynamic")
-            .field_bool("ok", false)
-            .field_str("op", opname)
-            .field_int("seq", sq)
-            .field_int("time", entry);
+        write_line(out, sim_->now(), [&](Writer& w) {
+          w.field_str("error", "not-dynamic")
+              .field_bool("ok", false)
+              .field_str("op", opname)
+              .field_int("seq", sq)
+              .field_int("time", entry);
+        });
         break;
       }
       if (const std::optional<Time> free = sim_->request_leave(r.task)) {
         gate_.schedule_release(r.task, *free);
-        w.field_int("free_at", static_cast<std::int64_t>(*free))
-            .field_bool("ok", true)
-            .field_str("op", opname)
-            .field_int("seq", sq)
-            .field_int("task", static_cast<std::int64_t>(r.task))
-            .field_int("time", entry);
+        write_line(out, sim_->now(), [&](Writer& w) {
+          w.field_int("free_at", static_cast<std::int64_t>(*free))
+              .field_bool("ok", true)
+              .field_str("op", opname)
+              .field_int("seq", sq)
+              .field_int("task", static_cast<std::int64_t>(r.task))
+              .field_int("time", entry);
+        });
       } else {
         ++stats_.errors;
-        w.field_str("error", "unknown-task")
-            .field_bool("ok", false)
-            .field_str("op", opname)
-            .field_int("seq", sq)
-            .field_int("task", static_cast<std::int64_t>(r.task))
-            .field_int("time", entry);
+        write_line(out, sim_->now(), [&](Writer& w) {
+          w.field_str("error", "unknown-task")
+              .field_bool("ok", false)
+              .field_str("op", opname)
+              .field_int("seq", sq)
+              .field_int("task", static_cast<std::int64_t>(r.task))
+              .field_int("time", entry);
+        });
       }
       break;
     }
     case RequestOp::kReweight: {
       if (!sim_->can_dynamic()) {
         ++stats_.errors;
-        w.field_bool("admit", false)
-            .field_str("error", "not-dynamic")
-            .field_str("op", opname)
-            .field_int("seq", sq)
-            .field_int("time", entry);
+        write_line(out, sim_->now(), [&](Writer& w) {
+          w.field_bool("admit", false)
+              .field_str("error", "not-dynamic")
+              .field_str("op", opname)
+              .field_int("seq", sq)
+              .field_int("time", entry);
+        });
         break;
       }
       const UniTask cand{r.execution, r.period};
       Decision d = gate_.decide_reweight(r.task, cand);
       if (!d.admit && std::string_view(d.reason) == "unknown-task") {
         ++stats_.errors;
-        w.field_bool("admit", false)
-            .field_str("error", "unknown-task")
-            .field_str("op", opname)
-            .field_int("seq", sq)
-            .field_int("task", static_cast<std::int64_t>(r.task))
-            .field_int("time", entry);
+        write_line(out, sim_->now(), [&](Writer& w) {
+          w.field_bool("admit", false)
+              .field_str("error", "unknown-task")
+              .field_str("op", opname)
+              .field_int("seq", sq)
+              .field_int("task", static_cast<std::int64_t>(r.task))
+              .field_int("time", entry);
+        });
         break;
       }
       Time effective = -1;
@@ -180,49 +201,56 @@ void Daemon::write_response(const Request& r, std::uint64_t seq, std::string& ou
         }
       }
       note_decision(d, cand, r.task);
-      w.field_bool("admit", d.admit)
-          .field_bool("approx", d.approx)
-          .field_int("effective_at", static_cast<std::int64_t>(effective))
-          .field_int("exact_events", static_cast<std::int64_t>(d.exact_events))
-          .field_str("op", opname)
-          .field_str("reason", d.reason)
-          .field_int("seq", sq)
-          .field_int("task", static_cast<std::int64_t>(r.task))
-          .field_int("tier", d.tier)
-          .field_int("time", entry)
-          .field_str("total", format_ratio(gate_.total_weight(), tbuf));
+      write_line(out, sim_->now(), [&](Writer& w) {
+        w.field_bool("admit", d.admit)
+            .field_bool("approx", d.approx)
+            .field_int("effective_at", static_cast<std::int64_t>(effective))
+            .field_int("exact_events", static_cast<std::int64_t>(d.exact_events))
+            .field_str("op", opname)
+            .field_str("reason", d.reason)
+            .field_int("seq", sq)
+            .field_int("task", static_cast<std::int64_t>(r.task))
+            .field_int("tier", d.tier)
+            .field_int("time", entry)
+            .field_str("total", format_ratio(gate_.total_weight(), tbuf));
+      });
       break;
     }
     case RequestOp::kQuery: {
-      w.field_str("op", opname)
-          .field_int("seq", sq)
-          .field_int("tasks", static_cast<std::int64_t>(gate_.committed()))
-          .field_int("time", entry)
-          .field_str("total", format_ratio(gate_.total_weight(), tbuf));
+      write_line(out, sim_->now(), [&](Writer& w) {
+        w.field_str("op", opname)
+            .field_int("seq", sq)
+            .field_int("tasks", static_cast<std::int64_t>(gate_.committed()))
+            .field_int("time", entry)
+            .field_str("total", format_ratio(gate_.total_weight(), tbuf));
+      });
       break;
     }
     case RequestOp::kAdvance: {
       if (r.to > sim_->now()) sim_->run_until(r.to);
       gate_.advance_to(sim_->now());
-      w.field_int("now", static_cast<std::int64_t>(sim_->now()))
-          .field_str("op", opname)
-          .field_int("seq", sq)
-          .field_int("time", entry);
+      write_line(out, sim_->now(), [&](Writer& w) {
+        w.field_int("now", static_cast<std::int64_t>(sim_->now()))
+            .field_str("op", opname)
+            .field_int("seq", sq)
+            .field_int("time", entry);
+      });
       break;
     }
     case RequestOp::kBatch: {
       // Batches are unpacked in process_line(); parsing rejects nested
       // batches, so this only defends against future callers.
       ++stats_.errors;
-      w.field_str("error", "bad-field")
-          .field_bool("ok", false)
-          .field_str("op", opname)
-          .field_int("seq", sq)
-          .field_int("time", entry);
+      write_line(out, sim_->now(), [&](Writer& w) {
+        w.field_str("error", "bad-field")
+            .field_bool("ok", false)
+            .field_str("op", opname)
+            .field_int("seq", sq)
+            .field_int("time", entry);
+      });
       break;
     }
   }
-  w.finish();
 }
 
 void Daemon::advance_per_request() {
@@ -242,11 +270,10 @@ void Daemon::answer_request(const Request& r, std::string& out) {
 void Daemon::answer_error(std::string_view error, std::string& out) {
   ++stats_.requests;
   ++stats_.errors;
-  obs::json::ObjectWriter w(out);
-  w.field_str("error", error)
-      .field_str("op", "error")
-      .field_int("seq", static_cast<std::int64_t>(seq_++));
-  w.finish();
+  const auto seq = static_cast<std::int64_t>(seq_++);
+  write_line(out, sim_->now(), [&](obs::json::ObjectWriter& w) {
+    w.field_str("error", error).field_str("op", "error").field_int("seq", seq);
+  });
   advance_per_request();
 }
 

@@ -16,7 +16,8 @@
 // so running the same request log twice produces byte-identical
 // decision logs (CI diffs them).  Wall-clock only feeds the
 // *observability* side, and the daemon stores none of it: each request
-// line is one obs::prof "serve.decision" scope, timed only while
+// line is one obs::prof "serve.decision" scope, with the rendering of
+// each answer a "serve.write" scope inside it, timed only while
 // profiling is enabled and kept with every other phase timer, and
 // publish_registry() folds those timers into the MetricsRegistry next to
 // the serve.* counters.
@@ -92,7 +93,8 @@ class Daemon {
   /// serve.requests/admits/rejects/errors/tier0/tier1/tier2/approx and
   /// serve.tier2_memo_hits/tier2_memo_misses counters — and publishes
   /// the obs::prof phase timers, "serve.decision" (p50/p95/p99 per
-  /// request line) among them.  Call once after serving.
+  /// request line), "serve.tier2" and "serve.write" among them.  Call
+  /// once after serving.
   void publish_registry() const;
 
   [[nodiscard]] const DaemonStats& stats() const noexcept { return stats_; }
@@ -102,7 +104,8 @@ class Daemon {
  private:
   /// Decides/applies `r` and appends its decision line to `out`
   /// through obs::json::ObjectWriter — byte-identical to the dumped
-  /// Object form, without the per-line Value tree.
+  /// Object form, without the per-line Value tree — in one serve.write
+  /// scope.
   void write_response(const Request& r, std::uint64_t seq, std::string& out);
   void note_decision(const Decision& d, const UniTask& t, TaskId task);
   /// One request answered into `out`: stats, seq, write_response(),

@@ -534,6 +534,61 @@ TEST(Daemon, PublishRegistryTimesEveryTier2Answer) {
   obs::prof::reset();
 }
 
+TEST(Daemon, PublishRegistryTimesEveryLineWritten) {
+  // serve.write times the rendering of each answer inside its line's
+  // serve.decision scope: one sample per answered sub-request, batch
+  // elements and error lines included.
+  obs::MetricsRegistry::global().reset_values();
+  obs::prof::reset();
+  obs::prof::set_enabled(true);
+  Daemon d(pfair_config(2));
+  GenConfig gen;
+  gen.count = 200;
+  gen.seed = 4;
+  const std::string requests = batch_requests(generate_requests(gen), 8) +
+                               "this is not json\n{\"op\":\"frobnicate\"}\n";
+  const std::string log = serve_string(d, requests);
+  obs::prof::set_enabled(false);
+  d.publish_registry();
+  const obs::json::Value snap = obs::MetricsRegistry::global().snapshot();
+  const obs::json::Value* timers = snap.find("timers");
+  ASSERT_NE(timers, nullptr);
+  const obs::json::Value* decision = timers->find("serve.decision");
+  const obs::json::Value* write = timers->find("serve.write");
+  ASSERT_NE(decision, nullptr);
+  ASSERT_NE(write, nullptr);
+  const auto answers = static_cast<std::uint64_t>(std::count(log.begin(), log.end(), '\n'));
+  EXPECT_EQ(answers, gen.count + 2);
+  EXPECT_EQ(d.stats().requests, answers);
+  EXPECT_EQ(write->number_or("count", -1.0), static_cast<double>(answers));
+  EXPECT_LT(decision->number_or("count", -1.0), static_cast<double>(answers));  // batch lines
+  EXPECT_GT(write->number_or("total_ns", -1.0), 0.0);
+  EXPECT_LE(write->number_or("total_ns", -1.0), decision->number_or("total_ns", -1.0));
+  obs::MetricsRegistry::global().reset_values();
+  obs::prof::reset();
+}
+
+TEST(Daemon, DecisionIntegersPastTwoToThe53AreExact) {
+  // free_at = 1.8e16 + 1 is past 2^53, where a double would round it;
+  // the line spells the integer the simulator holds, in every build.
+  DaemonConfig c = pfair_config(1);
+  c.advance_per_request = 1;
+  Daemon d(c);
+  EXPECT_EQ(serve_string(d,
+                         "{\"op\":\"advance\",\"to\":9000000000000000}\n"
+                         "{\"op\":\"join\",\"execution\":1,\"period\":9000000000000000}\n"
+                         "{\"op\":\"query\"}\n"
+                         "{\"op\":\"leave\",\"task\":0}\n"),
+            "{\"now\":9000000000000000,\"op\":\"advance\",\"seq\":0,\"time\":0}\n"
+            "{\"admit\":true,\"approx\":false,\"exact_events\":0,\"op\":\"join\","
+            "\"reason\":\"eq2\",\"seq\":1,\"task\":0,\"tier\":0,\"time\":9000000000000001,"
+            "\"total\":\"1/9000000000000000\"}\n"
+            "{\"op\":\"query\",\"seq\":2,\"tasks\":1,\"time\":9000000000000002,"
+            "\"total\":\"1/9000000000000000\"}\n"
+            "{\"free_at\":18000000000000001,\"ok\":true,\"op\":\"leave\",\"seq\":3,"
+            "\"task\":0,\"time\":9000000000000003}\n");
+}
+
 /// Converts a qa storm case into the daemon's request stream: the base
 /// tasks join at t=0 (validate() guarantees they are Pfair-feasible, so
 /// the Eq.-(2) gate admits them all and their daemon ids are 0..n-1 —

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -320,6 +322,79 @@ TEST(ObjectWriter, MatchesTheDumpedObjectForm) {
   obs::json::ObjectWriter e(empty);
   e.finish();
   EXPECT_EQ(empty, Value(Object{}).dump());
+}
+
+TEST(ObjectWriter, RendersEveryInt64Exactly) {
+  std::string out;
+  obs::json::ObjectWriter w(out);
+  w.field_int("max", std::numeric_limits<std::int64_t>::max())
+      .field_int("min", std::numeric_limits<std::int64_t>::min());
+  w.finish();
+  EXPECT_EQ(out, "{\"max\":9223372036854775807,\"min\":-9223372036854775808}");
+
+  // Within ±2^53 the integer is what dump() writes for the same double.
+  constexpr std::int64_t kExact = std::int64_t{1} << 53;
+  for (const std::int64_t v : {kExact, -kExact, kExact - 1, std::int64_t{100000000000000000} / 100,
+                               std::int64_t{-1}, std::int64_t{0}}) {
+    obs::json::Object o;
+    o.emplace("v", obs::json::Value(static_cast<double>(v)));
+    std::string line;
+    obs::json::ObjectWriter one(line);
+    one.field_int("v", v);
+    one.finish();
+    EXPECT_EQ(line, obs::json::Value(o).dump()) << v;
+  }
+}
+
+TEST(ObjectWriter, ShortValuesOfEveryByteMatchTheDumpedObjectForm) {
+  // The writer tests string values eight bytes at a time for bytes that
+  // need escaping; every byte value, at every length and offset the
+  // word copy distinguishes, must come out as dump() writes it.
+  Rng rng(11);
+  for (int round = 0; round < 20000; ++round) {
+    std::string v(static_cast<std::size_t>(rng.uniform_int(0, 24)), 'x');
+    for (char& c : v) {
+      // Mostly bytes next to the ones that need escaping.
+      const std::int64_t pick = rng.uniform_int(0, 3);
+      c = static_cast<char>(pick == 0 ? rng.uniform_int(0, 255)
+                                      : pick == 1 ? rng.uniform_int(0x1e, 0x23)
+                                                  : pick == 2 ? rng.uniform_int(0x5b, 0x5d) : 'a');
+    }
+    obs::json::Object o;
+    o.emplace("s", obs::json::Value(v));
+    std::string streamed;
+    obs::json::ObjectWriter w(streamed);
+    w.field_str("s", v);
+    w.finish();
+    ASSERT_EQ(streamed, obs::json::Value(o).dump()) << "round " << round;
+  }
+}
+
+TEST(ObjectWriter, LongAndEscapedValuesMatchTheDumpedObjectForm) {
+  // Values around and past the writer's fixed stage flush what is
+  // staged and go straight to the string, as escaped values do.
+  using obs::json::Object;
+  using obs::json::Value;
+  for (std::size_t n = 0; n <= 1100; n += n < 400 ? 50 : 1) {
+    const std::string plain(n, 'x');
+    std::string escaped(n, 'y');
+    if (n > 0) escaped[n / 2] = '\n';
+    Object o;
+    o.emplace("a", Value(plain));
+    o.emplace("b", Value(static_cast<double>(n)));
+    o.emplace("c", Value(escaped));
+    o.emplace("d", Value(true));
+    o.emplace("e", Value(plain));
+    std::string streamed = "kept\n";
+    obs::json::ObjectWriter w(streamed);
+    w.field_str("a", plain)
+        .field_int("b", static_cast<std::int64_t>(n))
+        .field_str("c", escaped)
+        .field_bool("d", true)
+        .field_str("e", plain);
+    w.finish();
+    ASSERT_EQ(streamed, "kept\n" + Value(o).dump()) << "n=" << n;
+  }
 }
 
 }  // namespace

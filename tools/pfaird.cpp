@@ -26,7 +26,8 @@
 //   --registry=FILE      write the MetricsRegistry snapshot (serve.*
 //                        counters, serve.tier2_memo_hits, and the
 //                        obs::prof timers: serve.decision p50/p95/p99
-//                        per request line, the simulator's phases) to FILE
+//                        per request line, serve.tier2 and serve.write
+//                        inside it, the simulator's phases) to FILE
 //   --gen-requests=N     generate a deterministic request stream to
 //                        --output instead of serving
 //   --batch-requests=N   with --gen-requests: wrap the stream into
