@@ -104,24 +104,17 @@ int main(int argc, char** argv) {
   std::printf("# %6s | %10s %10s %10s | %10s %10s | %8s\n", "load", "pd2_preempt",
               "pd2_switch", "pd2_migr", "ff_preempt", "ff_switch", "placed");
 
-  PartitionConfig pc;
-  pc.max_processors = m;
-  PfairConfig pd2c;
-  pd2c.processors = m;
-  pd2c.algorithm = Algorithm::kPD2;
-  std::vector<engine::SchedulerSpec> specs = {engine::pfair_spec("PD2", pd2c)};
+  engine::SimulatorConfig config;
+  config.set_processors(m);
+  config.bf.record_trace = false;
+  config.run.record_segments = false;
+  std::vector<engine::SchedulerSpec> specs = {{"PD2", engine::SchedulerKind::kPfair, config}};
   if (kind == "bf") {
-    BfConfig bc;
-    bc.processors = m;
-    bc.record_trace = false;
-    specs.push_back(engine::bf_spec(bc));
+    specs.push_back({"BF", engine::SchedulerKind::kBf, config});
   } else if (kind == "run") {
-    RunConfig rc;
-    rc.processors = m;
-    rc.record_segments = false;
-    specs.push_back(engine::run_spec(rc));
+    specs.push_back({"RUN", engine::SchedulerKind::kRun, config});
   } else {
-    specs.push_back(engine::partitioned_spec("EDF-FF", pc));
+    specs.push_back({"EDF-FF", engine::SchedulerKind::kPartitioned, config});
   }
 
   engine::ParallelSweep sweep(h.jobs(), h.seed(1));
@@ -171,7 +164,7 @@ int main(int argc, char** argv) {
       if (t.verified) ++verified;
       else std::printf("# %s verification FAILED (set %lld)\n", kind.c_str(), s);
       pd2_ff_slots += t.pd2.fast_forwarded_slots;
-      pd2_invocations += t.pd2.scheduler_invocations;
+      pd2_invocations += t.pd2.scheduling_points;
       leg_points += t.ff.scheduling_points;
       const double k = 1000.0 / static_cast<double>(horizon);
       ff_pre.add(static_cast<double>(t.ff.preemptions) * k);

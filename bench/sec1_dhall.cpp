@@ -27,9 +27,14 @@ int main(int argc, char** argv) {
   std::printf("# %6s %12s %14s %12s %12s %12s\n", "P", "total_util", "util/m",
               "gEDF_miss", "gRM_miss", "PD2_miss");
 
+  engine::SimulatorConfig edf;
+  edf.set_processors(m);
+  engine::SimulatorConfig rm = edf;
+  rm.global_job.algorithm = UniAlgorithm::kRM;
   const std::vector<engine::SchedulerSpec> specs = {
-      engine::global_job_spec(m, UniAlgorithm::kEDF),
-      engine::global_job_spec(m, UniAlgorithm::kRM), engine::pd2_spec(m)};
+      {"global-EDF", engine::SchedulerKind::kGlobalJob, edf},
+      {"global-RM", engine::SchedulerKind::kGlobalJob, rm},
+      {"PD2", engine::SchedulerKind::kPfair, edf}};
 
   for (const std::int64_t P : {10, 20, 40, 80, 160, 320}) {
     std::vector<UniTask> ts(static_cast<std::size_t>(m), UniTask{2, P});

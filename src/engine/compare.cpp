@@ -1,5 +1,6 @@
 #include "engine/compare.h"
 
+#include <memory>
 #include <utility>
 
 namespace pfair::engine {
@@ -12,86 +13,22 @@ std::vector<CompareResult> compare_schedulers(const std::vector<UniTask>& worklo
   for (const SchedulerSpec& spec : specs) {
     CompareResult r;
     r.name = spec.name;
-    if (std::unique_ptr<Simulator> sim = spec.make(workload)) {
-      // The loader reports every rejected task through the metrics; a
-      // scheduler that dropped any task never runs — comparing partial
-      // task systems would be apples to oranges — but its admission
-      // counters stay visible instead of vanishing with the simulator.
+    const std::unique_ptr<Simulator> sim = make_simulator(spec.kind, spec.config);
+    // Every task is offered, so metrics().tasks_rejected shows how many
+    // the scheduler turned away (capacity, bin-packing failure, ...).  A
+    // scheduler that dropped any task never runs — comparing partial
+    // task systems would be apples to oranges — but its admission
+    // counters stay visible instead of vanishing with the simulator.
+    for (const UniTask& t : workload) sim->admit(task_spec(t.execution, t.period));
+    r.metrics = sim->metrics();
+    r.feasible = r.metrics.tasks_rejected == 0;
+    if (r.feasible) {
+      sim->run_until(horizon);
       r.metrics = sim->metrics();
-      r.feasible = r.metrics.tasks_rejected == 0;
-      if (r.feasible) {
-        sim->run_until(horizon);
-        r.metrics = sim->metrics();
-      }
     }
     out.push_back(std::move(r));
   }
   return out;
-}
-
-SchedulerSpec kind_spec(std::string name, SchedulerKind kind, SimulatorConfig config) {
-  return {std::move(name),
-          [kind, config](const std::vector<UniTask>& workload) -> std::unique_ptr<Simulator> {
-            std::unique_ptr<Simulator> sim = make_simulator(kind, config);
-            // Rejected admission = the stack cannot take this workload
-            // (capacity, bin-packing failure, ...): infeasible.  Every
-            // task is still offered, so metrics().tasks_rejected shows
-            // how many the scheduler turned away instead of silently
-            // dropping them.
-            for (const UniTask& t : workload)
-              sim->admit(task_spec(t.execution, t.period));
-            return sim;
-          }};
-}
-
-SchedulerSpec pfair_spec(std::string name, PfairConfig config) {
-  SimulatorConfig sc;
-  sc.pfair = config;
-  return kind_spec(std::move(name), SchedulerKind::kPfair, std::move(sc));
-}
-
-SchedulerSpec pd2_spec(int processors) {
-  PfairConfig config;
-  config.processors = processors;
-  config.algorithm = Algorithm::kPD2;
-  return pfair_spec("PD2", config);
-}
-
-SchedulerSpec partitioned_spec(std::string name, PartitionConfig config) {
-  SimulatorConfig sc;
-  sc.partitioned = config;
-  return kind_spec(std::move(name), SchedulerKind::kPartitioned, std::move(sc));
-}
-
-SchedulerSpec global_job_spec(int processors, UniAlgorithm algorithm) {
-  SimulatorConfig sc;
-  sc.global_job = GlobalJobConfig{processors, algorithm};
-  return kind_spec(algorithm == UniAlgorithm::kEDF ? "global-EDF" : "global-RM",
-                   SchedulerKind::kGlobalJob, std::move(sc));
-}
-
-SchedulerSpec uniproc_spec(std::string name, UniSimConfig config) {
-  SimulatorConfig sc;
-  sc.uniproc = config;
-  return kind_spec(std::move(name), SchedulerKind::kUniproc, std::move(sc));
-}
-
-SchedulerSpec wrr_spec(WrrConfig config) {
-  SimulatorConfig sc;
-  sc.wrr = config;
-  return kind_spec("WRR", SchedulerKind::kWrr, std::move(sc));
-}
-
-SchedulerSpec bf_spec(BfConfig config) {
-  SimulatorConfig sc;
-  sc.bf = config;
-  return kind_spec("BF", SchedulerKind::kBf, std::move(sc));
-}
-
-SchedulerSpec run_spec(RunConfig config) {
-  SimulatorConfig sc;
-  sc.run = config;
-  return kind_spec("RUN", SchedulerKind::kRun, std::move(sc));
 }
 
 }  // namespace pfair::engine

@@ -3,32 +3,26 @@
 // The paper's comparisons (Dhall effect, PD2 vs EDF-FF runtime
 // behaviour) all have the same shape: build one workload, run it
 // through several schedulers, read one set of counters.  A
-// SchedulerSpec names a scheduler and knows how to build its simulator
-// for a given synchronous periodic workload; compare_schedulers() runs
-// the workload through every spec and returns the unified metrics, so
-// benches and tests no longer hand-roll a loop per scheduler pair.
+// SchedulerSpec is plain data — a display name, a registered kind and
+// that kind's config — and compare_schedulers() builds each simulator
+// through make_simulator, runs the workload through it and returns the
+// unified metrics, so benches and tests no longer hand-roll a loop per
+// scheduler pair.
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "engine/factory.h"
 #include "engine/metrics.h"
-#include "engine/simulator.h"
 #include "uniproc/uni_task.h"
 
 namespace pfair::engine {
 
 struct SchedulerSpec {
   std::string name;
-  /// Builds a simulator with `workload` offered task by task through
-  /// Simulator::admit().  Rejected tasks are counted in the simulator's
-  /// metrics (tasks_rejected) — the driver reports any rejection as
-  /// feasible = false and does not run the partial system.  nullptr is
-  /// also accepted (scheduler could not even be built).
-  std::function<std::unique_ptr<Simulator>(const std::vector<UniTask>&)> make;
+  SchedulerKind kind = SchedulerKind::kPfair;
+  SimulatorConfig config;  ///< only the member matching `kind` is read
 };
 
 struct CompareResult {
@@ -40,37 +34,12 @@ struct CompareResult {
 };
 
 /// Runs `workload` through every spec up to `horizon`; results are in
-/// spec order.
+/// spec order.  Each simulator is loaded through Simulator::admit(); a
+/// rejected task makes the spec infeasible and its simulator never runs.
+/// Throws std::invalid_argument when a spec's config is unusable (see
+/// make_simulator).
 [[nodiscard]] std::vector<CompareResult> compare_schedulers(
     const std::vector<UniTask>& workload, const std::vector<SchedulerSpec>& specs,
     Time horizon);
-
-// --- standard specs for the repo's simulator stacks ---
-// All are thin wrappers over kind_spec(); every simulator is built
-// through engine::make_simulator, never a concrete constructor.
-
-/// Any registered scheduler kind with full config control.  The
-/// workload is loaded through Simulator::admit(); a rejected task makes
-/// the spec infeasible.
-[[nodiscard]] SchedulerSpec kind_spec(std::string name, SchedulerKind kind,
-                                      SimulatorConfig config);
-/// Global Pfair with full config control (name e.g. "PD2").
-[[nodiscard]] SchedulerSpec pfair_spec(std::string name, PfairConfig config);
-/// Global PD2 on `processors` (the common case).
-[[nodiscard]] SchedulerSpec pd2_spec(int processors);
-/// Partitioned EDF/RM behind a bin-packing front end; infeasible when
-/// not every task can be placed.
-[[nodiscard]] SchedulerSpec partitioned_spec(std::string name, PartitionConfig config);
-/// Global job-level EDF or RM on `processors` (the Dhall straw man).
-[[nodiscard]] SchedulerSpec global_job_spec(int processors, UniAlgorithm algorithm);
-/// Event-driven uniprocessor EDF/RM.
-[[nodiscard]] SchedulerSpec uniproc_spec(std::string name, UniSimConfig config);
-/// Weighted round-robin on quantised weights.
-[[nodiscard]] SchedulerSpec wrr_spec(WrrConfig config);
-/// Boundary-fair: optimal, decisions only at period boundaries.
-[[nodiscard]] SchedulerSpec bf_spec(BfConfig config);
-/// RUN: optimal, offline reduction tree + online server EDF.  Admission
-/// is capacity-checked, so an overutilised workload reports infeasible.
-[[nodiscard]] SchedulerSpec run_spec(RunConfig config);
 
 }  // namespace pfair::engine

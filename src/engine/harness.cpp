@@ -1,11 +1,11 @@
 #include "engine/harness.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 #include "engine/parallel.h"
+#include "obs/json.h"
 #include "obs/prof.h"
 #include "obs/registry.h"
 
@@ -13,59 +13,29 @@ namespace pfair::engine {
 
 namespace {
 
-/// JSON string escaping (control characters, quote, backslash).
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-/// Doubles as JSON numbers; non-finite values (which JSON cannot
-/// represent) become null.
-std::string number(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 void append_value(std::string& out, const ExperimentHarness::Value& val) {
+  // `prefix` (the brace or comma and the key) then `v` as a JSON number.
+  const auto member = [&out](const char* prefix, double v) {
+    out += prefix;
+    obs::json::write_number(out, v);
+  };
   if (const auto* d = std::get_if<double>(&val.v)) {
-    out += number(*d);
+    obs::json::write_number(out, *d);
   } else if (const auto* i = std::get_if<long long>(&val.v)) {
     out += std::to_string(*i);
   } else if (const auto* s = std::get_if<std::string>(&val.v)) {
-    out += '"';
-    out += escape(*s);
-    out += '"';
+    obs::json::write_string(out, *s);
   } else if (const auto* st = std::get_if<RunningStats>(&val.v)) {
-    out += "{\"mean\":" + number(st->mean()) + ",\"ci99\":" + number(st->ci99_halfwidth()) +
-           ",\"min\":" + number(st->min()) + ",\"max\":" + number(st->max()) +
-           ",\"n\":" + std::to_string(st->count()) + "}";
+    member("{\"mean\":", st->mean());
+    member(",\"ci99\":", st->ci99_halfwidth());
+    member(",\"min\":", st->min());
+    member(",\"max\":", st->max());
+    out += ",\"n\":" + std::to_string(st->count()) + "}";
   } else {
     const auto& h = std::get<obs::Histogram>(val.v);
     out += "{\"edges\":[";
-    for (std::size_t k = 0; k < h.edges().size(); ++k) {
-      if (k > 0) out += ',';
-      out += number(h.edges()[k]);
-    }
+    for (std::size_t k = 0; k < h.edges().size(); ++k)
+      member(k > 0 ? "," : "", h.edges()[k]);
     out += "],\"counts\":[";
     for (std::size_t k = 0; k < h.bucket_count(); ++k) {
       if (k > 0) out += ',';
@@ -73,9 +43,11 @@ void append_value(std::string& out, const ExperimentHarness::Value& val) {
     }
     out += "],\"underflow\":" + std::to_string(h.underflow()) +
            ",\"overflow\":" + std::to_string(h.overflow()) +
-           ",\"total\":" + std::to_string(h.total()) +
-           ",\"p50\":" + number(h.p50()) + ",\"p95\":" + number(h.p95()) +
-           ",\"p99\":" + number(h.p99()) + "}";
+           ",\"total\":" + std::to_string(h.total());
+    member(",\"p50\":", h.p50());
+    member(",\"p95\":", h.p95());
+    member(",\"p99\":", h.p99());
+    out += '}';
   }
 }
 
@@ -86,9 +58,8 @@ void append_object(std::string& out, const KvContainer& kv) {
   for (const auto& [key, val] : kv) {
     if (!first) out += ',';
     first = false;
-    out += '"';
-    out += escape(key);
-    out += "\":";
+    obs::json::write_string(out, key);
+    out += ':';
     append_value(out, val);
   }
   out += '}';
@@ -242,7 +213,9 @@ std::string ExperimentHarness::json_path() const {
 }
 
 std::string ExperimentHarness::to_json() const {
-  std::string out = "{\"bench\":\"" + escape(name_) + "\",\"params\":";
+  std::string out = "{\"bench\":";
+  obs::json::write_string(out, name_);
+  out += ",\"params\":";
   {
     const std::lock_guard<std::mutex> lock(params_mutex_);
     append_object(out, params_);

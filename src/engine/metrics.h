@@ -52,14 +52,17 @@ struct Metrics {
   std::uint64_t migrations = 0;
   std::uint64_t context_switches = 0;
   std::uint64_t component_switches = 0;  ///< supertask-internal EDF switches
-  std::uint64_t scheduler_invocations = 0;
   std::uint64_t scheduling_points = 0;   ///< distinct instants at which the
-                                         ///< scheduler decided: per-quantum
-                                         ///< sims one per slot (incl. fast-
-                                         ///< forwarded), BF one per period
-                                         ///< boundary, RUN one per event
-                                         ///< instant — the axis the BF/RUN
-                                         ///< papers optimise
+                                         ///< scheduler decided, each counted
+                                         ///< once: per-quantum sims one per
+                                         ///< slot (incl. fast-forwarded), BF
+                                         ///< one per period boundary, RUN and
+                                         ///< CBS one per event instant, the
+                                         ///< uniprocessor (and each
+                                         ///< partitioned) EDF/RM one per
+                                         ///< release or completion instant —
+                                         ///< the axis the BF/RUN papers
+                                         ///< optimise
   std::uint64_t lag_violations = 0;      ///< only when lag checking enabled
 
   // --- server accounting (CBS) ---
@@ -113,7 +116,6 @@ struct Metrics {
     migrations += o.migrations;
     context_switches += o.context_switches;
     component_switches += o.component_switches;
-    scheduler_invocations += o.scheduler_invocations;
     scheduling_points += o.scheduling_points;
     lag_violations += o.lag_violations;
     served_jobs_completed += o.served_jobs_completed;

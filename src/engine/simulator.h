@@ -2,16 +2,17 @@
 //
 // Every simulator stack in the repo — quantum-driven global Pfair,
 // event-driven uniprocessor EDF/RM, the partitioned ensemble, global
-// job-level EDF/RM, weighted round-robin, and CBS — implements this
-// interface, so comparison drivers and tests can run the same workload
-// through any of them and read the same engine::Metrics.
+// job-level EDF/RM, weighted round-robin, CBS, and PD²'s successors BF
+// and RUN — implements this interface, so comparison drivers and tests
+// can run the same workload through any of them and read the same
+// engine::Metrics.
 //
 // Tasks are submitted as a TaskSpec: one request shape shared by static
-// admission (admit) and the dynamic protocol (join / leave / reweight),
-// so a request stream recorded against one scheduler replays against
-// any other.  Schedulers that cannot change their task system mid-run
-// report can_dynamic() = false and inherit the rejecting defaults for
-// the dynamic calls.
+// admission (admit) and the dynamic protocol (join / request_leave /
+// request_reweight), so a request stream recorded against one scheduler
+// replays against any other.  Schedulers that cannot change their task
+// system mid-run report can_dynamic() = false and inherit the rejecting
+// defaults for the dynamic calls.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +20,6 @@
 #include <string>
 
 #include "engine/metrics.h"
-#include "util/rational.h"
 #include "util/types.h"
 
 namespace pfair::obs {
@@ -30,29 +30,16 @@ namespace pfair::engine {
 
 /// A synchronous periodic task as submitted through the request API:
 /// worst-case execution `execution` every `period` quanta (implicit
-/// deadline), releasing from the current time.  The rate may be given
-/// directly as `weight` instead, in which case it wins over
-/// execution/period and the task runs as num/den in lowest terms
-/// (Rational normalises).  `name` is an optional trace label.
+/// deadline), releasing from the current time.  `name` is an optional
+/// trace label.
 struct TaskSpec {
   std::int64_t execution = 1;
   std::int64_t period = 1;
-  std::optional<Rational> weight;
   std::string name;
 
-  /// Execution actually requested (weight spelling wins).
-  [[nodiscard]] std::int64_t resolved_execution() const noexcept {
-    return weight.has_value() ? weight->num() : execution;
-  }
-  /// Period actually requested (weight spelling wins).
-  [[nodiscard]] std::int64_t resolved_period() const noexcept {
-    return weight.has_value() ? weight->den() : period;
-  }
   /// 0 < e <= p — the same validity rule every simulator enforces.
   [[nodiscard]] bool valid() const noexcept {
-    const std::int64_t e = resolved_execution();
-    const std::int64_t p = resolved_period();
-    return e > 0 && p > 0 && e <= p;
+    return execution > 0 && period > 0 && execution <= period;
   }
 };
 
@@ -102,13 +89,6 @@ class Simulator {
   /// tasks_admitted / tasks_rejected like admit().
   virtual std::optional<TaskId> join(const TaskSpec& /*spec*/) { return std::nullopt; }
 
-  /// Earliest time `id` may legally leave; -1 when unsupported/unknown.
-  [[nodiscard]] virtual Time earliest_leave(TaskId /*id*/) const { return -1; }
-
-  /// Immediate leave iff the scheduler's departure rules allow it *now*;
-  /// false (and no effect) otherwise.
-  virtual bool leave(TaskId /*id*/) { return false; }
-
   /// Orderly departure: the task stops executing now, its capacity is
   /// released when the departure rules allow, and the returned time is
   /// when it frees.  nullopt when unsupported or `id` is unknown.
@@ -123,10 +103,8 @@ class Simulator {
 
   /// Attaches a structured-event observer (see obs/bus.h).  The bus is
   /// borrowed, not owned, and must outlive the simulator; passing
-  /// nullptr detaches.  Simulators that predate the obs layer ignore
-  /// the call — the default implementation is a no-op — so attaching is
-  /// always safe even if it yields no events.
-  virtual void attach_observer(obs::EventBus* /*bus*/) {}
+  /// nullptr detaches.
+  virtual void attach_observer(obs::EventBus* bus) = 0;
 
  protected:
   Simulator() = default;

@@ -77,7 +77,6 @@ class CounterSink : public Sink {
         ++m.deadline_postponements;
         break;
       case EventKind::kSchedInvoke:
-        ++m.scheduler_invocations;
         ++m.scheduling_points;
         break;
       case EventKind::kOverheadNs:

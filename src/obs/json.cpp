@@ -87,6 +87,42 @@ void Reader::skip_children(Token t) {
   }
 }
 
+void write_string(std::string& out, std::string_view s) {
+  out += '"';
+  // Append maximal clean runs in bulk; escapes are rare in practice.
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char c = s[i];
+    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", c);
+        out += buf;
+      }
+    }
+  }
+  out.append(s.data() + run, s.size() - run);
+  out += '"';
+}
+
+void write_number(std::string& out, double d) {
+  if (!std::isfinite(d)) {
+    out += "null";
+    return;
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", d);
+  out += buf;
+}
+
 namespace {
 
 /// The tree under the token value() just returned; what it holds after
@@ -116,48 +152,15 @@ Value build(Reader& r, Reader::Token t) {
   return Value();
 }
 
-void dump_string(std::string& out, std::string_view s) {
-  out += '"';
-  // Append maximal clean runs in bulk; escapes are rare in practice.
-  std::size_t run = 0;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20) continue;
-    out.append(s.data() + run, i - run);
-    run = i + 1;
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default: {
-        char buf[8];
-        std::snprintf(buf, sizeof buf, "\\u%04x", c);
-        out += buf;
-      }
-    }
-  }
-  out.append(s.data() + run, s.size() - run);
-  out += '"';
-}
-
 void dump_value(std::string& out, const Value& v) {
   if (v.is_null()) {
     out += "null";
   } else if (v.is_bool()) {
     out += v.as_bool() ? "true" : "false";
   } else if (v.is_number()) {
-    const double d = v.as_number();
-    if (!std::isfinite(d)) {
-      out += "null";
-    } else {
-      char buf[32];
-      std::snprintf(buf, sizeof buf, "%.17g", d);
-      out += buf;
-    }
+    write_number(out, v.as_number());
   } else if (v.is_string()) {
-    dump_string(out, v.as_string());
+    write_string(out, v.as_string());
   } else if (v.is_array()) {
     out += '[';
     bool first = true;
@@ -173,7 +176,7 @@ void dump_value(std::string& out, const Value& v) {
     for (const auto& [k, e] : v.as_object()) {
       if (!first) out += ',';
       first = false;
-      dump_string(out, k);
+      write_string(out, k);
       out += ':';
       dump_value(out, e);
     }
@@ -205,7 +208,7 @@ void ObjectWriter::flush() {
 
 void ObjectWriter::put_escaped(std::string_view v) {
   flush();
-  dump_string(out_, v);
+  write_string(out_, v);
 }
 
 }  // namespace pfair::obs::json

@@ -90,6 +90,15 @@ class Value {
 /// trailing garbage.
 [[nodiscard]] std::optional<Value> parse(std::string_view text);
 
+/// Appends `s` as a JSON string: quoted, with '"', '\\' and control
+/// characters escaped.  The repo's one string writer: dump(), the
+/// ObjectWriter, the bench reports and the Perfetto export call it.
+void write_string(std::string& out, std::string_view s);
+
+/// Appends `d` as a JSON number (%.17g, so it reads back exactly); a
+/// non-finite value, which JSON cannot represent, as null.
+void write_number(std::string& out, double d);
+
 /// Pull reader: one pass over one JSON document, building nothing.
 /// value() reads the next value's first token: a whole scalar, or the
 /// bracket that opens an object or array, whose children the caller

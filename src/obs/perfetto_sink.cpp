@@ -4,6 +4,7 @@
 #include <map>
 #include <utility>
 
+#include "obs/json.h"
 #include "obs/prof.h"
 
 namespace pfair::obs {
@@ -14,6 +15,14 @@ std::string num(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.3f", v);
   return buf;
+}
+
+/// `"name":` and `name` as a JSON string.  Task names come from callers
+/// (pfaird forwards a client's), so they are escaped like any string.
+std::string name_member(std::string_view name) {
+  std::string out = R"("name":)";
+  json::write_string(out, name);
+  return out;
 }
 
 }  // namespace
@@ -50,7 +59,7 @@ void PerfettoSink::ensure_thread_metadata(ProcId proc) {
 void PerfettoSink::close_slice(ProcId proc) {
   OpenSlice& s = open_[proc];
   if (s.task == kNoTask) return;
-  write_event(R"("name":")" + task_name(s.task) + R"(","cat":"quantum","ph":"X","ts":)" +
+  write_event(name_member(task_name(s.task)) + R"(,"cat":"quantum","ph":"X","ts":)" +
               num(static_cast<double>(s.start) * us_per_slot_) +
               R"(,"dur":)" + num(static_cast<double>(s.end - s.start) * us_per_slot_) +
               R"(,"pid":0,"tid":)" + std::to_string(proc) + R"(,"args":{"task":)" +
@@ -72,10 +81,10 @@ void PerfettoSink::begin_quantum(ProcId proc, TaskId task, Time t) {
 }
 
 void PerfettoSink::instant(const Event& e, const char* label) {
-  std::string body = R"("name":")" + std::string(label);
-  if (e.task != kNoTask) body += " " + task_name(e.task);
-  body += R"(","cat":"event","ph":"i","s":"g","ts":)" +
-          num(static_cast<double>(e.time) * us_per_slot_) + R"(,"pid":0,"tid":0)";
+  std::string name = label;
+  if (e.task != kNoTask) name += " " + task_name(e.task);
+  std::string body = name_member(name) + R"(,"cat":"event","ph":"i","s":"g","ts":)" +
+                     num(static_cast<double>(e.time) * us_per_slot_) + R"(,"pid":0,"tid":0)";
   if (e.task != kNoTask) body += R"(,"args":{"task":)" + std::to_string(e.task) + "}";
   write_event(body);
 }
@@ -90,8 +99,7 @@ void PerfettoSink::on_event(const Event& e) {
       const ProcId proc = e.proc == kNoProc ? 0 : e.proc;
       ensure_thread_metadata(proc);
       close_slice(proc);
-      write_event(R"("name":")" + task_name(e.task) +
-                  R"(","cat":"job","ph":"X","ts":)" +
+      write_event(name_member(task_name(e.task)) + R"(,"cat":"job","ph":"X","ts":)" +
                   num(static_cast<double>(e.time) * us_per_slot_) + R"(,"dur":)" +
                   num(e.value * us_per_slot_) + R"(,"pid":0,"tid":)" +
                   std::to_string(proc) + R"(,"args":{"task":)" + std::to_string(e.task) +
@@ -147,7 +155,7 @@ void PerfettoSink::on_event(const Event& e) {
       instant(e, "budget postpone");
       break;
     case EventKind::kLagSample:
-      write_event(R"("name":"lag )" + task_name(e.task) + R"(","ph":"C","ts":)" +
+      write_event(name_member("lag " + task_name(e.task)) + R"(,"ph":"C","ts":)" +
                   num(static_cast<double>(e.time) * us_per_slot_) +
                   R"(,"pid":0,"args":{"lag":)" + num(e.value) + "}");
       break;

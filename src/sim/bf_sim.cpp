@@ -35,8 +35,7 @@ bool BfSimulator::admit(const engine::TaskSpec& spec) {
     ++metrics_.tasks_rejected;
     return false;
   }
-  const Task t = make_task(spec.resolved_execution(), spec.resolved_period(),
-                           TaskKind::kPeriodic, spec.name);
+  const Task t = make_task(spec.execution, spec.period, TaskKind::kPeriodic, spec.name);
   tasks_.add(t);
   add_task_state(t);
   ++metrics_.tasks_admitted;
@@ -159,7 +158,6 @@ void BfSimulator::plan_interval() {
     fill_cursor_[proc] = run;
   }
 
-  ++metrics_.scheduler_invocations;
   ++metrics_.scheduling_points;
   obs::emit(bus_, obs::EventKind::kSchedInvoke, b);
 }

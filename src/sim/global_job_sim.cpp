@@ -15,7 +15,7 @@ GlobalJobSimulator::GlobalJobSimulator(std::vector<UniTask> tasks, GlobalJobConf
 }
 
 bool GlobalJobSimulator::admit(const engine::TaskSpec& spec) {
-  const UniTask t{spec.resolved_execution(), spec.resolved_period()};
+  const UniTask t{spec.execution, spec.period};
   if (!t.valid()) {
     ++metrics_.tasks_rejected;
     return false;

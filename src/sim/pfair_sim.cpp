@@ -23,8 +23,7 @@ bool PfairSimulator::admit(const engine::TaskSpec& spec) {
     ++metrics_.tasks_rejected;
     return false;
   }
-  add_task(make_task(spec.resolved_execution(), spec.resolved_period(),
-                     TaskKind::kPeriodic, spec.name));
+  add_task(make_task(spec.execution, spec.period, TaskKind::kPeriodic, spec.name));
   ++metrics_.tasks_admitted;
   return true;
 }
@@ -106,8 +105,7 @@ std::optional<TaskId> PfairSimulator::join(const engine::TaskSpec& spec) {
     ++metrics_.tasks_rejected;
     return std::nullopt;
   }
-  return join(make_task(spec.resolved_execution(), spec.resolved_period(),
-                        TaskKind::kPeriodic, spec.name));
+  return join(make_task(spec.execution, spec.period, TaskKind::kPeriodic, spec.name));
 }
 
 Time PfairSimulator::earliest_leave(TaskId id) const {
@@ -115,13 +113,6 @@ Time PfairSimulator::earliest_leave(TaskId id) const {
   const TaskRuntime& rt = tasks_[id];
   if (rt.allocated == 0) return now_;
   return earliest_leave_time(rt.spec.execution, rt.spec.period, rt.last_sched_index, rt.offset);
-}
-
-bool PfairSimulator::leave(TaskId id) {
-  if (id >= tasks_.size() || !tasks_[id].active) return false;
-  if (earliest_leave(id) > now_) return false;
-  force_leave(id);
-  return true;
 }
 
 void PfairSimulator::force_leave(TaskId id) {
@@ -167,7 +158,7 @@ std::optional<Time> PfairSimulator::request_leave(TaskId id) {
 
 std::optional<Time> PfairSimulator::request_reweight(TaskId id, const engine::TaskSpec& spec) {
   if (!spec.valid()) return std::nullopt;
-  return request_reweight(id, spec.resolved_execution(), spec.resolved_period());
+  return request_reweight(id, spec.execution, spec.period);
 }
 
 std::optional<Time> PfairSimulator::request_reweight(TaskId id, std::int64_t new_e,
@@ -224,17 +215,6 @@ void PfairSimulator::process_pending_departures(Time t) {
     pending_departures_[k] = pending_departures_.back();
     pending_departures_.pop_back();
   }
-}
-
-bool PfairSimulator::reweight(TaskId id, std::int64_t new_e, std::int64_t new_p) {
-  TaskRuntime& rt = tasks_[id];
-  if (!rt.active) return false;
-  if (rt.allocated > 0 && earliest_leave(id) > now_) return false;
-  const Rational new_w(new_e, new_p);
-  if (!may_join(active_weight() - counted_weight(rt), new_w, live_processors_)) return false;
-  remove_from_queues(id);
-  restart_with_weight(id, new_e, new_p, now_);
-  return true;
 }
 
 void PfairSimulator::restart_with_weight(TaskId id, std::int64_t e, std::int64_t p, Time t) {
@@ -557,7 +537,6 @@ void PfairSimulator::simulate_slot() {
       enqueue_next_subtask(id, t + 1);
     }
 
-    ++metrics_.scheduler_invocations;
     ++metrics_.scheduling_points;
     obs::emit(bus_, obs::EventKind::kSchedInvoke, t);
   }
@@ -759,7 +738,6 @@ void PfairSimulator::account_idle_slots(Time count) {
   }
   metrics_.slots += static_cast<std::uint64_t>(count);
   metrics_.idle_quanta += static_cast<std::uint64_t>(count) * m;
-  metrics_.scheduler_invocations += static_cast<std::uint64_t>(count);
   metrics_.scheduling_points += static_cast<std::uint64_t>(count);
   metrics_.fast_forwarded_slots += static_cast<std::uint64_t>(count);
   if (config_.record_trace) trace_.idle_slots(m, static_cast<std::size_t>(count));

@@ -114,20 +114,17 @@ class PfairSimulator : public engine::Simulator {
   std::optional<TaskId> join(const engine::TaskSpec& spec) override;
 
   /// Earliest time `id` may legally leave (core/dynamics.h rules);
-  /// -1 for an unknown or inactive id.
-  [[nodiscard]] Time earliest_leave(TaskId id) const override;
-
-  /// Dynamic leave at the current simulation time.  Returns false (and
-  /// does nothing) if leaving now would violate the leave rules.
-  bool leave(TaskId id) override;
+  /// -1 for an unknown or inactive id.  request_leave/request_reweight
+  /// free the task's weight at max(now, this).
+  [[nodiscard]] Time earliest_leave(TaskId id) const;
 
   /// Initiates an orderly departure: the task stops executing now, its
   /// weight stays accounted until the leave rules release it, and the
-  /// returned time is when the capacity frees.  (A continuously running
-  /// heavy task can never satisfy leave() directly — each new quantum
-  /// pushes its group deadline forward — so real departures go through
-  /// this protocol.)  A leave while a reweight is pending departs at its
-  /// switch-over time instead.  nullopt for an unknown or inactive id.
+  /// returned time is when the capacity frees.  (Stopping first matters:
+  /// each new quantum of a continuously running heavy task pushes its
+  /// group deadline, and so its earliest leave, forward.)  A leave while
+  /// a reweight is pending departs at its switch-over time instead.
+  /// nullopt for an unknown or inactive id.
   std::optional<Time> request_leave(TaskId id) override;
 
   /// Orderly reweighting (leave + rejoin with the new weight, Sec. 5.2):
@@ -145,11 +142,6 @@ class PfairSimulator : public engine::Simulator {
   /// Leaves unconditionally, ignoring the safety rules.  Exists so tests
   /// can demonstrate that violating the rules can cause misses.
   void force_leave(TaskId id);
-
-  /// Reweights a task (leave + join with the new weight, Sec. 5.2/5.4).
-  /// Returns false if the leave rules forbid it now or the new weight
-  /// does not fit.
-  bool reweight(TaskId id, std::int64_t new_e, std::int64_t new_p);
 
   /// Runs the simulation up to (absolute) time `until`.  May be called
   /// repeatedly with increasing horizons; joins/leaves can be interleaved.
@@ -266,8 +258,8 @@ class PfairSimulator : public engine::Simulator {
   void dispatch_supertask_quantum(TaskRuntime& rt, Time t);
   void remove_from_queues(TaskId id);
   void check_lags(Time t_next);
-  /// Restarts `id`'s subtask chain with weight e/p at time t (the common
-  /// tail of reweight() and a reweight switch-over), dropping whatever
+  /// Restarts `id`'s subtask chain with weight e/p at time t (an
+  /// immediate or a pending reweight's switch-over), dropping whatever
   /// weight a pending change held.
   void restart_with_weight(TaskId id, std::int64_t e, std::int64_t p, Time t);
   /// The weight active_weight_ counts for an active task: its own, or

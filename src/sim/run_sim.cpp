@@ -28,8 +28,8 @@ bool RunSimulator::admit(const engine::TaskSpec& spec) {
     return false;
   };
   if (built_ || !spec.valid()) return reject();
-  const Time e = spec.resolved_execution();
-  const Time p = spec.resolved_period();
+  const Time e = spec.execution;
+  const Time p = spec.period;
   const std::int64_t new_lcm = saturating_lcm(ticks_, p);
   if (new_lcm > kMaxLcm) return reject();  // tick grid would overflow int64 math
   // Exact utilization check over the new common denominator: RUN's
@@ -233,7 +233,6 @@ void RunSimulator::process_boundary(Time t_real) {
 }
 
 bool RunSimulator::select() {
-  ++metrics_.scheduler_invocations;
   ++metrics_.scheduling_points;
   emit_now(obs::EventKind::kSchedInvoke);
   reselect_ = false;

@@ -29,8 +29,7 @@ bool WrrSimulator::admit(const engine::TaskSpec& spec) {
     ++metrics_.tasks_rejected;
     return false;
   }
-  const Task t = make_task(spec.resolved_execution(), spec.resolved_period(),
-                           TaskKind::kPeriodic, spec.name);
+  const Task t = make_task(spec.execution, spec.period, TaskKind::kPeriodic, spec.name);
   tasks_.add(t);
   allocated_.push_back(0);
   budget_.push_back(0);
@@ -120,7 +119,6 @@ void WrrSimulator::run_until(Time until) {
     std::swap(prev_sched_, cur_sched_);
     std::swap(prev_proc_task_, cur_proc_task_);
     ++metrics_.slots;
-    ++metrics_.scheduler_invocations;
     ++metrics_.scheduling_points;
     obs::emit(bus_, obs::EventKind::kSchedInvoke, now_);
     metrics_.busy_quanta += static_cast<std::uint64_t>(served);

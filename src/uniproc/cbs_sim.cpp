@@ -24,7 +24,7 @@ CbsSimulator::CbsSimulator(std::vector<UniTask> hard_tasks, CbsConfig config)
 }
 
 bool CbsSimulator::admit(const engine::TaskSpec& spec) {
-  const UniTask t{spec.resolved_execution(), spec.resolved_period()};
+  const UniTask t{spec.execution, spec.period};
   if (!t.valid()) {
     ++metrics_.tasks_rejected;
     return false;
@@ -89,7 +89,6 @@ Time CbsSimulator::next_event_after(Time t) const {
 void CbsSimulator::run_until(Time until) {
   while (now_ < until) {
     arrivals_and_releases(now_);
-    ++metrics_.scheduler_invocations;
     ++metrics_.scheduling_points;
     obs::emit(bus_, obs::EventKind::kSchedInvoke, now_);
 

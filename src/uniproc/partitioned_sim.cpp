@@ -44,7 +44,7 @@ void PartitionedSimulator::attach_observer(obs::EventBus* bus) {
 }
 
 bool PartitionedSimulator::admit(const engine::TaskSpec& spec) {
-  const UniTask t{spec.resolved_execution(), spec.resolved_period()};
+  const UniTask t{spec.execution, spec.period};
   if (now_ > 0 || !t.valid()) {
     ++rejected_;
     return false;

@@ -20,7 +20,7 @@ UniprocSimulator::UniprocSimulator(std::vector<UniTask> tasks, UniSimConfig conf
 }
 
 bool UniprocSimulator::admit(const engine::TaskSpec& spec) {
-  const UniTask t{spec.resolved_execution(), spec.resolved_period()};
+  const UniTask t{spec.execution, spec.period};
   if (!t.valid()) {
     ++metrics_.tasks_rejected;
     return false;
@@ -105,7 +105,6 @@ void UniprocSimulator::invoke_scheduler(Time t) {
     last_on_cpu_ = running_.task;
   }
 
-  ++metrics_.scheduler_invocations;
   ++metrics_.scheduling_points;
   obs::emit(bus_, obs::EventKind::kSchedInvoke, t, kNoTask, proc_);
 }
@@ -139,15 +138,10 @@ void UniprocSimulator::run_until(Time until) {
                 static_cast<double>(advance_to - now_));
     running_.remaining -= advance_to - now_;
     now_ = advance_to;
-    if (running_.remaining == 0) {
-      complete_running(now_);
-      // Completion is a scheduling point (pick the next job immediately,
-      // unless a release at the same instant handles it on loop re-entry).
-      if (now_ < until) {
-        release_jobs(now_);
-        invoke_scheduler(now_);
-      }
-    }
+    // Completion is a scheduling point too: the loop top (or the next
+    // run_until call, when now_ == until) releases and picks at this
+    // instant, so each decision instant invokes the scheduler once.
+    if (running_.remaining == 0) complete_running(now_);
   }
 }
 

@@ -11,6 +11,7 @@
 #include "engine/compare.h"
 #include "engine/metrics.h"
 #include "engine/simulator.h"
+#include "sim/pfair_sim.h"
 #include "uniproc/uni_task.h"
 
 namespace pfair {
@@ -24,19 +25,29 @@ std::vector<UniTask> workload() {
 constexpr int kProcessors = 2;
 constexpr Time kHorizon = 420;  // lcm(4,3,5,7) = 420: whole hyperperiod
 
-std::vector<engine::SchedulerSpec> quantum_specs() {
-  WrrConfig wc;
-  wc.processors = kProcessors;
-  wc.frame = 16;
-  return {engine::pd2_spec(kProcessors), engine::wrr_spec(wc)};
+engine::SimulatorConfig config() {
+  engine::SimulatorConfig c;
+  c.set_processors(kProcessors);
+  c.wrr.frame = 16;
+  return c;
+}
+
+const engine::SchedulerSpec kPd2{"PD2", engine::SchedulerKind::kPfair, config()};
+const engine::SchedulerSpec kWrr{"WRR", engine::SchedulerKind::kWrr, config()};
+
+/// `spec`'s simulator with workload() admitted through the interface.
+std::unique_ptr<engine::Simulator> loaded(const engine::SchedulerSpec& spec) {
+  auto sim = engine::make_simulator(spec.kind, spec.config);
+  for (const UniTask& t : workload())
+    EXPECT_TRUE(sim->admit(engine::task_spec(t.execution, t.period))) << spec.name;
+  return sim;
 }
 
 TEST(EngineMetrics, QuantumSimsAccountEverySlot) {
   // busy + idle must equal slots x processors for every quantum-driven
   // scheduler, no matter how it fills the slots.
-  for (auto& spec : quantum_specs()) {
-    auto sim = spec.make(workload());
-    ASSERT_NE(sim, nullptr) << spec.name;
+  for (const engine::SchedulerSpec& spec : {kPd2, kWrr}) {
+    const auto sim = loaded(spec);
     sim->run_until(kHorizon);
     const engine::Metrics& m = sim->metrics();
     EXPECT_EQ(m.slots, static_cast<std::uint64_t>(kHorizon)) << spec.name;
@@ -49,14 +60,8 @@ TEST(EngineMetrics, QuantumSimsAccountEverySlot) {
 TEST(EngineMetrics, ContextSwitchesDominatePreemptions) {
   // A preemption charges the later switch-in of the preempted task, so
   // switch-ins can never undercount preemptions — under any scheduler.
-  WrrConfig wc;
-  wc.processors = kProcessors;
-  wc.frame = 16;
-  PartitionConfig pc;
-  pc.max_processors = kProcessors;
   const std::vector<engine::SchedulerSpec> specs = {
-      engine::pd2_spec(kProcessors), engine::wrr_spec(wc),
-      engine::partitioned_spec("EDF-FF", pc)};
+      kPd2, kWrr, {"EDF-FF", engine::SchedulerKind::kPartitioned, config()}};
   const auto results = engine::compare_schedulers(workload(), specs, kHorizon);
   ASSERT_EQ(results.size(), specs.size());
   for (const engine::CompareResult& r : results) {
@@ -68,8 +73,7 @@ TEST(EngineMetrics, ContextSwitchesDominatePreemptions) {
 TEST(EngineMetrics, Pd2MissFreeWithinCapacity) {
   // Pfair optimality via the unified counters: Σ wt ≤ M ⇒ no miss, and
   // the sentinel first_miss_time stays -1.
-  auto sim = engine::pd2_spec(kProcessors).make(workload());
-  ASSERT_NE(sim, nullptr);
+  const auto sim = loaded(kPd2);
   sim->run_until(10 * kHorizon);
   EXPECT_EQ(sim->metrics().deadline_misses, 0u);
   EXPECT_EQ(sim->metrics().first_miss_time, -1);
@@ -78,19 +82,17 @@ TEST(EngineMetrics, Pd2MissFreeWithinCapacity) {
 TEST(EngineMetrics, AdmissionThroughTheInterface) {
   // Tasks admitted via engine::Simulator::admit() are indistinguishable
   // from constructor-loaded ones.
-  auto loaded = engine::pd2_spec(kProcessors).make(workload());
-  ASSERT_NE(loaded, nullptr);
+  PfairConfig pc;
+  pc.processors = kProcessors;
+  PfairSimulator constructed(pc);
+  for (const UniTask& t : workload()) constructed.add_task(make_task(t.execution, t.period));
 
-  auto grown = engine::pd2_spec(kProcessors).make({});
-  ASSERT_NE(grown, nullptr);
-  for (const UniTask& t : workload())
-    EXPECT_TRUE(grown->admit(engine::task_spec(t.execution, t.period)));
-
-  loaded->run_until(kHorizon);
+  const auto grown = loaded(kPd2);
+  constructed.run_until(kHorizon);
   grown->run_until(kHorizon);
-  EXPECT_EQ(loaded->metrics().busy_quanta, grown->metrics().busy_quanta);
-  EXPECT_EQ(loaded->metrics().jobs_completed, grown->metrics().jobs_completed);
-  EXPECT_EQ(loaded->metrics().deadline_misses, grown->metrics().deadline_misses);
+  EXPECT_EQ(constructed.metrics().busy_quanta, grown->metrics().busy_quanta);
+  EXPECT_EQ(constructed.metrics().jobs_completed, grown->metrics().jobs_completed);
+  EXPECT_EQ(constructed.metrics().deadline_misses, grown->metrics().deadline_misses);
 }
 
 TEST(EngineMetrics, MergeTakesMaxOfSlotsNotSum) {

@@ -193,7 +193,7 @@ void expect_metrics_equal(const Metrics& a, const Metrics& b, const char* label)
   EXPECT_EQ(a.preemptions, b.preemptions) << label;
   EXPECT_EQ(a.migrations, b.migrations) << label;
   EXPECT_EQ(a.context_switches, b.context_switches) << label;
-  EXPECT_EQ(a.scheduler_invocations, b.scheduler_invocations) << label;
+  EXPECT_EQ(a.scheduling_points, b.scheduling_points) << label;
   EXPECT_EQ(a.first_miss_time, b.first_miss_time) << label;
   EXPECT_EQ(a.response_time.count(), b.response_time.count()) << label;
   EXPECT_DOUBLE_EQ(a.response_time.mean(), b.response_time.mean()) << label;

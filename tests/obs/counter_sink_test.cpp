@@ -33,7 +33,7 @@ void expect_identical(const engine::Metrics& got, const engine::Metrics& want,
   EXPECT_EQ(got.migrations, want.migrations) << label;
   EXPECT_EQ(got.context_switches, want.context_switches) << label;
   EXPECT_EQ(got.component_switches, want.component_switches) << label;
-  EXPECT_EQ(got.scheduler_invocations, want.scheduler_invocations) << label;
+  EXPECT_EQ(got.scheduling_points, want.scheduling_points) << label;
   EXPECT_EQ(got.lag_violations, want.lag_violations) << label;
   EXPECT_EQ(got.served_jobs_completed, want.served_jobs_completed) << label;
   EXPECT_EQ(got.served_work, want.served_work) << label;
@@ -59,8 +59,9 @@ std::vector<UniTask> up_workload() { return {{1, 4}, {1, 3}, {2, 5}}; }
 
 void run_spec_and_compare(const engine::SchedulerSpec& spec,
                           const std::vector<UniTask>& workload, Time horizon) {
-  auto sim = spec.make(workload);
-  ASSERT_NE(sim, nullptr) << spec.name;
+  const auto sim = engine::make_simulator(spec.kind, spec.config);
+  for (const UniTask& t : workload)
+    ASSERT_TRUE(sim->admit(engine::task_spec(t.execution, t.period))) << spec.name;
   obs::EventBus bus;
   obs::CounterSink counters;
   bus.add_sink(&counters);
@@ -70,44 +71,53 @@ void run_spec_and_compare(const engine::SchedulerSpec& spec,
   expect_identical(counters.metrics(), sim->metrics(), spec.name);
 }
 
+engine::SimulatorConfig on_two_processors() {
+  engine::SimulatorConfig c;
+  c.set_processors(2);
+  return c;
+}
+
 TEST(CounterSink, Pd2BitIdentical) {
-  run_spec_and_compare(engine::pd2_spec(2), mp_workload(), 420);
+  run_spec_and_compare({"PD2", engine::SchedulerKind::kPfair, on_two_processors()},
+                       mp_workload(), 420);
 }
 
 TEST(CounterSink, WrrBitIdentical) {
-  WrrConfig wc;
-  wc.processors = 2;
-  wc.frame = 16;
-  run_spec_and_compare(engine::wrr_spec(wc), mp_workload(), 420);
+  engine::SimulatorConfig c = on_two_processors();
+  c.wrr.frame = 16;
+  run_spec_and_compare({"WRR", engine::SchedulerKind::kWrr, c}, mp_workload(), 420);
 }
 
 TEST(CounterSink, UniprocEdfBitIdentical) {
-  UniSimConfig uc;
-  run_spec_and_compare(engine::uniproc_spec("EDF", uc), up_workload(), 600);
+  run_spec_and_compare({"EDF", engine::SchedulerKind::kUniproc, {}}, up_workload(), 600);
 }
 
 TEST(CounterSink, UniprocRmBitIdentical) {
-  UniSimConfig uc;
-  uc.algorithm = UniAlgorithm::kRM;
-  run_spec_and_compare(engine::uniproc_spec("RM", uc), up_workload(), 600);
+  engine::SimulatorConfig c;
+  c.uniproc.algorithm = UniAlgorithm::kRM;
+  run_spec_and_compare({"RM", engine::SchedulerKind::kUniproc, c}, up_workload(), 600);
 }
 
 TEST(CounterSink, PartitionedBitIdentical) {
-  PartitionConfig pc;
-  pc.max_processors = 2;
-  run_spec_and_compare(engine::partitioned_spec("EDF-FF", pc), mp_workload(), 420);
+  run_spec_and_compare({"EDF-FF", engine::SchedulerKind::kPartitioned, on_two_processors()},
+                       mp_workload(), 420);
 }
 
 TEST(CounterSink, GlobalJobEdfBitIdentical) {
   // Dhall-style set: global EDF misses here, so the miss/first-miss
   // reconstruction is exercised too.
+  const engine::SchedulerSpec edf{"global-EDF", engine::SchedulerKind::kGlobalJob,
+                                  on_two_processors()};
   std::vector<UniTask> dhall = {{1, 10}, {1, 10}, {10, 11}};
-  run_spec_and_compare(engine::global_job_spec(2, UniAlgorithm::kEDF), dhall, 660);
-  run_spec_and_compare(engine::global_job_spec(2, UniAlgorithm::kEDF), mp_workload(), 420);
+  run_spec_and_compare(edf, dhall, 660);
+  run_spec_and_compare(edf, mp_workload(), 420);
 }
 
 TEST(CounterSink, GlobalJobRmBitIdentical) {
-  run_spec_and_compare(engine::global_job_spec(2, UniAlgorithm::kRM), mp_workload(), 420);
+  engine::SimulatorConfig c = on_two_processors();
+  c.global_job.algorithm = UniAlgorithm::kRM;
+  run_spec_and_compare({"global-RM", engine::SchedulerKind::kGlobalJob, c}, mp_workload(),
+                       420);
 }
 
 TEST(CounterSink, CbsBitIdentical) {

@@ -109,7 +109,7 @@ TEST(PhaseTrace, UniprocAndPartitionedTimeEveryInvocationProfOnVsOff) {
       const std::uint64_t selects = obs::prof::collect_totals(obs::prof::Phase::kSelect).count;
       obs::prof::set_enabled(false);
       obs::prof::reset();
-      return std::make_tuple(jsonl_os.str(), sim->metrics().scheduler_invocations, releases,
+      return std::make_tuple(jsonl_os.str(), sim->metrics().scheduling_points, releases,
                              selects);
     };
     const char* name = engine::to_string(kind);

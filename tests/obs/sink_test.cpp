@@ -13,6 +13,7 @@
 #include "obs/lag_sampler.h"
 #include "obs/perfetto_sink.h"
 #include "obs/trace_analysis.h"
+#include "sim/pfair_sim.h"
 
 namespace pfair::obs {
 namespace {
@@ -177,6 +178,49 @@ TEST(PerfettoSink, EmitsValidJsonThatRoundTrips) {
   EXPECT_TRUE(saw_flow_start);
   EXPECT_TRUE(saw_flow_end);
   EXPECT_TRUE(saw_miss);
+}
+
+TEST(PerfettoSink, EscapesHostileTaskNames) {
+  // Task names come from callers — pfaird forwards a client's `name` —
+  // so a quote, a backslash or a control character in one must come out
+  // escaped, on every event kind that carries the name.
+  const std::string hostile = "cam\"era\\1\x01";
+  PfairConfig cfg;
+  cfg.processors = 1;
+  cfg.lag_sample_every = 2;
+  PfairSimulator sim(cfg);
+  ASSERT_TRUE(sim.admit(engine::task_spec(1, 2, hostile)));
+  std::ostringstream os;
+  PerfettoSink sink(os);
+  sink.set_task_names(sim.task_names());
+  EventBus bus;
+  bus.add_sink(&sink);
+  sim.attach_observer(&bus);
+  sim.run_until(6);
+  sink.on_event({EventKind::kExecSlice, 6, 0, 0, 1.0});
+  sink.on_event({EventKind::kDeadlineMiss, 7, 0, kNoProc, 0.0});
+  bus.flush();
+  const std::string text = os.str();
+
+  EXPECT_TRUE(validate_perfetto_json(text).empty()) << validate_perfetto_json(text);
+  const std::optional<json::Value> doc = json::parse(text);
+  ASSERT_TRUE(doc.has_value());
+  int quanta = 0;
+  int jobs = 0;
+  int lags = 0;
+  int misses = 0;
+  for (const json::Value& e : doc->find("traceEvents")->as_array()) {
+    const std::string name = e.string_or("name", "");
+    const std::string cat = e.string_or("cat", "");
+    if (cat == "quantum" && name == hostile) ++quanta;
+    if (cat == "job" && name == hostile) ++jobs;
+    if (e.string_or("ph", "") == "C" && name == "lag " + hostile) ++lags;
+    if (cat == "event" && name == "deadline miss " + hostile) ++misses;
+  }
+  EXPECT_EQ(quanta, 3);  // slots 0, 2 and 4
+  EXPECT_EQ(jobs, 1);
+  EXPECT_GT(lags, 0);
+  EXPECT_EQ(misses, 1);
 }
 
 TEST(PerfettoSink, CoalescesContiguousQuantaIntoOneSlice) {

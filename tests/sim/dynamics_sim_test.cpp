@@ -81,10 +81,18 @@ TEST(Dynamics, LeaveBlockedBeforeEarliestLeaveTime) {
   PfairSimulator sim(sc);
   const TaskId a = sim.add_task(make_task(1, 10));
   sim.run_until(1);  // subtask 1 ran at slot 0; d = 10
-  EXPECT_GT(sim.earliest_leave(a), sim.now());
-  EXPECT_FALSE(sim.leave(a));
-  sim.run_until(sim.earliest_leave(a));
-  EXPECT_TRUE(sim.leave(a));
+  const Time earliest = sim.earliest_leave(a);
+  EXPECT_GT(earliest, sim.now());
+  // The departure is granted at once, but the weight frees only at the
+  // rule time: a task that needs the whole processor cannot join before.
+  const auto freed = sim.request_leave(a);
+  ASSERT_TRUE(freed.has_value());
+  EXPECT_EQ(*freed, earliest);
+  EXPECT_FALSE(sim.join(make_task(1, 1)).has_value());
+  sim.run_until(earliest);
+  EXPECT_TRUE(sim.join(make_task(1, 1)).has_value());
+  sim.run_until(earliest + 20);
+  EXPECT_EQ(sim.metrics().deadline_misses, 0u);
 }
 
 TEST(Dynamics, PrematureLeaveAndRejoinCanCauseMisses) {
@@ -218,7 +226,10 @@ TEST(Dynamics, ReweightingTakesEffect) {
   const TaskId a = sim.add_task(make_task(1, 4));
   sim.run_until(sim.earliest_leave(a));
   const Time t0 = sim.now();
-  ASSERT_TRUE(sim.reweight(a, 3, 4));
+  // The leave rule already holds, so the switch-over is immediate.
+  const auto switch_at = sim.request_reweight(a, 3, 4);
+  ASSERT_TRUE(switch_at.has_value());
+  EXPECT_EQ(*switch_at, t0);
   sim.run_until(t0 + 400);
   EXPECT_EQ(sim.metrics().deadline_misses, 0u);
   // Post-reweight allocation rate is 3/4.
@@ -232,8 +243,10 @@ TEST(Dynamics, ReweightRejectedWhenItWouldOverload) {
   const TaskId a = sim.add_task(make_task(1, 4));
   sim.add_task(make_task(1, 2));
   sim.run_until(sim.earliest_leave(a));
-  EXPECT_FALSE(sim.reweight(a, 3, 4));  // 3/4 + 1/2 > 1
-  EXPECT_TRUE(sim.reweight(a, 1, 2));   // 1/2 + 1/2 = 1
+  EXPECT_FALSE(sim.request_reweight(a, 3, 4).has_value());  // 3/4 + 1/2 > 1
+  const auto switch_at = sim.request_reweight(a, 1, 2);      // 1/2 + 1/2 = 1
+  ASSERT_TRUE(switch_at.has_value());
+  EXPECT_EQ(*switch_at, sim.now());
 }
 
 TEST(Dynamics, ManyRandomJoinsAndLegalLeavesNeverMiss) {
@@ -251,11 +264,13 @@ TEST(Dynamics, ManyRandomJoinsAndLegalLeavesNeverMiss) {
       const std::int64_t e = trial_rng.uniform_int(1, p);
       const auto id = sim.join(make_task(e, p));
       if (id.has_value()) live.push_back(*id);
-      // Try one random legal leave.
+      // Try one random orderly leave: the task stops now, and its
+      // weight frees when the leave rules allow.
       if (!live.empty() && trial_rng.uniform_int(0, 1) == 0) {
         const std::size_t k = static_cast<std::size_t>(
             trial_rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1));
-        if (sim.leave(live[k])) live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+        ASSERT_TRUE(sim.request_leave(live[k]).has_value());
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
       }
     }
     sim.run_until(sim.now() + 100);

@@ -90,7 +90,7 @@ void expect_metrics_identical(const engine::Metrics& a, const engine::Metrics& b
   EXPECT_EQ(a.migrations, b.migrations) << what;
   EXPECT_EQ(a.context_switches, b.context_switches) << what;
   EXPECT_EQ(a.component_switches, b.component_switches) << what;
-  EXPECT_EQ(a.scheduler_invocations, b.scheduler_invocations) << what;
+  EXPECT_EQ(a.scheduling_points, b.scheduling_points) << what;
   EXPECT_EQ(a.lag_violations, b.lag_violations) << what;
   EXPECT_EQ(a.first_miss_time, b.first_miss_time) << what;
   EXPECT_EQ(a.response_time.count(), b.response_time.count()) << what;

@@ -292,7 +292,7 @@ void add_row(Fnv& d, const engine::Metrics& r) {
        {r.tasks_admitted, r.tasks_rejected, r.slots, r.busy_quanta, r.idle_quanta,
         r.fast_forwarded_slots, r.jobs_released, r.jobs_completed, r.deadline_misses,
         r.component_misses, r.preemptions, r.migrations, r.context_switches,
-        r.component_switches, r.scheduler_invocations, r.scheduling_points, r.lag_violations})
+        r.component_switches, r.scheduling_points, r.scheduling_points, r.lag_violations})
     d.add(static_cast<std::int64_t>(v));
   d.add(static_cast<std::int64_t>(r.first_miss_time));
   d.add(static_cast<std::int64_t>(r.response_time.count()));

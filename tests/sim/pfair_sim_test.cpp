@@ -120,7 +120,7 @@ TEST(PfairSim, SchedulerInvokedOncePerSlot) {
   PfairSimulator sim(cfg(3));
   sim.add_task(make_task(1, 2));
   sim.run_until(42);
-  EXPECT_EQ(sim.metrics().scheduler_invocations, 42u);
+  EXPECT_EQ(sim.metrics().scheduling_points, 42u);
   EXPECT_EQ(sim.metrics().slots, 42u);
 }
 

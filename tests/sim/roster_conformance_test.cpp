@@ -87,11 +87,9 @@ TEST(RosterRequestApi, BothKindsRefuseTheDynamicProtocol) {
     EXPECT_FALSE(sim->can_dynamic()) << to_string(kind);
     ASSERT_TRUE(sim->admit(task_spec(1, 4))) << to_string(kind);
     EXPECT_FALSE(sim->join(task_spec(1, 8)).has_value()) << to_string(kind);
-    EXPECT_FALSE(sim->leave(0)) << to_string(kind);
     EXPECT_FALSE(sim->request_leave(0).has_value()) << to_string(kind);
     EXPECT_FALSE(sim->request_reweight(0, task_spec(1, 8)).has_value())
         << to_string(kind);
-    EXPECT_EQ(sim->earliest_leave(0), -1) << to_string(kind);
   }
 }
 
@@ -132,9 +130,6 @@ TEST(RosterMetrics, MergeSumsSchedulingPointsAcrossKinds) {
   EXPECT_EQ(merged.slots, 80u);  // max, not sum: same wall-clock horizon
   EXPECT_EQ(merged.busy_quanta,
             bf.metrics().busy_quanta + run.metrics().busy_quanta);
-  // Both stacks count one invocation per scheduling point.
-  EXPECT_EQ(bf.metrics().scheduler_invocations, bf_points);
-  EXPECT_EQ(run.metrics().scheduler_invocations, run_points);
 }
 
 // --- seeded determinism ---------------------------------------------
@@ -236,7 +231,7 @@ TEST(RosterDeterminism, SplitRunsMatchOneCall) {
                                       m.jobs_released,    m.jobs_completed,
                                       m.deadline_misses,  m.preemptions,
                                       m.migrations,       m.context_switches,
-                                      m.scheduler_invocations, m.scheduling_points};
+                                      m.scheduling_points};
   };
   Rng rng(0x5b17);
   for (int trial = 0; trial < 24; ++trial) {

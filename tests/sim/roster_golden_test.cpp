@@ -142,7 +142,7 @@ void add_row(Fnv& d, const engine::Metrics& r) {
   for (const std::uint64_t v :
        {r.tasks_admitted, r.tasks_rejected, r.slots, r.busy_quanta, r.idle_quanta,
         r.jobs_released, r.jobs_completed, r.deadline_misses, r.preemptions, r.migrations,
-        r.context_switches, r.scheduler_invocations, r.scheduling_points})
+        r.context_switches, r.scheduling_points, r.scheduling_points})
     d.add(static_cast<std::int64_t>(v));
   d.add(static_cast<std::int64_t>(r.first_miss_time));
   d.add(static_cast<std::int64_t>(r.response_time.count()));

@@ -118,8 +118,8 @@ TEST(Cbs, SchedulerInvocationsGrowWithServers) {
   CbsSimulator with_server({{1, 4}, {1, 8}},
                            CbsConfig{{CbsServerSpec{1, 8, flood(2000, 1, 8)}}});
   with_server.run_until(2000);
-  EXPECT_GT(with_server.metrics().scheduler_invocations,
-            plain.metrics().scheduler_invocations);
+  EXPECT_GT(with_server.metrics().scheduling_points,
+            plain.metrics().scheduling_points);
 }
 
 }  // namespace

@@ -91,7 +91,26 @@ TEST(UniSim, EdfPreemptionsBoundedByJobs) {
 TEST(UniSim, SchedulerInvocationsCounted) {
   UniprocSimulator sim({{1, 5}, {1, 7}}, cfg(UniAlgorithm::kEDF));
   sim.run_until(100);
-  EXPECT_GT(sim.metrics().scheduler_invocations, 0u);
+  EXPECT_GT(sim.metrics().scheduling_points, 0u);
+}
+
+TEST(UniSim, OneInvocationPerDecisionInstant) {
+  // One task (1, 4) to t = 40: ten releases and ten completions, each a
+  // decision instant of its own, so twenty invocations — a completion is
+  // not decided twice — each timed once as a kRelease and a kSelect phase.
+  obs::prof::set_enabled(true);
+  obs::prof::reset();
+  UniprocSimulator sim({{1, 4}}, cfg(UniAlgorithm::kEDF));
+  sim.run_until(40);
+  const obs::prof::PhaseTotals release = obs::prof::collect_totals(obs::prof::Phase::kRelease);
+  const obs::prof::PhaseTotals select = obs::prof::collect_totals(obs::prof::Phase::kSelect);
+  obs::prof::set_enabled(false);
+  obs::prof::reset();
+  EXPECT_EQ(sim.metrics().jobs_released, 10u);
+  EXPECT_EQ(sim.metrics().jobs_completed, 10u);
+  EXPECT_EQ(sim.metrics().scheduling_points, 20u);
+  EXPECT_EQ(release.count, 20u);
+  EXPECT_EQ(select.count, 20u);
 }
 
 TEST(UniSim, OverheadTimingAccumulates) {
@@ -105,8 +124,8 @@ TEST(UniSim, OverheadTimingAccumulates) {
   const obs::prof::PhaseTotals select = obs::prof::collect_totals(obs::prof::Phase::kSelect);
   obs::prof::set_enabled(false);
   obs::prof::reset();
-  EXPECT_EQ(release.count, sim.metrics().scheduler_invocations);
-  EXPECT_EQ(select.count, sim.metrics().scheduler_invocations);
+  EXPECT_EQ(release.count, sim.metrics().scheduling_points);
+  EXPECT_EQ(select.count, sim.metrics().scheduling_points);
   EXPECT_GT(release.total_ns + select.total_ns, 0u);
 }
 

@@ -19,11 +19,12 @@
 //       each metric's trajectory across the files
 //
 // Exit status: 0 success / no regressions; 2 when diff found at least
-// one regression; 1 on bad usage or unreadable input.
+// one regression; 1 on bad usage (an argument that is not one of the
+// subcommand's flags, or a --threshold that is not a non-negative
+// number) or unreadable input.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -32,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "flags.h"
 #include "obs/json.h"
 #include "obs/perf_diff.h"
 #include "obs/trace_analysis.h"
@@ -58,23 +60,13 @@ std::optional<json::Value> load_json(const char* path) {
   return json::parse(ss.str());
 }
 
-/// --key=value from the trailing arguments; nullptr when absent.
-const char* string_flag(int argc, char** argv, int from, const char* key) {
-  const std::string prefix = std::string("--") + key + "=";
-  for (int i = from; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0)
-      return argv[i] + prefix.size();
-  }
-  return nullptr;
-}
+using pfair::tools::FlagValue;
 
-bool bool_flag(int argc, char** argv, int from, const char* key) {
-  const std::string want = std::string("--") + key;
-  for (int i = from; i < argc; ++i) {
-    if (want == argv[i]) return true;
-  }
-  return false;
-}
+constexpr pfair::tools::FlagSpec kDiffFlags[] = {
+    {"threshold", FlagValue::kAmount},
+    {"all", FlagValue::kSwitch},
+};
+constexpr pfair::tools::FlagSpec kTrendFlags[] = {{"metric", FlagValue::kText}};
 
 int run_snapshot(const char* path) {
   const std::optional<json::Value> doc = load_json(path);
@@ -98,6 +90,8 @@ int run_snapshot(const char* path) {
 }
 
 int run_diff(int argc, char** argv) {
+  const pfair::tools::Flags flags("pfair_perf", argc, argv, 4, kDiffFlags);
+  if (!flags.ok()) return usage();
   const std::optional<json::Value> base = load_json(argv[2]);
   const std::optional<json::Value> cur = load_json(argv[3]);
   if (!base || !cur) {
@@ -105,24 +99,18 @@ int run_diff(int argc, char** argv) {
     return 1;
   }
   perf::DiffOptions opt;
-  if (const char* t = string_flag(argc, argv, 4, "threshold")) {
-    char* end = nullptr;
-    const double pct = std::strtod(t, &end);
-    if (end == nullptr || *end != '\0' || pct < 0.0) {
-      std::fprintf(stderr, "pfair_perf: bad --threshold=%s (percent expected)\n", t);
-      return 1;
-    }
-    opt.threshold = pct / 100.0;
-  }
+  opt.threshold = flags.number("threshold", 100.0 * opt.threshold) / 100.0;
   const perf::DiffReport report =
       perf::diff(perf::flatten(*base), perf::flatten(*cur), opt);
   std::printf("# %s -> %s (threshold %.1f%%)\n", argv[2], argv[3], 100.0 * opt.threshold);
-  std::fputs(perf::format_diff(report, bool_flag(argc, argv, 4, "all")).c_str(), stdout);
+  std::fputs(perf::format_diff(report, flags.has("all")).c_str(), stdout);
   return report.regressions > 0 ? 2 : 0;
 }
 
 int run_trend(int argc, char** argv) {
   namespace fs = std::filesystem;
+  const pfair::tools::Flags flags("pfair_perf", argc, argv, 3, kTrendFlags);
+  if (!flags.ok()) return usage();
   std::error_code ec;
   std::vector<fs::path> files;
   for (const fs::directory_entry& e : fs::directory_iterator(argv[2], ec)) {
@@ -138,7 +126,7 @@ int run_trend(int argc, char** argv) {
     std::fprintf(stderr, "pfair_perf: no *.json files in %s\n", argv[2]);
     return 1;
   }
-  const char* filter = string_flag(argc, argv, 3, "metric");
+  const char* filter = flags.text("metric");
   std::vector<std::string> names;
   std::map<std::string, std::vector<double>> series;  // name -> value per file (NaN gap)
   std::size_t file_idx = 0;
@@ -179,7 +167,10 @@ int run_trend(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 3) return usage();
   const std::string cmd = argv[1];
-  if (cmd == "snapshot") return run_snapshot(argv[2]);
+  if (cmd == "snapshot") {
+    if (!pfair::tools::Flags("pfair_perf", argc, argv, 3, {}).ok()) return usage();
+    return run_snapshot(argv[2]);
+  }
   if (cmd == "diff") {
     if (argc < 4) return usage();
     return run_diff(argc, argv);

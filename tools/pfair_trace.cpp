@@ -28,17 +28,22 @@
 // attached).  Neither side channel changes the JSONL stream on stdout.
 //
 // "-" reads the trace from stdin.  Exit status: 0 on success; 1 on bad
-// usage / unreadable input; 2 when `validate` finds a schema violation.
+// usage (an argument that is not one of the subcommand's flags, a
+// numeric flag whose value does not parse in full or is negative, or a
+// configuration the factory refuses, such as --processors=0) or
+// unreadable input; 2 when `validate` finds a schema violation.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "engine/factory.h"
+#include "flags.h"
 #include "obs/bus.h"
 #include "obs/json.h"
 #include "obs/jsonl_sink.h"
@@ -63,29 +68,21 @@ int usage() {
   return 1;
 }
 
-/// --key=value (string form) from the trailing arguments; nullptr when
-/// absent.
-const char* string_flag(int argc, char** argv, const char* key) {
-  const std::string prefix = std::string("--") + key + "=";
-  for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0)
-      return argv[i] + prefix.size();
-  }
-  return nullptr;
-}
+using pfair::tools::FlagValue;
 
-/// --key=N from the trailing arguments; `fallback` when absent/malformed.
-long long flag(int argc, char** argv, const char* key, long long fallback) {
-  const std::string prefix = std::string("--") + key + "=";
-  for (int i = 3; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      char* end = nullptr;
-      const long long v = std::strtoll(argv[i] + prefix.size(), &end, 10);
-      if (end != nullptr && *end == '\0') return v;
-    }
-  }
-  return fallback;
-}
+// The flags after `pfair_trace <subcommand> <arg>`.  Every number is a
+// count: a negative one would wrap (--tasks=-1 to SIZE_MAX).
+constexpr pfair::tools::FlagSpec kSimulateFlags[] = {
+    {"processors", FlagValue::kCount}, {"tasks", FlagValue::kCount},
+    {"load", FlagValue::kCount},       {"horizon", FlagValue::kCount},
+    {"seed", FlagValue::kCount},       {"prof", FlagValue::kText},
+    {"trace", FlagValue::kText},
+};
+constexpr pfair::tools::FlagSpec kAnalysisFlags[] = {
+    {"top", FlagValue::kCount},
+    {"window", FlagValue::kCount},
+    {"registry", FlagValue::kText},
+};
 
 bool read_stream(const char* path, std::string& out) {
   if (std::strcmp(path, "-") == 0) {
@@ -118,6 +115,8 @@ bool load_events(const char* path, LoadResult& out) {
 /// JSONL event trace to stdout.
 int run_simulate(int argc, char** argv) {
   using pfair::engine::SchedulerKind;
+  const pfair::tools::Flags flags("pfair_trace", argc, argv, 3, kSimulateFlags);
+  if (!flags.ok()) return usage();
   const auto kind = pfair::engine::scheduler_kind_from_string(argv[2]);
   if (!kind.has_value()) {
     std::fprintf(stderr, "pfair_trace: unknown scheduler '%s'; one of:", argv[2]);
@@ -126,14 +125,14 @@ int run_simulate(int argc, char** argv) {
     std::fprintf(stderr, "\n");
     return 1;
   }
-  const int processors = static_cast<int>(flag(argc, argv, "processors", 2));
+  const int processors = static_cast<int>(flags.integer("processors", 2));
 
-  const auto n_tasks = static_cast<std::size_t>(flag(argc, argv, "tasks", 8));
-  const long long load_pct = flag(argc, argv, "load", 60);
-  const auto horizon = static_cast<pfair::Time>(flag(argc, argv, "horizon", 1000));
-  const auto seed = static_cast<std::uint64_t>(flag(argc, argv, "seed", 1));
-  const char* prof_file = string_flag(argc, argv, "prof");
-  const char* trace_file = string_flag(argc, argv, "trace");
+  const auto n_tasks = static_cast<std::size_t>(flags.integer("tasks", 8));
+  const long long load_pct = flags.integer("load", 60);
+  const auto horizon = static_cast<pfair::Time>(flags.integer("horizon", 1000));
+  const auto seed = static_cast<std::uint64_t>(flags.integer("seed", 1));
+  const char* prof_file = flags.text("prof");
+  const char* trace_file = flags.text("trace");
 
   pfair::engine::SimulatorConfig cfg;
   cfg.set_processors(processors);
@@ -141,6 +140,12 @@ int run_simulate(int argc, char** argv) {
   // log would only grow.
   cfg.bf.record_trace = false;
   cfg.run.record_segments = false;
+  std::unique_ptr<pfair::engine::Simulator> sim;
+  try {
+    sim = pfair::engine::make_simulator(*kind, cfg);
+  } catch (const std::invalid_argument& e) {
+    return pfair::tools::bad_config("pfair_trace", e);
+  }
 
   pfair::Rng rng(seed);
   const double u_cap =
@@ -155,8 +160,6 @@ int run_simulate(int argc, char** argv) {
     pfair::obs::prof::set_span_recording(trace_file != nullptr);
   }
 
-  const std::unique_ptr<pfair::engine::Simulator> sim =
-      pfair::engine::make_simulator(*kind, cfg);
   pfair::obs::JsonlSink sink(std::cout);
   pfair::obs::EventBus bus;
   bus.add_sink(&sink);
@@ -206,6 +209,8 @@ int main(int argc, char** argv) {
   const char* path = argv[2];
 
   if (cmd == "simulate") return run_simulate(argc, argv);
+  const pfair::tools::Flags flags("pfair_trace", argc, argv, 3, kAnalysisFlags);
+  if (!flags.ok()) return usage();
 
   if (cmd == "validate") {
     std::string text;
@@ -232,8 +237,8 @@ int main(int argc, char** argv) {
                  loaded.malformed_lines);
   const std::vector<pfair::obs::Event>& events = loaded.events;
 
-  const auto top = static_cast<std::size_t>(flag(argc, argv, "top", 10));
-  const auto window = static_cast<pfair::Time>(flag(argc, argv, "window", 3));
+  const auto top = static_cast<std::size_t>(flags.integer("top", 10));
+  const auto window = static_cast<pfair::Time>(flags.integer("window", 3));
 
   if (cmd == "summary") {
     std::fputs(pfair::obs::format_summary(events).c_str(), stdout);
@@ -251,7 +256,7 @@ int main(int argc, char** argv) {
     std::fputs(pfair::obs::format_migration_matrix(events).c_str(), stdout);
     std::fputs("\n", stdout);
     std::fputs(pfair::obs::format_first_miss(events, window).c_str(), stdout);
-    if (const char* reg = string_flag(argc, argv, "registry")) {
+    if (const char* reg = flags.text("registry")) {
       // Registry-snapshot section: fast_forwarded_slots and the other
       // engine counters that never appear in the event stream (FF is
       // disabled while a bus is attached).

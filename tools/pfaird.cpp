@@ -49,8 +49,6 @@
 // full, a negative --advance, --exact-budget, --cache-delay or
 // --memo-capacity, or a configuration the generator or the daemon
 // refuses, such as --processors=0) or unreadable/unwritable files.
-#include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -59,8 +57,8 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
-#include <string_view>
 
+#include "flags.h"
 #include "obs/prof.h"
 #include "obs/registry.h"
 #include "serve/daemon.h"
@@ -81,102 +79,25 @@ int usage() {
   return 1;
 }
 
-/// A configuration the generator or the daemon refused.
-int bad_config(const std::invalid_argument& e) {
-  std::fprintf(stderr, "pfaird: %s\n", e.what());
-  return 1;
-}
+using pfair::tools::FlagValue;
 
-/// What a flag's value must parse as.  kCount and kDelay refuse a
-/// negative value (kDelay also NaN): a negative --exact-budget would
-/// wrap to no budget at all, and a negative --cache-delay would charge
-/// a negative D(T) in Eq. (3).
-enum class FlagValue { kText, kInt, kCount, kDelay };
-
-struct FlagSpec {
-  std::string_view key;
-  FlagValue value;
-};
-
-constexpr FlagSpec kFlags[] = {
+constexpr pfair::tools::FlagSpec kFlags[] = {
     {"scheduler", FlagValue::kText},      {"processors", FlagValue::kInt},
     {"algorithm", FlagValue::kText},      {"input", FlagValue::kText},
     {"output", FlagValue::kText},         {"advance", FlagValue::kCount},
-    {"exact-budget", FlagValue::kCount},  {"cache-delay", FlagValue::kDelay},
-    {"memo-capacity", FlagValue::kCount}, {"registry", FlagValue::kText},
-    {"gen-requests", FlagValue::kInt},    {"batch-requests", FlagValue::kInt},
-    {"seed", FlagValue::kInt},            {"load", FlagValue::kInt},
-    {"max-period", FlagValue::kInt},
+    {"exact-budget", FlagValue::kCount},  {"overhead", FlagValue::kSwitch},
+    {"cache-delay", FlagValue::kAmount},  {"memo-capacity", FlagValue::kCount},
+    {"registry", FlagValue::kText},       {"gen-requests", FlagValue::kInt},
+    {"batch-requests", FlagValue::kInt},  {"seed", FlagValue::kInt},
+    {"load", FlagValue::kInt},            {"max-period", FlagValue::kInt},
 };
-
-/// `v` as a number, or no value unless all of it parses.
-template <typename T>
-std::optional<T> parse_number(std::string_view v) {
-  T n{};
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), n);
-  if (ec != std::errc{} || end != v.data() + v.size()) return std::nullopt;
-  return n;
-}
-
-/// The first argument that is neither --overhead nor a known
-/// --key=value whose numeric value parses in full (and is not negative
-/// where the flag forbids it); nullptr when every argument is one of
-/// them.
-const char* bad_argument(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--overhead") continue;
-    const std::size_t eq = arg.find('=');
-    if (!arg.starts_with("--") || eq == std::string_view::npos) return argv[i];
-    const std::string_view key = arg.substr(2, eq - 2);
-    const std::string_view value = arg.substr(eq + 1);
-    const auto spec = std::find_if(std::begin(kFlags), std::end(kFlags),
-                                   [key](const FlagSpec& f) { return f.key == key; });
-    if (spec == std::end(kFlags)) return argv[i];
-    // value_or(-1) turns a value that does not parse into a negative one.
-    if (spec->value == FlagValue::kInt && !parse_number<long long>(value)) return argv[i];
-    if (spec->value == FlagValue::kCount && parse_number<long long>(value).value_or(-1) < 0)
-      return argv[i];
-    if (spec->value == FlagValue::kDelay && !(parse_number<double>(value).value_or(-1.0) >= 0.0))
-      return argv[i];
-  }
-  return nullptr;
-}
-
-const char* string_flag(int argc, char** argv, const char* key) {
-  const std::string prefix = std::string("--") + key + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0)
-      return argv[i] + prefix.size();
-  }
-  return nullptr;
-}
-
-long long flag(int argc, char** argv, const char* key, long long fallback) {
-  const char* v = string_flag(argc, argv, key);
-  return v == nullptr ? fallback : parse_number<long long>(v).value_or(fallback);
-}
-
-double double_flag(int argc, char** argv, const char* key, double fallback) {
-  const char* v = string_flag(argc, argv, key);
-  return v == nullptr ? fallback : parse_number<double>(v).value_or(fallback);
-}
-
-bool bool_flag(int argc, char** argv, const char* key) {
-  const std::string want = std::string("--") + key;
-  for (int i = 1; i < argc; ++i)
-    if (want == argv[i]) return true;
-  return false;
-}
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (const char* bad = bad_argument(argc, argv)) {
-    std::fprintf(stderr, "pfaird: bad argument '%s'\n", bad);
-    return usage();
-  }
-  const char* output_path = string_flag(argc, argv, "output");
+  const pfair::tools::Flags flags("pfaird", argc, argv, 1, kFlags);
+  if (!flags.ok()) return usage();
+  const char* output_path = flags.text("output");
   std::ofstream out_file;
   std::ostream* out = &std::cout;
   if (output_path != nullptr && std::strcmp(output_path, "-") != 0) {
@@ -189,26 +110,26 @@ int main(int argc, char** argv) {
   }
 
   // Generator mode: emit a deterministic request stream and exit.
-  if (const long long gen = flag(argc, argv, "gen-requests", 0); gen > 0) {
+  if (const long long gen = flags.integer("gen-requests", 0); gen > 0) {
     pfair::serve::GenConfig gc;
     gc.count = static_cast<std::size_t>(gen);
-    gc.seed = static_cast<std::uint64_t>(flag(argc, argv, "seed", 42));
-    gc.load = static_cast<double>(flag(argc, argv, "load", 150)) / 100.0;
-    gc.max_period = flag(argc, argv, "max-period", 40);
+    gc.seed = static_cast<std::uint64_t>(flags.integer("seed", 42));
+    gc.load = static_cast<double>(flags.integer("load", 150)) / 100.0;
+    gc.max_period = flags.integer("max-period", 40);
     std::string stream;
     try {
       stream = pfair::serve::generate_requests(gc);
     } catch (const std::invalid_argument& e) {
-      return bad_config(e);
+      return pfair::tools::bad_config("pfaird", e);
     }
-    if (const long long bs = flag(argc, argv, "batch-requests", 0); bs > 1)
+    if (const long long bs = flags.integer("batch-requests", 0); bs > 1)
       stream = pfair::serve::batch_requests(stream, static_cast<std::size_t>(bs));
     *out << stream;
     out->flush();
     return 0;
   }
 
-  const char* scheduler = string_flag(argc, argv, "scheduler");
+  const char* scheduler = flags.text("scheduler");
   if (scheduler == nullptr) return usage();
   const auto kind = pfair::engine::scheduler_kind_from_string(scheduler);
   if (!kind.has_value()) {
@@ -221,8 +142,8 @@ int main(int argc, char** argv) {
 
   pfair::serve::DaemonConfig dc;
   dc.kind = *kind;
-  dc.processors = static_cast<int>(flag(argc, argv, "processors", 1));
-  if (const char* name = string_flag(argc, argv, "algorithm")) {
+  dc.processors = static_cast<int>(flags.integer("processors", 1));
+  if (const char* name = flags.text("algorithm")) {
     const auto algorithm = pfair::engine::uni_algorithm_from_string(name);
     if (!algorithm.has_value()) {
       std::fprintf(stderr, "pfaird: unknown algorithm '%s' (edf|rm)\n", name);
@@ -230,13 +151,13 @@ int main(int argc, char** argv) {
     }
     dc.algorithm = *algorithm;
   }
-  dc.overhead_aware = bool_flag(argc, argv, "overhead");
-  dc.cache_delay_us = double_flag(argc, argv, "cache-delay", 33.3);
-  dc.exact_budget = static_cast<std::uint64_t>(flag(argc, argv, "exact-budget", 1 << 20));
-  dc.advance_per_request = static_cast<pfair::Time>(flag(argc, argv, "advance", 0));
-  dc.memo_capacity = static_cast<std::size_t>(flag(argc, argv, "memo-capacity", 1 << 16));
+  dc.overhead_aware = flags.has("overhead");
+  dc.cache_delay_us = flags.number("cache-delay", 33.3);
+  dc.exact_budget = static_cast<std::uint64_t>(flags.integer("exact-budget", 1 << 20));
+  dc.advance_per_request = static_cast<pfair::Time>(flags.integer("advance", 0));
+  dc.memo_capacity = static_cast<std::size_t>(flags.integer("memo-capacity", 1 << 16));
 
-  const char* input_path = string_flag(argc, argv, "input");
+  const char* input_path = flags.text("input");
   std::ifstream in_file;
   std::istream* in = &std::cin;
   if (input_path != nullptr && std::strcmp(input_path, "-") != 0) {
@@ -253,7 +174,7 @@ int main(int argc, char** argv) {
   try {
     served.emplace(dc);
   } catch (const std::invalid_argument& e) {
-    return bad_config(e);
+    return pfair::tools::bad_config("pfaird", e);
   }
   pfair::serve::Daemon& daemon = *served;
   const auto start = std::chrono::steady_clock::now();
@@ -262,7 +183,7 @@ int main(int argc, char** argv) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
   daemon.publish_registry();
-  if (const char* registry_path = string_flag(argc, argv, "registry")) {
+  if (const char* registry_path = flags.text("registry")) {
     std::ofstream rf(registry_path, std::ios::binary);
     if (!rf) {
       std::fprintf(stderr, "pfaird: cannot write %s\n", registry_path);
