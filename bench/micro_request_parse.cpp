@@ -20,6 +20,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "obs/json.h"
 #include "obs/jsonl_sink.h"
@@ -107,7 +108,7 @@ BENCHMARK(BM_JsonParse_EventLine);
 struct DecisionValues {
   bool admit = false;
   std::int64_t seq = 0, task = 0, tier = 0, time = 0, free_at = 0, tasks = 0;
-  const char* reason = "eq2";
+  std::string_view reason = "eq2";  ///< a literal, as Decision::reason
   std::string total;  ///< "num/den", as the daemon formats the gate's sum
 };
 
@@ -131,7 +132,7 @@ void write_join(std::string& out, const DecisionValues& v) {
   w.field_bool("admit", v.admit)
       .field_bool("approx", false)
       .field_int("exact_events", 0)
-      .field_str("op", serve::to_string(serve::RequestOp::kJoin))
+      .field_str("op", serve::op_name(serve::RequestOp::kJoin))
       .field_str("reason", v.reason)
       .field_int("seq", v.seq)
       .field_int("task", v.admit ? v.task : -1)
@@ -145,7 +146,7 @@ void write_leave(std::string& out, const DecisionValues& v) {
   obs::json::ObjectWriter w(out);
   w.field_int("free_at", v.free_at)
       .field_bool("ok", true)
-      .field_str("op", serve::to_string(serve::RequestOp::kLeave))
+      .field_str("op", serve::op_name(serve::RequestOp::kLeave))
       .field_int("seq", v.seq)
       .field_int("task", v.task)
       .field_int("time", v.time);
@@ -154,7 +155,7 @@ void write_leave(std::string& out, const DecisionValues& v) {
 
 void write_query(std::string& out, const DecisionValues& v) {
   obs::json::ObjectWriter w(out);
-  w.field_str("op", serve::to_string(serve::RequestOp::kQuery))
+  w.field_str("op", serve::op_name(serve::RequestOp::kQuery))
       .field_int("seq", v.seq)
       .field_int("tasks", v.tasks)
       .field_int("time", v.time)

@@ -2,7 +2,8 @@
 // after Srinivasan & Anderson 2002).
 //
 // A task may JOIN a running system at any time as long as Eq. (2)
-// continues to hold (sum of weights <= M).  LEAVING is restricted so a
+// continues to hold (sum of weights <= M; PfairSimulator::join and the
+// pfaird gate test it on util::WeightSum).  LEAVING is restricted so a
 // task cannot bank negative lag, leave, re-join, and effectively run
 // above its rate:
 //   - a LIGHT task may leave at or after d(T_i) + b(T_i), where T_i is
@@ -14,17 +15,9 @@
 
 #include "core/task.h"
 #include "core/windows.h"
-#include "util/rational.h"
 #include "util/types.h"
 
 namespace pfair {
-
-/// True iff a task of weight `w` may join when `current_total` weight is
-/// already admitted on `m` processors.
-[[nodiscard]] inline bool may_join(const Rational& current_total, const Rational& w,
-                                   int m) noexcept {
-  return current_total + w <= Rational(m);
-}
 
 /// Earliest time a task with weight e/p whose last-scheduled subtask was
 /// index `i` (with accumulated window offset `offset`) may leave the

@@ -237,6 +237,12 @@ std::string ExperimentHarness::to_json() const {
   return out;
 }
 
+int ExperimentHarness::refuse(const std::invalid_argument& e) const {
+  std::fflush(stdout);  // rows printed before the refusal come first
+  std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
+  return 1;
+}
+
 int ExperimentHarness::finish(int exit_code) {
   if (prof_ && !prof_file_.empty()) {
     obs::prof::snapshot_into(obs::MetricsRegistry::global());

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <variant>
@@ -101,7 +102,21 @@ class ExperimentHarness {
   /// Serializes the report (used by finish() and the unit tests).
   [[nodiscard]] std::string to_json() const;
 
+  /// Runs the bench `body` (it returns its exit code) and finish()es
+  /// with that code.  A configuration the simulator factory refuses
+  /// (std::invalid_argument, e.g. --processors=0) prints the reason on
+  /// stderr and returns 1, as pfaird and pfair_trace do.
+  template <class Body>
+  int run(Body&& body) {
+    try {
+      return finish(std::forward<Body>(body)());
+    } catch (const std::invalid_argument& e) {
+      return refuse(e);
+    }
+  }
+
  private:
+  int refuse(const std::invalid_argument& e) const;
   [[nodiscard]] const std::string* raw_flag(const std::string& key) const;
   void record_param(const std::string& key, Value v) const;
 

@@ -14,7 +14,7 @@
 //     the largest (best fit) or smallest (worst fit) load, ties to the
 //     lower bin;
 //   - the acceptance policy, which keeps incremental state per bin so a
-//     probe never re-sums the bin: an exact Rational sum for EDF, the
+//     probe never re-sums the bin: an exact util::WeightSum for EDF, the
 //     count and double sum for RM's Liu-Layland bound, the member list
 //     for RM's response-time analysis and for Eq. (3) (uni_partition.h,
 //     inflation.h), the weight sum and smallest period for supertasks,

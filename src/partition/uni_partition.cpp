@@ -5,7 +5,7 @@
 #include <numeric>
 
 #include "uniproc/analysis.h"
-#include "util/rational.h"
+#include "util/weight_sum.h"
 
 namespace pfair {
 
@@ -24,13 +24,14 @@ const char* acceptance_name(Acceptance a) noexcept {
 namespace {
 
 /// The three acceptance tests over one per-processor state, of which
-/// each test keeps only what it reads: EDF the exact utilization sum in
-/// placement order, RM-LL the count and double sum, RM-exact the members
-/// in placement order (the analysis's tie-break among equal periods).
-/// The double sum is also the best/worst-fit load.
+/// each test keeps only what it reads: EDF the exact utilization sum
+/// (past int64 an interval, which accepts only when wholly within 1),
+/// RM-LL the count and double sum, RM-exact the members in placement
+/// order (the analysis's tie-break among equal periods).  The double
+/// sum is also the best/worst-fit load.
 struct UniPolicy {
   struct Bin {
-    Rational sum{0};
+    WeightSum sum;
     std::size_t count = 0;
     std::vector<UniTask> members;
     double load = 0.0;
@@ -42,7 +43,8 @@ struct UniPolicy {
     const UniTask& t = tasks[i];
     switch (acc) {
       case Acceptance::kEdfUtilization:
-        return b.sum + Rational(t.execution, t.period) <= Rational(1);
+        return b.sum.with(Weight{t.execution, t.period}).against(1) ==
+               WeightSum::Side::kWithin;
       case Acceptance::kRmLiuLayland:
         return b.load + t.utilization() <= rm_utilization_bound(b.count + 1) + 1e-12;
       case Acceptance::kRmExact:
@@ -52,7 +54,7 @@ struct UniPolicy {
   }
   void add(Bin& b, std::size_t i) const {
     const UniTask& t = tasks[i];
-    if (acc == Acceptance::kEdfUtilization) b.sum += Rational(t.execution, t.period);
+    if (acc == Acceptance::kEdfUtilization) b.sum.add(t.execution, t.period);
     if (acc == Acceptance::kRmExact) b.members.push_back(t);
     ++b.count;
     b.load += t.utilization();

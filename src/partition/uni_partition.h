@@ -9,7 +9,7 @@
 // paper cites from Oh & Baker) or by exact response-time analysis (the
 // "variable-sized bin" flavour the paper notes makes the packing problem
 // harder).  Each test keeps incremental per-processor state: the exact
-// Rational sum for EDF, the count and sum for Liu-Layland, the member
+// util::WeightSum for EDF, the count and sum for Liu-Layland, the member
 // list for response-time analysis; best and worst fit compare the
 // processors' double utilization sums.
 #pragma once

@@ -52,4 +52,5 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/types.h"
+#include "util/weight_sum.h"
 #include "workload/generator.h"

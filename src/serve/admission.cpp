@@ -1,6 +1,7 @@
 #include "serve/admission.h"
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -14,19 +15,33 @@ namespace pfair::serve {
 namespace {
 
 using engine::SchedulerKind;
+using Side = WeightSum::Side;
 
-[[nodiscard]] Rational weight_of(const UniTask& t) noexcept {
-  return Rational(t.execution, t.period);
-}
-
-[[nodiscard]] Decision yes(int tier, const char* reason) noexcept {
+[[nodiscard]] Decision yes(int tier, std::string_view reason) noexcept {
   return Decision{true, tier, false, reason, 0};
 }
-[[nodiscard]] Decision no(int tier, const char* reason) noexcept {
+[[nodiscard]] Decision no(int tier, std::string_view reason) noexcept {
   return Decision{false, tier, false, reason, 0};
 }
 
+/// The refusal of a sum that is not within its bound: `reason` when it is
+/// above, and `overflow`, marked approx, when the bound lies inside the
+/// interval of a sum past int64.
+[[nodiscard]] Decision refuse(int tier, Side side, std::string_view reason) noexcept {
+  if (side == Side::kUnknown) return Decision{false, tier, true, "overflow", 0};
+  return no(tier, reason);
+}
+
 }  // namespace
+
+Rational AdmissionController::total_weight() const {
+  const WeightSum& sum = mirror_.total();
+  if (const std::optional<WeightSum::Fraction> f = sum.fraction();
+      f.has_value() && f->num <= std::numeric_limits<std::int64_t>::max())
+    return Rational(static_cast<std::int64_t>(f->num), f->den);
+  constexpr std::int64_t kBillion = 1'000'000'000;
+  return Rational(static_cast<std::int64_t>(sum.floor_billionths()), kBillion);
+}
 
 AdmissionController::AdmissionController(AdmissionConfig config)
     : config_(config) {
@@ -78,13 +93,20 @@ void AdmissionController::commit(TaskId id, const UniTask& t) {
 }
 
 void AdmissionController::schedule_release(TaskId id, Time at) {
+  note_pending(id);
   pending_.push(PendingChange{at, id, pending_seq_++, true, UniTask{}});
+}
+
+void AdmissionController::note_pending(TaskId id) {
+  if (id >= pending_by_id_.size()) pending_by_id_.resize(std::size_t{id} + 1, 0);
+  ++pending_by_id_[id];
 }
 
 void AdmissionController::schedule_reweight(TaskId id, const UniTask& t, Time at) {
   const UniTask* cur = mirror_.find(id);
   if (cur != nullptr && ratio_less(cur->execution, cur->period, t.execution, t.period))
     mirror_.upsert(id, t);  // a heavier weight counts from the request on
+  note_pending(id);
   pending_.push(PendingChange{at, id, pending_seq_++, false, t});
 }
 
@@ -95,6 +117,7 @@ void AdmissionController::advance_to(Time now) {
   while (!pending_.empty() && pending_.top().at <= now) {
     const PendingChange c = pending_.top();
     pending_.pop();
+    --pending_by_id_[c.id];
     const UniTask* cur = mirror_.find(c.id);
     if (cur == nullptr) continue;  // task already gone
     if (c.remove) {
@@ -111,6 +134,7 @@ Decision AdmissionController::decide_join(const UniTask& t) const {
 
 Decision AdmissionController::decide_reweight(TaskId id, const UniTask& t) const {
   if (mirror_.find(id) == nullptr) return no(0, "unknown-task");
+  if (pending_by_id_.size() > id && pending_by_id_[id] > 0) return no(0, "pending-change");
   return decide(t, id);
 }
 
@@ -128,16 +152,16 @@ Decision AdmissionController::decide(const UniTask& t, TaskId exclude) const {
 
 std::optional<Decision> AdmissionController::tier0(const UniTask& t, TaskId exclude) const {
   if (!t.valid()) return no(0, "invalid");
-  const Rational w = weight_of(t);
   const int m = gate_processors();
-  const Rational after = mirror_.total_excluding(exclude) + w;
+  const WeightSum::View after = mirror_.total_with(t, exclude);
+  const Side capacity = after.against(m);
   switch (config_.kind) {
     case SchedulerKind::kPfair:
     case SchedulerKind::kWrr:
       // Eq. (2) is exact for PD2 (optimal), so both sides decide; WRR
       // gets the same capacity gate (it offers no deadline guarantee
       // for the gate to strengthen).
-      if (after > Rational(m)) return no(0, "eq2");
+      if (capacity != Side::kWithin) return refuse(0, capacity, "eq2");
       if (config_.kind == SchedulerKind::kWrr || !config_.overhead_aware)
         return yes(0, "eq2");
       return std::nullopt;  // overhead-aware: Eq. (3) must confirm
@@ -146,37 +170,43 @@ std::optional<Decision> AdmissionController::tier0(const UniTask& t, TaskId excl
       // Both are optimal (every set with sum wt <= M is schedulable),
       // so Eq. (2) is exact and Tier 0 always decides; neither has an
       // Eq.-(3) overhead model to defer to.
-      return after <= Rational(m) ? yes(0, "eq2") : no(0, "eq2");
+      return capacity == Side::kWithin ? yes(0, "eq2") : refuse(0, capacity, "eq2");
     case SchedulerKind::kUniproc:
       if (config_.algorithm == UniAlgorithm::kRM) {
-        if (after > Rational(1)) return no(0, "utilization");
+        if (capacity != Side::kWithin) return refuse(0, capacity, "utilization");
         if (!config_.overhead_aware &&
-            after.to_double() <= rm_utilization_bound(mirror_.count_excluding(exclude) + 1))
+            after.against_double(rm_utilization_bound(mirror_.count_excluding(exclude) + 1)) ==
+                Side::kWithin)
           return yes(0, "ll-bound");
         return std::nullopt;  // between LL and 1: exact RTA decides
       }
       [[fallthrough]];
     case SchedulerKind::kCbs:
       // EDF on one processor: U <= 1 is exact [Liu & Layland].
-      if (after > Rational(1)) return no(0, "edf-utilization");
+      if (capacity != Side::kWithin) return refuse(0, capacity, "edf-utilization");
       if (!config_.overhead_aware) return yes(0, "edf-utilization");
       return std::nullopt;
     case SchedulerKind::kPartitioned: {
-      if (after > Rational(m)) return no(0, "utilization");
+      if (capacity != Side::kWithin) return refuse(0, capacity, "utilization");
       // Lopez's bound holds for first-fit EDF only; RM and the
       // overhead-aware packing leave every admit to the packing.
       if (config_.overhead_aware || config_.algorithm == UniAlgorithm::kRM)
         return std::nullopt;
-      const Rational u_max = mirror_.u_max_with(t, exclude);
-      const std::int64_t beta = std::max<std::int64_t>(1, u_max.den() / u_max.num());
-      if (after <= lopez_edf_ff_bound(m, beta)) return yes(0, "lopez");
+      // (beta*M + 1)/(beta + 1), beta = floor(1/u_max).
+      const UniTask u_max = mirror_.u_max_with(t, exclude);
+      const std::int64_t beta = std::max<std::int64_t>(1, u_max.period / u_max.execution);
+      if (after.against(Int128{beta} * m + 1, beta + 1) == Side::kWithin)
+        return yes(0, "lopez");
       return std::nullopt;  // above the bound: try the actual packing
     }
     case SchedulerKind::kGlobalJob: {
-      if (after > Rational(m)) return no(0, "utilization");
+      if (capacity != Side::kWithin) return refuse(0, capacity, "utilization");
       if (config_.algorithm == UniAlgorithm::kEDF && !config_.overhead_aware) {
-        const Rational u_max = mirror_.u_max_with(t, exclude);
-        if (after <= Rational(m) - Rational(m - 1) * u_max) return yes(0, "gfb");
+        // m - (m - 1)*u_max = (m*p - (m - 1)*e)/p.
+        const UniTask u_max = mirror_.u_max_with(t, exclude);
+        if (after.against(Int128{m} * u_max.period - Int128{m - 1} * u_max.execution,
+                          u_max.period) == Side::kWithin)
+          return yes(0, "gfb");
       }
       return std::nullopt;  // Dhall territory: exact test decides
     }
@@ -198,8 +228,8 @@ Decision AdmissionController::tier1(const UniTask& t, TaskId exclude) const {
     case SchedulerKind::kWrr:
     case SchedulerKind::kBf:
     case SchedulerKind::kRun: {
-      const Rational after = mirror_.total_excluding(exclude) + weight_of(t);
-      return after <= Rational(m) ? yes(1, "eq2") : no(1, "eq2");
+      const Side capacity = mirror_.total_with(t, exclude).against(m);
+      return capacity == Side::kWithin ? yes(1, "eq2") : refuse(1, capacity, "eq2");
     }
     case SchedulerKind::kUniproc:
       if (config_.algorithm == UniAlgorithm::kRM) {
@@ -222,7 +252,7 @@ Decision AdmissionController::tier1(const UniTask& t, TaskId exclude) const {
         u += inflate_edf_us(task, config_.overhead_aware ? config_.cache_delay_us : 0.0,
                             params, tasks.size()) /
              task.period_us;
-      const char* reason = config_.overhead_aware ? "eq3-edf" : "edf-utilization";
+      const std::string_view reason = config_.overhead_aware ? "eq3-edf" : "edf-utilization";
       return u <= 1.0 ? yes(1, reason) : no(1, reason);
     }
     case SchedulerKind::kPartitioned: {

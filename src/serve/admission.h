@@ -24,15 +24,18 @@
 // by task id (serve/task_mirror.h) instead of reaching into the
 // simulator, so decisions are pure functions of the request history —
 // a recorded request log replays to byte-identical decisions on any
-// host.  The mirror keeps ΣU and the committed count cached, so the
-// Eq.-(2) test is O(1); GFB and Lopez scan its d weight classes for
-// u_max.  Departures free capacity at the time the scheduler's leave
-// rules dictate: the daemon schedules a pending release (a min-heap
-// keyed (time, id, seq), so changes apply in time order without
-// re-sorting the queue every advance) and the controller applies it
-// when the clock reaches it.  A reweight counts the heavier of its old
-// and new weight from the request until its switch-over, as the
-// simulator does, so no join can use capacity the switch-over takes.
+// host.  The mirror keeps ΣU exactly in integers (util/weight_sum.h)
+// and the committed count cached, so the Eq.-(2) test is one lookup in
+// its d periods; GFB and Lopez scan its d weight classes for u_max.
+// Past int64 the sum is an interval: a bound inside it refuses the
+// request with reason `overflow`, marked `approx`.  Departures free
+// capacity at the time the scheduler's leave rules dictate: the daemon
+// schedules a pending release (a min-heap keyed (time, id, seq), so
+// changes apply in time order without re-sorting the queue every
+// advance) and the controller applies it when the clock reaches it.  A
+// reweight counts the heavier of its old and new weight from the
+// request until its switch-over, as the simulator does, so no join can
+// use capacity the switch-over takes.
 //
 // Incremental Tier 2.  The exact tests are pure functions of the
 // judged task *multiset* (the mirror canonicalizes every workload to
@@ -49,6 +52,7 @@
 #include <cstdint>
 #include <optional>
 #include <queue>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -83,7 +87,7 @@ struct Decision {
   bool admit = false;
   int tier = 0;          ///< tier that produced the answer (0, 1, or 2)
   bool approx = false;   ///< Tier-2 budget exhausted: this is Tier 1's answer
-  const char* reason = "";  ///< stable short token for the decision log
+  std::string_view reason;  ///< stable short token for the decision log (a literal)
   std::uint64_t exact_events = 0;  ///< Tier-2 events spent (0 when Tier 2 unused)
 };
 
@@ -100,7 +104,9 @@ class AdmissionController {
   [[nodiscard]] Decision decide_join(const UniTask& t) const;
 
   /// Decides a reweight of committed task `id` to rate t: the old
-  /// weight is excluded, the new one checked in its place.
+  /// weight is excluded, the new one checked in its place.  A task with
+  /// a leave or reweight still pending is refused ("pending-change"), as
+  /// the simulator refuses it.
   [[nodiscard]] Decision decide_reweight(TaskId id, const UniTask& t) const;
 
   /// Records an admitted task under the simulator's id.
@@ -127,7 +133,11 @@ class AdmissionController {
   void prewarm_tier2(const std::vector<std::pair<UniTask, TaskId>>& candidates,
                      engine::ThreadPool* pool) const;
 
-  [[nodiscard]] Rational total_weight() const noexcept { return mirror_.total(); }
+  /// The committed ΣU, which decision lines render.
+  [[nodiscard]] const WeightSum& weight_sum() const noexcept { return mirror_.total(); }
+  /// The same value as a Rational, from its reduced pair; past int64,
+  /// ⌊ΣU·10⁹⌋/10⁹ (benchmark/ reads it).
+  [[nodiscard]] Rational total_weight() const;
   [[nodiscard]] std::size_t committed() const noexcept { return mirror_.size(); }
   [[nodiscard]] const AdmissionConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::uint64_t memo_hits() const noexcept { return memo_hits_; }
@@ -171,6 +181,7 @@ class AdmissionController {
   };
 
   [[nodiscard]] Decision decide(const UniTask& t, TaskId exclude) const;
+  void note_pending(TaskId id);
   /// Processors the gate judges against (1 for the uniproc stacks).
   [[nodiscard]] int gate_processors() const noexcept;
   /// Eq.-(3) inputs for Tier 1: the configured overheads, or identity
@@ -197,6 +208,7 @@ class AdmissionController {
   TaskMirror mirror_;
   std::priority_queue<PendingChange, std::vector<PendingChange>, PendingAfter> pending_;
   std::uint64_t pending_seq_ = 0;
+  std::vector<std::uint32_t> pending_by_id_;  ///< pending changes per task id
   // The memo is a cache, not state: decisions are byte-identical with
   // it on, off, or cleared at any point, so mutating it from const
   // decide paths keeps the "pure function of request history" contract.

@@ -1,6 +1,5 @@
 #include "serve/daemon.h"
 
-#include <charconv>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -13,17 +12,6 @@
 namespace pfair::serve {
 
 namespace {
-
-/// "num/den" (or "num" when den == 1) into a stack buffer — the
-/// allocation-free spelling of Rational::to_string for decision lines.
-[[nodiscard]] std::string_view format_ratio(const Rational& r, char (&buf)[48]) {
-  char* p = std::to_chars(buf, buf + 24, r.num()).ptr;
-  if (r.den() != 1) {
-    *p++ = '/';
-    p = std::to_chars(p, buf + 48, r.den()).ptr;
-  }
-  return {buf, static_cast<std::size_t>(p - buf)};
-}
 
 /// Renders one decision line into `out`, timed as the serve.write
 /// phase: `fields` writes the members in ascending key order (the
@@ -86,10 +74,10 @@ void Daemon::note_decision(const Decision& d, const UniTask& t, TaskId task) {
 void Daemon::write_response(const Request& r, std::uint64_t seq, std::string& out) {
   gate_.advance_to(sim_->now());
   const auto entry = static_cast<std::int64_t>(sim_->now());
-  const char* opname = to_string(r.op);
+  const std::string_view opname = op_name(r.op);
   const auto sq = static_cast<std::int64_t>(seq);
   using Writer = obs::json::ObjectWriter;
-  char tbuf[48];  // stack home for the "total" weight rendering
+  char tbuf[WeightSum::kFormatSize];  // stack home for the "total" rendering
   switch (r.op) {
     case RequestOp::kJoin: {
       const UniTask cand{r.execution, r.period};
@@ -123,7 +111,7 @@ void Daemon::write_response(const Request& r, std::uint64_t seq, std::string& ou
                        assigned == kNoTask ? -1 : static_cast<std::int64_t>(assigned))
             .field_int("tier", d.tier)
             .field_int("time", entry)
-            .field_str("total", format_ratio(gate_.total_weight(), tbuf));
+            .field_str("total", gate_.weight_sum().format(tbuf));
       });
       break;
     }
@@ -176,7 +164,7 @@ void Daemon::write_response(const Request& r, std::uint64_t seq, std::string& ou
       }
       const UniTask cand{r.execution, r.period};
       Decision d = gate_.decide_reweight(r.task, cand);
-      if (!d.admit && std::string_view(d.reason) == "unknown-task") {
+      if (!d.admit && d.reason == "unknown-task") {
         ++stats_.errors;
         write_line(out, sim_->now(), [&](Writer& w) {
           w.field_bool("admit", false)
@@ -212,7 +200,7 @@ void Daemon::write_response(const Request& r, std::uint64_t seq, std::string& ou
             .field_int("task", static_cast<std::int64_t>(r.task))
             .field_int("tier", d.tier)
             .field_int("time", entry)
-            .field_str("total", format_ratio(gate_.total_weight(), tbuf));
+            .field_str("total", gate_.weight_sum().format(tbuf));
       });
       break;
     }
@@ -222,7 +210,7 @@ void Daemon::write_response(const Request& r, std::uint64_t seq, std::string& ou
             .field_int("seq", sq)
             .field_int("tasks", static_cast<std::int64_t>(gate_.committed()))
             .field_int("time", entry)
-            .field_str("total", format_ratio(gate_.total_weight(), tbuf));
+            .field_str("total", gate_.weight_sum().format(tbuf));
       });
       break;
     }

@@ -31,9 +31,13 @@ void fail(std::string* error, const char* why) {
 
 }  // namespace
 
-const char* to_string(RequestOp op) noexcept {
+std::string_view op_name(RequestOp op) noexcept {
   const auto i = static_cast<std::size_t>(op);
-  return i < std::size(kOpNames) ? kOpNames[i].data() : "unknown";
+  return i < std::size(kOpNames) ? kOpNames[i] : "unknown";
+}
+
+const char* to_string(RequestOp op) noexcept {
+  return op_name(op).data();  // every name is a string literal
 }
 
 namespace {
@@ -180,7 +184,7 @@ namespace {
 
 [[nodiscard]] obs::json::Object request_object(const Request& r) {
   obs::json::Object o;
-  o["op"] = obs::json::Value(std::string(to_string(r.op)));
+  o["op"] = obs::json::Value(std::string(op_name(r.op)));
   switch (r.op) {
     case RequestOp::kJoin:
       o["execution"] = obs::json::Value(static_cast<double>(r.execution));

@@ -38,6 +38,9 @@ namespace pfair::serve {
 
 enum class RequestOp : std::uint8_t { kJoin, kLeave, kReweight, kQuery, kAdvance, kBatch };
 
+/// The "op" name of a request ("unknown" past the enum).
+[[nodiscard]] std::string_view op_name(RequestOp op) noexcept;
+/// op_name() as a C string.
 [[nodiscard]] const char* to_string(RequestOp op) noexcept;
 
 struct Request {

@@ -34,14 +34,14 @@ const UniTask* TaskMirror::find(TaskId id) const noexcept {
 }
 
 void TaskMirror::add_aggregates(const UniTask& t) {
-  total_ += Rational(t.execution, t.period);
+  total_.add(t.execution, t.period);
   fp_lo_ += mirror_mix_lo(t.execution, t.period);
   fp_hi_ += mirror_mix_hi(t.execution, t.period);
   ++classes_[{t.period, t.execution}];
 }
 
 void TaskMirror::remove_aggregates(const UniTask& t) {
-  total_ -= Rational(t.execution, t.period);
+  total_.sub(t.execution, t.period);
   fp_lo_ -= mirror_mix_lo(t.execution, t.period);
   fp_hi_ -= mirror_mix_hi(t.execution, t.period);
   const auto it = classes_.find({t.period, t.execution});
@@ -69,16 +69,17 @@ bool TaskMirror::erase(TaskId id) {
   return true;
 }
 
-Rational TaskMirror::total_excluding(TaskId exclude) const {
-  const UniTask* t = find(exclude);
-  return t == nullptr ? total_ : total_ - Rational(t->execution, t->period);
+WeightSum::View TaskMirror::total_with(const UniTask& extra, TaskId exclude) const {
+  const UniTask* ex = find(exclude);
+  return total_.with(extra.valid() ? Weight{extra.execution, extra.period} : Weight{},
+                     ex != nullptr ? Weight{ex->execution, ex->period} : Weight{});
 }
 
 std::size_t TaskMirror::count_excluding(TaskId exclude) const {
   return find(exclude) == nullptr ? size_ : size_ - 1;
 }
 
-Rational TaskMirror::u_max_with(const UniTask& candidate, TaskId exclude) const {
+UniTask TaskMirror::u_max_with(const UniTask& candidate, TaskId exclude) const {
   const UniTask* ex = find(exclude);
   UniTask best = candidate;
   for (const auto& [key, count] : classes_) {
@@ -88,7 +89,7 @@ Rational TaskMirror::u_max_with(const UniTask& candidate, TaskId exclude) const 
     if (ratio_less(best.execution, best.period, key.second, key.first))
       best = UniTask{key.second, key.first};
   }
-  return Rational(best.execution, best.period);
+  return best;
 }
 
 MirrorFingerprint TaskMirror::fingerprint_with(const UniTask& extra,

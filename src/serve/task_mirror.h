@@ -9,9 +9,11 @@
 //
 // The canonical (period, execution) -> count class map is the only
 // index of the committed multiset.  Next to it, every mutation keeps
-// O(1) aggregates: exact Rational ΣU, the committed count, and a
-// 128-bit *multiset fingerprint* — two independent commutative hash
-// sums over the committed (execution, period) pairs.  The fingerprint
+// cheap aggregates: ΣU as a util::WeightSum (exact integers, one table
+// lookup and one multiply-add per update, util/weight_sum.h), the
+// committed count, and a 128-bit *multiset fingerprint* — two
+// independent commutative hash sums over the committed (execution,
+// period) pairs.  The fingerprint
 // is the warm-start rule of the incremental Tier-2 layer: a single-task
 // join/leave/reweight moves it by one O(1) add/subtract, never a rehash
 // of the set, so adjacent request states key into the exact verdict
@@ -29,8 +31,8 @@
 #include <vector>
 
 #include "uniproc/uni_task.h"
-#include "util/rational.h"
 #include "util/types.h"
+#include "util/weight_sum.h"
 
 namespace pfair::serve {
 
@@ -61,18 +63,21 @@ class TaskMirror {
   bool erase(TaskId id);
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] const Rational& total() const noexcept { return total_; }
+  [[nodiscard]] const WeightSum& total() const noexcept { return total_; }
 
-  /// ΣU with `exclude` dropped (kNoTask or unknown ids excluded
-  /// nothing).  O(1).
-  [[nodiscard]] Rational total_excluding(TaskId exclude) const;
+  /// ΣU of committed ∪ {extra} − {exclude}, as the Tier-0 tests compare
+  /// it (`extra` may be invalid-by-sentinel, and kNoTask or unknown ids
+  /// exclude nothing).  O(log d) while the lcm of the periods fits int64,
+  /// plus one O(d) pass after the live periods change when a candidate
+  /// would pass it (WeightSum::with).
+  [[nodiscard]] WeightSum::View total_with(const UniTask& extra, TaskId exclude) const;
 
   /// Committed count with `exclude` dropped.  O(1).
   [[nodiscard]] std::size_t count_excluding(TaskId exclude) const;
 
-  /// Largest per-task utilization once `exclude` is dropped and
-  /// `candidate` joins.  O(d).
-  [[nodiscard]] Rational u_max_with(const UniTask& candidate, TaskId exclude) const;
+  /// The task of largest utilization once `exclude` is dropped and
+  /// `candidate` joins, as its (execution, period).  O(d).
+  [[nodiscard]] UniTask u_max_with(const UniTask& candidate, TaskId exclude) const;
 
   /// Fingerprint of committed ∪ {extra} − {exclude}: the O(1)
   /// single-task delta rule.  `extra` may be invalid-by-sentinel
@@ -96,7 +101,7 @@ class TaskMirror {
 
   std::vector<UniTask> tasks_;  ///< indexed by id; period 0 = absent
   std::size_t size_ = 0;
-  Rational total_ = Rational(0);
+  WeightSum total_;
   std::uint64_t fp_lo_ = 0;
   std::uint64_t fp_hi_ = 0;
   std::map<std::pair<std::int64_t, std::int64_t>, std::int64_t> classes_;

@@ -70,7 +70,10 @@ void GlobalJobSimulator::run_until(Time until) {
   while (now_ < until) {
     release_jobs(now_);
 
-    // Select the M highest-priority incomplete jobs.
+    // Select the M highest-priority incomplete jobs: one scheduling
+    // point per selection.
+    ++metrics_.scheduling_points;
+    obs::emit(bus_, obs::EventKind::kSchedInvoke, now_);
     std::vector<Job*> order;
     order.reserve(ready_.size());
     for (Job& j : ready_) order.push_back(&j);

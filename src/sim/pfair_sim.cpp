@@ -39,9 +39,10 @@ TaskId PfairSimulator::add_task(const Task& t, std::vector<Time> arrivals) {
   rt.arrivals = std::move(arrivals);
   rt.cursor.reset(t.execution, t.period, 1);
   tasks_.push_back(std::move(rt));
-  active_weight_ += t.weight();
+  weight_sum_.add(t.execution, t.period);
   enqueue_next_subtask(id, now_);
-  obs::emit(bus_, obs::EventKind::kTaskJoin, now_, id, kNoProc, t.weight().to_double());
+  if (bus_ != nullptr)  // the reduced weight costs a gcd: only when observed
+    bus_->emit(obs::EventKind::kTaskJoin, now_, id, kNoProc, t.weight().to_double());
   return id;
 }
 
@@ -92,7 +93,9 @@ std::optional<TaskId> PfairSimulator::join(const Task& t) {
   // admission check (run_until(T) leaves departures at exactly T
   // unprocessed, since slot T has not been simulated yet).
   if (!pending_departures_.empty()) process_pending_departures(now_);
-  if (!may_join(active_weight(), t.weight(), live_processors_)) {
+  // Eq. (2): the join is admitted while the total stays <= M.
+  if (weight_sum_.with(Weight{t.execution, t.period}).against(live_processors_) !=
+      WeightSum::Side::kWithin) {
     ++metrics_.tasks_rejected;
     return std::nullopt;
   }
@@ -120,7 +123,7 @@ void PfairSimulator::force_leave(TaskId id) {
   if (!rt.active) return;
   remove_from_queues(id);
   rt.active = false;
-  active_weight_ -= counted_weight(rt);
+  uncount(rt);
   obs::emit(bus_, obs::EventKind::kTaskLeave, now_, id);
   // Cancel any in-flight departure/reweight so the task cannot be
   // resurrected when its switch-over time arrives.
@@ -147,7 +150,7 @@ std::optional<Time> PfairSimulator::request_leave(TaskId id) {
   rt.pending_p = 0;
   if (freed <= now_) {
     rt.active = false;
-    active_weight_ -= rt.spec.weight();
+    weight_sum_.sub(rt.spec.execution, rt.spec.period);
     rt.leave_at = -1;
     obs::emit(bus_, obs::EventKind::kTaskLeave, now_, id);
     return now_;
@@ -164,13 +167,15 @@ std::optional<Time> PfairSimulator::request_reweight(TaskId id, const engine::Ta
 std::optional<Time> PfairSimulator::request_reweight(TaskId id, std::int64_t new_e,
                                                      std::int64_t new_p) {
   if (id >= tasks_.size()) return std::nullopt;
+  // As in join(): a switch-over or departure due now applies first.
+  if (!pending_departures_.empty()) process_pending_departures(now_);
   TaskRuntime& rt = tasks_[id];
   if (!rt.active || rt.leave_at >= 0) return std::nullopt;
-  const Rational new_w(new_e, new_p);
   // Until the switch-over the heavier of the old and new weight stays
   // accounted, so no join can take capacity the switch-over needs;
   // admission only needs the exchanged total to fit.
-  if (!may_join(active_weight() - rt.spec.weight(), new_w, live_processors_))
+  if (weight_sum_.with(Weight{new_e, new_p}, Weight{rt.spec.execution, rt.spec.period})
+          .against(live_processors_) != WeightSum::Side::kWithin)
     return std::nullopt;
   const Time freed = std::max(now_, earliest_leave(id));
   remove_from_queues(id);
@@ -181,8 +186,9 @@ std::optional<Time> PfairSimulator::request_reweight(TaskId id, std::int64_t new
   rt.leave_at = freed;
   rt.pending_e = new_e;
   rt.pending_p = new_p;
-  active_weight_ -= rt.spec.weight();
-  active_weight_ += counted_weight(rt);
+  weight_sum_.sub(rt.spec.execution, rt.spec.period);
+  const Weight held = counted_weight(rt);
+  weight_sum_.add(held.e, held.p);
   pending_departures_.push_back(id);
   return freed;
 }
@@ -206,7 +212,7 @@ void PfairSimulator::process_pending_departures(Time t) {
       restart_with_weight(pending_departures_[k], rt.pending_e, rt.pending_p, t);
     } else {
       rt.active = false;
-      active_weight_ -= counted_weight(rt);
+      uncount(rt);
       rt.leave_at = -1;
       rt.pending_e = 0;
       rt.pending_p = 0;
@@ -220,13 +226,13 @@ void PfairSimulator::process_pending_departures(Time t) {
 void PfairSimulator::restart_with_weight(TaskId id, std::int64_t e, std::int64_t p, Time t) {
   TaskRuntime& rt = tasks_[id];
   obs::emit(bus_, obs::EventKind::kTaskLeave, t, id);
-  active_weight_ -= counted_weight(rt);
+  uncount(rt);
   rt.leave_at = -1;
   rt.pending_e = 0;
   rt.pending_p = 0;
   rt.spec.execution = e;
   rt.spec.period = p;
-  active_weight_ += rt.spec.weight();
+  weight_sum_.add(e, p);
   rt.next_index = 1;
   rt.cursor.reset(e, p, 1);
   rt.last_sched_index = 0;
@@ -234,20 +240,29 @@ void PfairSimulator::restart_with_weight(TaskId id, std::int64_t e, std::int64_t
   rt.offset = t;
   rt.allocated = 0;
   enqueue_next_subtask(id, t);
-  obs::emit(bus_, obs::EventKind::kTaskJoin, t, id, kNoProc, rt.spec.weight().to_double());
+  if (bus_ != nullptr)
+    bus_->emit(obs::EventKind::kTaskJoin, t, id, kNoProc, rt.spec.weight().to_double());
 }
 
-Rational PfairSimulator::counted_weight(const TaskRuntime& rt) {
+Weight PfairSimulator::counted_weight(const TaskRuntime& rt) {
   const std::int64_t e = rt.pending_e < 0 ? -rt.pending_e : rt.pending_e;
   if (e > 0 && ratio_less(rt.spec.execution, rt.spec.period, e, rt.pending_p))
-    return Rational(e, rt.pending_p);
-  return rt.spec.weight();
+    return Weight{e, rt.pending_p};
+  return Weight{rt.spec.execution, rt.spec.period};
 }
 
-Rational PfairSimulator::recompute_active_weight() const {
-  Rational sum(0);
-  for (const TaskRuntime& rt : tasks_)
-    if (rt.active) sum += counted_weight(rt);
+void PfairSimulator::uncount(const TaskRuntime& rt) {
+  const Weight w = counted_weight(rt);
+  weight_sum_.sub(w.e, w.p);
+}
+
+WeightSum PfairSimulator::recompute_active_weight() const {
+  WeightSum sum;
+  for (const TaskRuntime& rt : tasks_) {
+    if (!rt.active) continue;
+    const Weight w = counted_weight(rt);
+    sum.add(w.e, w.p);
+  }
   return sum;
 }
 
@@ -686,8 +701,7 @@ void PfairSimulator::simulate_slot() {
     for (TaskId id = 0; id < tasks_.size(); ++id) {
       const TaskRuntime& rt = tasks_[id];
       if (!rt.active) continue;
-      const Rational l = lag(rt.spec.execution, rt.spec.period, t + 1 - rt.offset,
-                             rt.allocated);
+      const auto l = lag(rt.spec.execution, rt.spec.period, t + 1 - rt.offset, rt.allocated);
       bus_->emit(obs::EventKind::kLagSample, t + 1, id, kNoProc, l.to_double());
     }
   }

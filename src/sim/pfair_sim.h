@@ -40,6 +40,7 @@
 #include "sim/trace.h"
 #include "util/rational.h"
 #include "util/types.h"
+#include "util/weight_sum.h"
 
 namespace pfair {
 
@@ -158,14 +159,15 @@ class PfairSimulator : public engine::Simulator {
   [[nodiscard]] const ScheduleTrace& trace() const noexcept { return trace_; }
   [[nodiscard]] const PfairConfig& config() const noexcept { return config_; }
 
-  /// Total weight of currently active tasks.  Maintained incrementally
-  /// on join/leave/reweight/departure, so admission checks are O(1)
-  /// instead of an O(N) Rational sum per call.
-  [[nodiscard]] Rational active_weight() const noexcept { return active_weight_; }
+  /// Total weight of currently active tasks, exact in integers
+  /// (util/weight_sum.h).  Maintained incrementally on
+  /// join/leave/reweight/departure, so an admission check is one lookup
+  /// in its periods instead of an O(N) sum per call.
+  [[nodiscard]] const WeightSum& active_weight() const noexcept { return weight_sum_; }
 
   /// O(N) recomputation of active_weight() from scratch; test/debug hook
   /// asserting the incremental sum never drifts.
-  [[nodiscard]] Rational recompute_active_weight() const;
+  [[nodiscard]] WeightSum recompute_active_weight() const;
 
   /// Slots skipped by the idle fast-forward (run_until jumping straight
   /// to the next calendar/processor-event boundary); the counter lives
@@ -262,9 +264,11 @@ class PfairSimulator : public engine::Simulator {
   /// immediate or a pending reweight's switch-over), dropping whatever
   /// weight a pending change held.
   void restart_with_weight(TaskId id, std::int64_t e, std::int64_t p, Time t);
-  /// The weight active_weight_ counts for an active task: its own, or
+  /// The weight weight_sum_ counts for an active task: its own, or
   /// the heavier pending weight of a reweight not yet switched over.
-  [[nodiscard]] static Rational counted_weight(const TaskRuntime& rt);
+  [[nodiscard]] static Weight counted_weight(const TaskRuntime& rt);
+  /// Removes counted_weight(rt) from weight_sum_.
+  void uncount(const TaskRuntime& rt);
   void process_pending_departures(Time t);
   /// Latest time in (now_, until] the simulation can jump to with every
   /// skipped slot provably idle and unobserved, or now_ when fast-forward
@@ -286,7 +290,7 @@ class PfairSimulator : public engine::Simulator {
   std::vector<ProcessorEvent> proc_events_;  ///< sorted by time, applied in order
   std::size_t next_proc_event_ = 0;
   std::vector<TaskId> pending_departures_;   ///< tasks with leave_at set
-  Rational active_weight_ = Rational(0);     ///< cached sum over active tasks
+  WeightSum weight_sum_;                     ///< counted weights of active tasks
   engine::Metrics metrics_;
   obs::EventBus* bus_ = nullptr;  ///< borrowed; nullptr = observation off
   ScheduleTrace trace_;

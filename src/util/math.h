@@ -24,6 +24,8 @@ namespace pfair {
 
 /// 128-bit integer for products that may pass int64 (GCC and Clang).
 __extension__ typedef __int128 Int128;
+/// Its unsigned twin, for fixed-point values in units of 2⁻⁶⁴.
+__extension__ typedef unsigned __int128 UInt128;
 
 /// floor(a*b / c) for a, b >= 0 and c > 0, with the product formed
 /// exactly: in int64 while it fits, else in Int128.  The quotient must

@@ -4,13 +4,19 @@
 
 #include <utility>
 
+#include "util/weight_sum.h"
+
 namespace pfair {
 namespace {
 
 TEST(MayJoin, ExactCapacityBoundary) {
-  EXPECT_TRUE(may_join(Rational(3, 2), Rational(1, 2), 2));   // exactly 2
-  EXPECT_FALSE(may_join(Rational(3, 2), Rational(2, 3), 2));  // 13/6 > 2
-  EXPECT_TRUE(may_join(Rational(0), Rational(1), 1));
+  // Eq. (2) as PfairSimulator::join tests it: the join fits while the
+  // total stays <= M.
+  WeightSum three_halves;
+  for (int i = 0; i < 3; ++i) three_halves.add(1, 2);
+  EXPECT_EQ(three_halves.with(Weight{1, 2}).against(2), WeightSum::Side::kWithin);  // exactly 2
+  EXPECT_EQ(three_halves.with(Weight{2, 3}).against(2), WeightSum::Side::kAbove);   // 13/6 > 2
+  EXPECT_EQ(WeightSum().with(Weight{1, 1}).against(1), WeightSum::Side::kWithin);
 }
 
 TEST(EarliestLeave, NeverScheduledTaskLeavesImmediately) {

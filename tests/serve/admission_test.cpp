@@ -29,7 +29,7 @@ TEST(Admission, PfairEqTwoIsExactAtTheBoundary) {
     const Decision d = gate.decide_join(UniTask{1, 2});
     EXPECT_TRUE(d.admit) << "task " << id;
     EXPECT_EQ(d.tier, 0);
-    EXPECT_STREQ(d.reason, "eq2");
+    EXPECT_EQ(d.reason, "eq2");
     gate.commit(id, UniTask{1, 2});
   }
   EXPECT_EQ(gate.total_weight(), Rational(2));
@@ -38,7 +38,7 @@ TEST(Admission, PfairEqTwoIsExactAtTheBoundary) {
   const Decision over = gate.decide_join(UniTask{1, 1000000});
   EXPECT_FALSE(over.admit);
   EXPECT_EQ(over.tier, 0);
-  EXPECT_STREQ(over.reason, "eq2");
+  EXPECT_EQ(over.reason, "eq2");
 }
 
 TEST(Admission, BfAndRunDecideExactlyAtEqTwo) {
@@ -50,13 +50,13 @@ TEST(Admission, BfAndRunDecideExactlyAtEqTwo) {
       const Decision d = gate.decide_join(UniTask{1, 2});
       EXPECT_TRUE(d.admit) << to_string(kind) << " task " << id;
       EXPECT_EQ(d.tier, 0);
-      EXPECT_STREQ(d.reason, "eq2");
+      EXPECT_EQ(d.reason, "eq2");
       gate.commit(id, UniTask{1, 2});
     }
     const Decision over = gate.decide_join(UniTask{1, 1000000});
     EXPECT_FALSE(over.admit) << to_string(kind);
     EXPECT_EQ(over.tier, 0);
-    EXPECT_STREQ(over.reason, "eq2");
+    EXPECT_EQ(over.reason, "eq2");
   }
 }
 
@@ -64,14 +64,14 @@ TEST(Admission, InvalidTaskIsRejectedBeforeAnyTier) {
   AdmissionController gate(config_for(SchedulerKind::kPfair, 2));
   const Decision d = gate.decide_join(UniTask{5, 3});
   EXPECT_FALSE(d.admit);
-  EXPECT_STREQ(d.reason, "invalid");
+  EXPECT_EQ(d.reason, "invalid");
 }
 
 TEST(Admission, ReweightOfUnknownTaskIsRefused) {
   AdmissionController gate(config_for(SchedulerKind::kPfair, 2));
   const Decision d = gate.decide_reweight(7, UniTask{1, 2});
   EXPECT_FALSE(d.admit);
-  EXPECT_STREQ(d.reason, "unknown-task");
+  EXPECT_EQ(d.reason, "unknown-task");
 }
 
 TEST(Admission, ReweightExcludesTheOldWeight) {
@@ -133,14 +133,14 @@ TEST(Admission, UniprocRmEscalatesBetweenLiuLaylandAndOne) {
   const Decision d = gate.decide_join(UniTask{1, 8});
   EXPECT_TRUE(d.admit);
   EXPECT_EQ(d.tier, 2);
-  EXPECT_STREQ(d.reason, "rm-exact");
+  EXPECT_EQ(d.reason, "rm-exact");
   // Below the LL bound the cheap tier answers.
   AdmissionController fresh(
       config_for(SchedulerKind::kUniproc, 1, UniAlgorithm::kRM));
   const Decision cheap = fresh.decide_join(UniTask{1, 10});
   EXPECT_TRUE(cheap.admit);
   EXPECT_EQ(cheap.tier, 0);
-  EXPECT_STREQ(cheap.reason, "ll-bound");
+  EXPECT_EQ(cheap.reason, "ll-bound");
 }
 
 TEST(Admission, PartitionedUsesLopezThenPacking) {
@@ -149,7 +149,7 @@ TEST(Admission, PartitionedUsesLopezThenPacking) {
   const Decision light = gate.decide_join(UniTask{1, 8});
   EXPECT_TRUE(light.admit);
   EXPECT_EQ(light.tier, 0);
-  EXPECT_STREQ(light.reason, "lopez");
+  EXPECT_EQ(light.reason, "lopez");
   // Two 4/5 tasks sum to 1.6 > the Lopez bound of 3/2 (beta = 1), so
   // Tier 0 stays silent and the actual first-fit packing answers: one
   // heavy task per processor still fits.
@@ -157,14 +157,14 @@ TEST(Admission, PartitionedUsesLopezThenPacking) {
   const Decision heavy = gate.decide_join(UniTask{4, 5});
   EXPECT_TRUE(heavy.admit);
   EXPECT_EQ(heavy.tier, 1);
-  EXPECT_STREQ(heavy.reason, "ff-packed");
+  EXPECT_EQ(heavy.reason, "ff-packed");
   gate.commit(1, UniTask{4, 5});
   // A 2/5 task keeps total utilization at exactly m = 2 but fits on
   // neither 4/5-loaded processor: the packing says no.
   const Decision third = gate.decide_join(UniTask{2, 5});
   EXPECT_FALSE(third.admit);
   EXPECT_EQ(third.tier, 1);
-  EXPECT_STREQ(third.reason, "ff-unpacked");
+  EXPECT_EQ(third.reason, "ff-unpacked");
 }
 
 TEST(Admission, GlobalJobDhallOverloadIsCaughtByTierTwo) {
@@ -174,7 +174,7 @@ TEST(Admission, GlobalJobDhallOverloadIsCaughtByTierTwo) {
   const Decision d = gate.decide_join(UniTask{10, 11});
   EXPECT_FALSE(d.admit);
   EXPECT_EQ(d.tier, 2);
-  EXPECT_STREQ(d.reason, "exact-gedf");
+  EXPECT_EQ(d.reason, "exact-gedf");
   EXPECT_GT(d.exact_events, 0u);
 }
 
@@ -188,7 +188,7 @@ TEST(Admission, BudgetExhaustionFallsBackToTierOneMarkedApprox) {
   EXPECT_FALSE(d.admit);
   EXPECT_TRUE(d.approx);
   EXPECT_EQ(d.tier, 1);
-  EXPECT_STREQ(d.reason, "no-bound");
+  EXPECT_EQ(d.reason, "no-bound");
 }
 
 TEST(Admission, TierZeroAdmitImpliesTierTwoAdmit) {

@@ -197,9 +197,8 @@ bool total_above(const std::string& line, int m) {
 
 TEST(Daemon, GateAndSimulatorAgreeOnGeneratedPd2Streams) {
   // Whatever the gate admits, the PD2 simulator it serves must accept:
-  // no join may come back "sim-reject", and no total may pass M.  (A
-  // reweight may: the simulator refuses a second one while one is
-  // pending, which the gate does not track.)
+  // no join or reweight may come back "sim-reject", and no total may
+  // pass M.
   int failed_streams = 0;
   for (const int m : {1, 2, 4}) {
     for (const std::int64_t max_period : {16, 40}) {
@@ -211,22 +210,20 @@ TEST(Daemon, GateAndSimulatorAgreeOnGeneratedPd2Streams) {
         Daemon d(pfair_config(m));
         std::istringstream in(generate_requests(gen));
         std::string line;
-        int sim_rejected_joins = 0;
+        int sim_rejected = 0;
         int totals_above_m = 0;
         while (std::getline(in, line)) {
           const std::string reply = d.process_line(line);
-          if (reply.find("\"op\":\"join\"") != std::string::npos &&
-              reply.find("\"sim-reject\"") != std::string::npos)
-            ++sim_rejected_joins;
+          if (reply.find("\"sim-reject\"") != std::string::npos) ++sim_rejected;
           if (total_above(reply, m)) ++totals_above_m;
         }
-        EXPECT_EQ(sim_rejected_joins, 0)
+        EXPECT_EQ(sim_rejected, 0)
             << "m=" << m << " max_period=" << max_period << " seed=" << seed;
         EXPECT_EQ(totals_above_m, 0)
             << "m=" << m << " max_period=" << max_period << " seed=" << seed;
         EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u)
             << "m=" << m << " max_period=" << max_period << " seed=" << seed;
-        if (sim_rejected_joins + totals_above_m > 0) ++failed_streams;
+        if (sim_rejected + totals_above_m > 0) ++failed_streams;
       }
     }
   }
@@ -329,6 +326,105 @@ TEST(Daemon, PartitionedGateAndSimulatorAgreeOnJoinStreams) {
     EXPECT_EQ(sim_rejects, 0) << "algorithm " << static_cast<int>(algorithm);
     EXPECT_GT(tier1_admits, 100) << "algorithm " << static_cast<int>(algorithm);
   }
+}
+
+TEST(Daemon, CoprimeStormPastInt64IsRefusedInEveryKind) {
+  // Ten joins (1, p) over the primes 101..149 take the lcm of ΣU's
+  // periods past int64 (ΣU is about 0.084); a join of weight 1 on top
+  // must be refused by every kind, and no total may read negative.
+  using engine::SchedulerKind;
+  for (const SchedulerKind kind :
+       {SchedulerKind::kPfair, SchedulerKind::kUniproc, SchedulerKind::kPartitioned,
+        SchedulerKind::kGlobalJob, SchedulerKind::kCbs, SchedulerKind::kWrr,
+        SchedulerKind::kBf, SchedulerKind::kRun}) {
+    DaemonConfig c;
+    c.kind = kind;
+    c.processors = 1;
+    Daemon d(c);
+    for (const std::int64_t p : {101, 103, 107, 109, 113, 127, 131, 137, 139, 149}) {
+      const std::string reply = d.process_line(join_line(1, p));
+      EXPECT_EQ(reply.find("\"total\":\"-"), std::string::npos) << to_string(kind) << reply;
+    }
+    const std::string last = d.process_line(join_line(1, 1));
+    EXPECT_NE(last.find("\"admit\":false,\"approx\":false"), std::string::npos)
+        << to_string(kind) << last;
+    EXPECT_EQ(last.find("\"total\":\"-"), std::string::npos) << to_string(kind) << last;
+  }
+}
+
+TEST(Daemon, PartitionedJoinsPastInt64AreNotAdmittedByLopez) {
+  // At t = 0 on 8 processors the 18th join brings ΣU to about 7.63,
+  // far above Lopez's bound of 9/2 (u_max = 5/8, beta = 1); the lcm of
+  // the periods is about 6.8e18, so a product of the sum and the bound
+  // passes int64.  Tier 1's packing refuses it, and every join the gate
+  // admits, the simulator places.
+  Daemon d(partitioned_config(8, UniAlgorithm::kEDF));
+  const std::int64_t joins[][2] = {{1, 3},   {2, 4},   {27, 53}, {9, 19},  {5, 8},   {7, 16},
+                                   {7, 13},  {3, 9},   {31, 59}, {15, 43}, {11, 32}, {7, 17},
+                                   {6, 27},  {16, 47}, {19, 37}, {9, 29},  {8, 25},  {6, 11}};
+  std::string reply;
+  for (const auto& j : joins) {
+    reply = d.process_line(join_line(j[0], j[1]));
+    EXPECT_EQ(reply.find("\"sim-reject\""), std::string::npos) << reply;
+  }
+  EXPECT_NE(reply.find("\"admit\":false"), std::string::npos) << reply;
+  EXPECT_EQ(reply.find("\"lopez\""), std::string::npos) << reply;
+}
+
+TEST(Daemon, HugePeriodStreamKeepsGateAndSimulatorInStep) {
+  // Periods up to 10^6 take ΣU past an int64 lcm within a few joins.
+  // The gate and the simulator hold the same interval there, so no
+  // answer comes back "sim-reject" and no admitted set misses.
+  GenConfig gen;
+  gen.count = 20000;
+  gen.seed = 5;
+  gen.load = 2.0;
+  gen.max_period = 1'000'000;
+  DaemonConfig c = pfair_config(4);
+  c.advance_per_request = 1;
+  Daemon d(c);
+  std::istringstream in(generate_requests(gen));
+  std::string line;
+  int sim_rejects = 0;
+  int approximate_totals = 0;
+  while (std::getline(in, line)) {
+    const std::string reply = d.process_line(line);
+    if (reply.find("\"sim-reject\"") != std::string::npos) ++sim_rejects;
+    if (reply.find("\"total\":\"~") != std::string::npos) ++approximate_totals;
+  }
+  EXPECT_EQ(sim_rejects, 0);
+  EXPECT_GT(approximate_totals, 10000);
+  EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
+}
+
+TEST(Daemon, ReweightWhileAChangeIsPendingIsRefusedByTheGate) {
+  // The simulator refuses a reweight while a leave or a switch-over is
+  // pending; the gate answers it ("pending-change") instead of
+  // admitting what the simulator then refuses.  At the switch-over
+  // instant the change has applied on both sides.
+  Daemon d(pfair_config(1));
+  (void)d.process_line(join_line(1, 2));
+  (void)d.process_line("{\"op\":\"advance\",\"to\":1}");
+  const std::string first =
+      d.process_line("{\"op\":\"reweight\",\"task\":0,\"execution\":1,\"period\":4}");
+  ASSERT_NE(first.find("\"effective_at\":3"), std::string::npos) << first;
+  const std::string early =
+      d.process_line("{\"op\":\"reweight\",\"task\":0,\"execution\":1,\"period\":3}");
+  EXPECT_NE(early.find("\"admit\":false"), std::string::npos) << early;
+  EXPECT_NE(early.find("\"reason\":\"pending-change\""), std::string::npos) << early;
+  (void)d.process_line("{\"op\":\"advance\",\"to\":3}");
+  const std::string on_time =
+      d.process_line("{\"op\":\"reweight\",\"task\":0,\"execution\":1,\"period\":3}");
+  EXPECT_NE(on_time.find("\"admit\":true"), std::string::npos) << on_time;
+  EXPECT_NE(on_time.find("\"total\":\"1/3\""), std::string::npos) << on_time;
+  (void)d.process_line("{\"op\":\"advance\",\"to\":4}");
+  const std::string leave = d.process_line("{\"op\":\"leave\",\"task\":0}");
+  // The task ran since its switch-over, so its leave waits.
+  ASSERT_EQ(leave.find("\"free_at\":4"), std::string::npos) << leave;
+  const std::string departing =
+      d.process_line("{\"op\":\"reweight\",\"task\":0,\"execution\":1,\"period\":5}");
+  EXPECT_NE(departing.find("\"reason\":\"pending-change\""), std::string::npos) << departing;
+  EXPECT_EQ(d.simulator().metrics().deadline_misses, 0u);
 }
 
 DaemonConfig global_job_config(UniAlgorithm algorithm) {

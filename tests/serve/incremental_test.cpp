@@ -11,6 +11,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/json.h"
@@ -18,12 +19,21 @@
 #include "serve/daemon.h"
 #include "serve/request.h"
 #include "serve/task_mirror.h"
+#include "util/rational.h"
 #include "util/rng.h"
 
 namespace pfair::serve {
 namespace {
 
 // --- TaskMirror -----------------------------------------------------
+
+/// The value a WeightSum holds for the Rational `r`.
+WeightSum::Fraction fraction(const Rational& r) { return {r.num(), r.den()}; }
+
+/// A task's (execution, period), what u_max_with names.
+std::pair<std::int64_t, std::int64_t> key(const UniTask& t) { return {t.execution, t.period}; }
+
+constexpr UniTask kNone{0, 0};  // sentinel: no candidate
 
 TEST(TaskMirror, MatchesAReferenceMapUnderChurn) {
   TaskMirror mirror;
@@ -48,13 +58,13 @@ TEST(TaskMirror, MatchesAReferenceMapUnderChurn) {
     EXPECT_EQ(found->execution, t.execution);
     EXPECT_EQ(found->period, t.period);
   }
-  EXPECT_EQ(mirror.total(), total);
+  EXPECT_EQ(mirror.total().fraction(), fraction(total));
   // Ids past the table, including ones no simulator ever assigns, read
   // as absent and change nothing.
   for (const TaskId never : {TaskId{999}, TaskId{4294967294u}, kNoTask}) {
     EXPECT_EQ(mirror.find(never), nullptr) << never;
     EXPECT_FALSE(mirror.erase(never)) << never;
-    EXPECT_EQ(mirror.total_excluding(never), total) << never;
+    EXPECT_EQ(mirror.total_with(kNone, never).fraction(), fraction(total)) << never;
     EXPECT_EQ(mirror.count_excluding(never), ref.size()) << never;
   }
 }
@@ -67,19 +77,19 @@ TEST(TaskMirror, EraseAndReinsertCyclesKeepSizeAndTotalExact) {
   for (int cycle = 0; cycle < 200; ++cycle) {
     for (TaskId id = 0; id < 8; ++id) mirror.upsert(id, UniTask{1, 4 + id});
     ASSERT_EQ(mirror.size(), 8u);
-    ASSERT_EQ(mirror.total(), Rational(1, 4) + Rational(1, 5) + Rational(1, 6) +
-                                  Rational(1, 7) + Rational(1, 8) + Rational(1, 9) +
-                                  Rational(1, 10) + Rational(1, 11));
+    ASSERT_EQ(mirror.total().fraction(),
+              fraction(Rational(1, 4) + Rational(1, 5) + Rational(1, 6) + Rational(1, 7) +
+                       Rational(1, 8) + Rational(1, 9) + Rational(1, 10) + Rational(1, 11)));
     for (TaskId id = 0; id < 8; ++id) EXPECT_TRUE(mirror.erase(id));
     for (TaskId id = 0; id < 8; ++id) EXPECT_EQ(mirror.find(id), nullptr);
     EXPECT_FALSE(mirror.erase(3));
   }
   EXPECT_EQ(mirror.size(), 0u);
-  EXPECT_EQ(mirror.total(), Rational(0));
+  EXPECT_EQ(mirror.total().fraction(), fraction(Rational(0)));
   mirror.upsert(3, UniTask{1, 2});
   ASSERT_NE(mirror.find(3), nullptr);
   EXPECT_EQ(mirror.size(), 1u);
-  EXPECT_EQ(mirror.total(), Rational(1, 2));
+  EXPECT_EQ(mirror.total().fraction(), fraction(Rational(1, 2)));
 }
 
 TEST(TaskMirror, FingerprintDependsOnTheMultisetNotArrivalOrder) {
@@ -165,17 +175,18 @@ TEST(TaskMirror, ExclusionAggregatesDropExactlyOneTask) {
   mirror.upsert(0, UniTask{1, 2});   // weight 1/2
   mirror.upsert(1, UniTask{3, 4});   // weight 3/4
   mirror.upsert(2, UniTask{1, 10});  // weight 1/10
-  EXPECT_EQ(mirror.total_excluding(1), Rational(1, 2) + Rational(1, 10));
+  EXPECT_EQ(mirror.total_with(kNone, 1).fraction(), fraction(Rational(1, 2) + Rational(1, 10)));
   EXPECT_EQ(mirror.count_excluding(1), 2u);
-  EXPECT_EQ(mirror.total_excluding(kNoTask), mirror.total());
-  EXPECT_EQ(mirror.total_excluding(static_cast<TaskId>(77)), mirror.total());
+  EXPECT_EQ(mirror.total_with(kNone, kNoTask).fraction(), mirror.total().fraction());
+  EXPECT_EQ(mirror.total_with(kNone, static_cast<TaskId>(77)).fraction(),
+            mirror.total().fraction());
   // Dropping the current max exposes the runner-up against a light
   // candidate; a heavy candidate wins outright.
-  EXPECT_EQ(mirror.u_max_with(UniTask{1, 100}, 1), Rational(1, 2));
-  EXPECT_EQ(mirror.u_max_with(UniTask{9, 10}, kNoTask), Rational(9, 10));
+  EXPECT_EQ(key(mirror.u_max_with(UniTask{1, 100}, 1)), key(UniTask{1, 2}));
+  EXPECT_EQ(key(mirror.u_max_with(UniTask{9, 10}, kNoTask)), key(UniTask{9, 10}));
   // A second task in the excluded task's class keeps that class.
   mirror.upsert(3, UniTask{3, 4});
-  EXPECT_EQ(mirror.u_max_with(UniTask{1, 100}, 1), Rational(3, 4));
+  EXPECT_EQ(key(mirror.u_max_with(UniTask{1, 100}, 1)), key(UniTask{3, 4}));
 }
 
 TEST(TaskMirror, UMaxIsExactPastInt64CrossProducts) {
@@ -193,20 +204,20 @@ TEST(TaskMirror, UMaxIsExactPastInt64CrossProducts) {
   const UniTask kTiny{1, 1000};
   for (const Pair& p : pairs) {
     ASSERT_LT(p.light.utilization(), p.heavy.utilization());
-    const Rational heavy(p.heavy.execution, p.heavy.period);
-    const Rational light(p.light.execution, p.light.period);
+    const auto heavy = key(p.heavy);
+    const auto light = key(p.light);
     for (const bool heavy_first : {false, true}) {
       TaskMirror mirror;
       mirror.upsert(heavy_first ? 0 : 1, p.heavy);
       mirror.upsert(heavy_first ? 1 : 0, p.light);
       const TaskId heavy_id = heavy_first ? 0 : 1;
-      EXPECT_EQ(mirror.u_max_with(kTiny, kNoTask), heavy) << heavy_first;
+      EXPECT_EQ(key(mirror.u_max_with(kTiny, kNoTask)), heavy) << heavy_first;
       // Candidate against the committed task, in both roles.
       TaskMirror one;
       one.upsert(0, heavy_first ? p.heavy : p.light);
-      EXPECT_EQ(one.u_max_with(heavy_first ? p.light : p.heavy, kNoTask), heavy);
+      EXPECT_EQ(key(one.u_max_with(heavy_first ? p.light : p.heavy, kNoTask)), heavy);
       // Excluding the heavier task leaves the lighter one.
-      EXPECT_EQ(mirror.u_max_with(kTiny, heavy_id), light) << heavy_first;
+      EXPECT_EQ(key(mirror.u_max_with(kTiny, heavy_id)), light) << heavy_first;
     }
   }
 }
@@ -238,7 +249,7 @@ TEST(TierTwoMemo, RepeatDecisionsHitAndStayIdentical) {
   EXPECT_EQ(cold.tier, warm.tier);
   EXPECT_EQ(cold.approx, warm.approx);
   EXPECT_EQ(cold.exact_events, warm.exact_events);
-  EXPECT_STREQ(cold.reason, warm.reason);
+  EXPECT_EQ(cold.reason, warm.reason);
 }
 
 DaemonConfig storm_config(std::size_t memo_capacity) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/bus.h"
+#include "obs/counter_sink.h"
 #include "sim/pfair_sim.h"
 #include "workload/generator.h"
 
@@ -15,6 +17,21 @@ TEST(GlobalJob, MatchesUniprocessorEdfOnOneProcessor) {
   EXPECT_EQ(sim.metrics().deadline_misses, 0u);
   EXPECT_EQ(sim.metrics().jobs_completed, sim.metrics().jobs_released);
   EXPECT_EQ(sim.metrics().migrations, 0u);
+}
+
+TEST(GlobalJob, CountsOneSchedulingPointPerSelection) {
+  // One task (1, 4) on one processor up to t = 8 selects at 0 (the job
+  // runs), at 1 (idle until the release at 4), at 4 and at 5: four
+  // decisions, each one kSchedInvoke event.
+  GlobalJobSimulator sim({{1, 4}}, GlobalJobConfig{1, UniAlgorithm::kEDF});
+  obs::EventBus bus;
+  obs::CounterSink counters;
+  bus.add_sink(&counters);
+  sim.attach_observer(&bus);
+  sim.run_until(8);
+  bus.flush();
+  EXPECT_EQ(sim.metrics().scheduling_points, 4u);
+  EXPECT_EQ(counters.metrics().scheduling_points, 4u);
 }
 
 TEST(GlobalJob, DhallEffectGlobalEdfMissesAtLowUtilization) {
